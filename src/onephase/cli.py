@@ -9,7 +9,6 @@ trace) controls stdout verbosity.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import os
 import sys
@@ -178,12 +177,7 @@ def _cmd_batch(args) -> int:
         return USAGE_ERROR
 
     opts = _options_from_args(args)
-    if args.jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(
-                lambda p: _solve_file(p, opts, args.trace_dir), files))
-    else:
-        rows = [_solve_file(p, opts, args.trace_dir) for p in files]
+    rows = [_solve_file(p, opts, args.trace_dir) for p in files]
 
     if args.summary is not None:
         with open(args.summary, "w", newline="") as fh:
@@ -244,8 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write a one-row-per-problem summary CSV")
     p_batch.add_argument("--trace-dir", default=None, dest="trace_dir",
                          help="directory for per-problem trace CSVs")
-    p_batch.add_argument("--jobs", type=int, default=1,
-                         help="solve problems in parallel with this many workers")
     return parser
 
 

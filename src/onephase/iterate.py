@@ -127,9 +127,6 @@ class SolverOptions:
             th[i] = self.theta_p_linear
         return th
 
-    def theta_b_vector(self, problem: NlpProblem) -> np.ndarray:
-        return np.full(problem.m, self.theta_b)
-
 
 @dataclass(frozen=True)
 class Iterate:
@@ -209,26 +206,6 @@ def primal_trial(cur: Iterate, dx: np.ndarray, gamma: float, alpha_p: float,
         raise StepRejected(str(exc)) from exc
     s_plus = mu_plus * cur.w - a_plus
     return mu_plus, x_plus, a_plus, s_plus
-
-
-def update_iterate(cur: Iterate, direction, alpha_p: float, alpha_d: float,
-                   problem: NlpProblem) -> Iterate:
-    """Full nonlinear update: mu+ = (1-(1-gamma)alpha_P)mu, x+ = x+alpha_P dx,
-    s+ = mu+ w - a(x+),  y+ = y + alpha_D dy.
-
-    The slack rebuild keeps ``a(x)+s = mu*w`` exact by construction.
-    Raises :class:`StepRejected` on evaluation failure or a nonpositive
-    slack component.
-    """
-    mu_plus, x_plus, a_plus, s_plus = primal_trial(
-        cur, direction.dx, direction.gamma, alpha_p, problem)
-    if cur.m and np.min(s_plus) <= 0:
-        raise StepRejected("slack lost interiority")
-    y_plus = cur.y + alpha_d * direction.dy
-    try:
-        return make_iterate(problem, mu_plus, x_plus, s_plus, y_plus, cur.w, a=a_plus)
-    except EvaluationError as exc:
-        raise StepRejected(str(exc)) from exc
 
 
 def check_interior(it: Iterate, beta2: float) -> bool:

@@ -123,14 +123,11 @@ def factorize_with_shift(
 
     ``delta_in`` is the caller's previous shift (0 on the first outer
     iteration).  If ``min diag(M) > 0`` an unshifted factorization is tried
-    first; otherwise the shift restarts at
-    ``max(delta_in / delta_dec, delta_min - tau)`` and is multiplied by
-    ``delta_inc`` after every failure.  Raises :class:`MaxDeltaError` once
-    ``delta >= delta_max``.  On success ``state.delta_prev`` is set to the
-    returned shift.
+    first; otherwise, or when it fails, the shift starts at
+    ``max(delta_in / delta_dec, delta_min - tau)`` and grows as in
+    :func:`factorize_growing_shift`.
     """
     M = schur.M
-    n = M.shape[0]
     tau = float(np.min(np.diag(M)))
     attempts = 0
 
@@ -143,12 +140,28 @@ def factorize_with_shift(
         tau = 0.0
 
     delta = max(delta_in / state.delta_dec, state.delta_min - tau)
-    eye = np.eye(n)
+    return factorize_growing_shift(schur, delta, state, attempts)
+
+
+def factorize_growing_shift(
+    schur: SchurMatrix,
+    delta: float,
+    state: DeltaState,
+    attempts: int = 0,
+) -> FactorizedSystem:
+    """Factor ``M + delta*I``, multiplying delta by ``delta_inc`` after
+    every failed trial Cholesky.
+
+    ``attempts`` counts trials already spent on this matrix.  Raises
+    :class:`MaxDeltaError` once ``delta >= delta_max``; on success
+    ``state.delta_prev`` is set to the returned shift.
+    """
+    eye = np.eye(schur.M.shape[0])
     while True:
         if delta >= state.delta_max:
             raise MaxDeltaError(delta, state.delta_max)
         attempts += 1
-        L = _try_cholesky(M + delta * eye)
+        L = _try_cholesky(schur.M + delta * eye)
         if L is not None:
             state.delta_prev = delta
             return FactorizedSystem(schur=schur, delta=delta, factor=L, attempts=attempts)

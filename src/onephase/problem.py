@@ -98,26 +98,6 @@ class NlpProblem:
         return H
 
 
-def modified_lagrangian_gradient(
-    problem: NlpProblem,
-    x: np.ndarray,
-    y: np.ndarray,
-    mu: float,
-    beta1: float,
-) -> np.ndarray:
-    """grad f(x) + jac(x)^T (y - mu*beta1*e).
-
-    With ``mu == 0`` this is the classical Lagrangian gradient used by the
-    optimality test.  Evaluation failures propagate as
-    :class:`EvaluationError`.
-    """
-    g = problem.grad_f(x)
-    if problem.m == 0:
-        return g
-    J = problem.jac(x)
-    return g + J.T @ (y - mu * beta1)
-
-
 class Relation(enum.Enum):
     LE = "<="
     GE = ">="

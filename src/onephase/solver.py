@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -42,8 +42,8 @@ from .linalg import (
     SchurMatrix,
     assemble_schur,
     escalate_delta,
+    factorize_growing_shift,
     factorize_with_shift,
-    _try_cholesky,
 )
 from .problem import EvaluationError, NlpProblem
 from .steps import (
@@ -66,17 +66,11 @@ class InitializationError(EvaluationError):
 
 TRACE_SCHEMA_VERSION = "onephase-trace-v1"
 
-TRACE_COLUMNS = [
-    "iter", "outer", "inner", "kind", "accepted", "gamma", "delta",
-    "alpha_p", "alpha_d", "mu", "mu_pre", "primal_resid", "opt_dual",
-    "opt_comp", "switch_dual", "phi", "kkt", "filter_size",
-    "f_evals", "grad_evals", "cons_evals", "jac_evals", "hess_evals",
-    "factorizations", "backsolves",
-]
-
 
 @dataclass
 class TraceRecord:
+    """One trace row; the field order is the CSV column order."""
+
     iter: int
     outer: int
     inner: int
@@ -105,6 +99,9 @@ class TraceRecord:
 
     def row(self) -> list:
         return [getattr(self, c) for c in TRACE_COLUMNS]
+
+
+TRACE_COLUMNS = [f.name for f in fields(TraceRecord)]
 
 
 @dataclass
@@ -319,18 +316,7 @@ def _refactorize(schur: SchurMatrix, delta: float, state: DeltaState) -> Factori
     """Factor M + delta*I at an escalated shift, growing delta on numerical
     failure (the escalation formula does not guarantee positive
     definiteness by itself)."""
-    attempts = 0
-    eye = np.eye(schur.M.shape[0])
-    while True:
-        if delta >= state.delta_max:
-            raise MaxDeltaError(delta, state.delta_max)
-        attempts += 1
-        L = _try_cholesky(schur.M + delta * eye)
-        if L is not None:
-            state.delta_prev = delta
-            return FactorizedSystem(schur=schur, delta=delta, factor=L,
-                                    attempts=attempts)
-        delta = state.delta_inc * delta
+    return factorize_growing_shift(schur, delta, state)
 
 
 def solve(

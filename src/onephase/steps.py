@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -135,7 +136,7 @@ def max_primal_step(it: Iterate, direction: Direction, delta: float,
 
 
 def fraction_to_boundary_ok(s_plus: np.ndarray, it: Iterate, direction: Direction,
-                            delta: float, theta_b: np.ndarray,
+                            delta: float, theta_b: float,
                             beta_exp: float) -> bool:
     """Acceptance-side rule s+ >= theta_b * min(s, step-size bound)."""
     if it.m == 0:
@@ -146,7 +147,7 @@ def fraction_to_boundary_ok(s_plus: np.ndarray, it: Iterate, direction: Directio
 
 def dual_interval(s_plus: np.ndarray, mu_plus: float, it: Iterate,
                   direction: Direction, beta2: float,
-                  theta_b: np.ndarray) -> tuple[float, float] | None:
+                  theta_b: float) -> tuple[float, float] | None:
     """Feasible dual step sizes: the largest [lo, hi] within [0,1] keeping
     s+_i (y + alpha dy)_i / mu+ in [beta2, 1/beta2] and
     y + alpha dy >= theta_b * y * min(1, ||dx||_inf).
@@ -252,46 +253,32 @@ def _finite_direction(direction: Direction) -> bool:
     )
 
 
-def aggressive_step(fs: FactorizedSystem, it: Iterate, problem: NlpProblem,
-                    opts: SolverOptions) -> StepOutcome:
-    """Mehrotra-style mu-reducing step.
+def _line_search(fs: FactorizedSystem, it: Iterate, problem: NlpProblem,
+                 opts: SolverOptions, direction: Direction, alpha_p: float,
+                 below_minimum: Callable[[float], bool],
+                 accepts: Callable[[Iterate, float], bool]) -> StepOutcome:
+    """Backtracking search shared by both step kinds.
 
-    A pure predictor (gamma = 0) direction sets the corrector target
-    gamma = min(0.5, (1 - alpha_max)^2).  The corrector direction is then
-    line searched from the fraction-to-boundary maximum, rejecting early
-    when it is not a descent direction for the modified Lagrangian at the
-    centering duals.  After the dual step is chosen, a guard rejects steps
-    that slash mu while the dual infeasibility stays large.
+    From ``alpha_p`` each trial builds mu+, x+ and the nonlinear slack
+    update s+ = mu+ w - a(x+), which must be positive and pass the
+    fraction-to-boundary rule; then the dual step, which needs a nonempty
+    dual interval and grad f, J at x+.  Next comes the dual-feasibility
+    guard, then f at x+, then ``accepts(new, alpha_p)`` and the
+    complementarity corridor.  Every rejection multiplies ``alpha_p`` by
+    beta6, except the guard's, which jumps to max(beta8^2, alpha_p tau^2)
+    at most MAX_GUARD_RETRIES times.  The guard runs before f is
+    evaluated, so its rejections cost no objective evaluation; it only
+    looks at steps with mu+ < (1 - beta8) mu, which a stabilization step
+    (mu+ = mu) never takes.  The search fails once
+    ``below_minimum(alpha_p)`` holds.
     """
-    theta_p = opts.theta_p_vector(problem)
-    theta_b = opts.theta_b_vector(problem)
-
-    predictor = compute_direction(fs, it, 0.0, opts.beta1)
-    if not _finite_direction(predictor):
-        return StepOutcome(False, None, predictor, reason="non-finite direction")
-    alpha_hat = max_primal_step(it, predictor, fs.delta, theta_p, opts.beta_exp)
-    gamma = min(0.5, (1.0 - alpha_hat) ** 2)
-
-    direction = compute_direction(fs, it, gamma, opts.beta1)
-    if not _finite_direction(direction):
-        return StepOutcome(False, None, direction, reason="non-finite direction")
-
-    y_tilde = _trial_duals(it, gamma)
-    grad_tilde = it.grad_f if it.m == 0 else (
-        it.grad_f + it.jac.T @ (y_tilde - gamma * it.mu * opts.beta1))
-    if float(grad_tilde @ direction.dx) >= 0:
-        return StepOutcome(False, None, direction, reason="not a descent direction")
-
-    alpha_min = theta_bar(it.mu, it.s, it.w, opts)
-    alpha_p = max_primal_step(it, direction, fs.delta, theta_p, opts.beta_exp)
     guard_retries = 0
-
     while True:
-        if alpha_p < alpha_min:
+        if below_minimum(alpha_p):
             return StepOutcome(False, None, direction, reason="step size below minimum")
         try:
             mu_plus, x_plus, a_plus, s_plus = primal_trial(
-                it, direction.dx, gamma, alpha_p, problem)
+                it, direction.dx, direction.gamma, alpha_p, problem)
         except StepRejected:
             alpha_p *= opts.beta6
             continue
@@ -299,10 +286,10 @@ def aggressive_step(fs: FactorizedSystem, it: Iterate, problem: NlpProblem,
             alpha_p *= opts.beta6
             continue
         if not fraction_to_boundary_ok(s_plus, it, direction, fs.delta,
-                                       theta_b, opts.beta_exp):
+                                       opts.theta_b, opts.beta_exp):
             alpha_p *= opts.beta6
             continue
-        interval = dual_interval(s_plus, mu_plus, it, direction, opts.beta2, theta_b)
+        interval = dual_interval(s_plus, mu_plus, it, direction, opts.beta2, opts.theta_b)
         if interval is None:
             alpha_p *= opts.beta6
             continue
@@ -336,10 +323,46 @@ def aggressive_step(fs: FactorizedSystem, it: Iterate, problem: NlpProblem,
         except EvaluationError:
             alpha_p *= opts.beta6
             continue
-        if not check_interior(new, opts.beta2):
+        if not accepts(new, alpha_p) or not check_interior(new, opts.beta2):
             alpha_p *= opts.beta6
             continue
         return StepOutcome(True, new, direction, alpha_p=alpha_p, alpha_d=alpha_d)
+
+
+def aggressive_step(fs: FactorizedSystem, it: Iterate, problem: NlpProblem,
+                    opts: SolverOptions) -> StepOutcome:
+    """Mehrotra-style mu-reducing step.
+
+    A pure predictor (gamma = 0) direction sets the corrector target
+    gamma = min(0.5, (1 - alpha_max)^2).  The corrector direction is then
+    line searched from the fraction-to-boundary maximum, rejecting early
+    when it is not a descent direction for the modified Lagrangian at the
+    centering duals.  After the dual step is chosen, a guard rejects steps
+    that slash mu while the dual infeasibility stays large.
+    """
+    theta_p = opts.theta_p_vector(problem)
+
+    predictor = compute_direction(fs, it, 0.0, opts.beta1)
+    if not _finite_direction(predictor):
+        return StepOutcome(False, None, predictor, reason="non-finite direction")
+    alpha_hat = max_primal_step(it, predictor, fs.delta, theta_p, opts.beta_exp)
+    gamma = min(0.5, (1.0 - alpha_hat) ** 2)
+
+    direction = compute_direction(fs, it, gamma, opts.beta1)
+    if not _finite_direction(direction):
+        return StepOutcome(False, None, direction, reason="non-finite direction")
+
+    y_tilde = _trial_duals(it, gamma)
+    grad_tilde = it.grad_f if it.m == 0 else (
+        it.grad_f + it.jac.T @ (y_tilde - gamma * it.mu * opts.beta1))
+    if float(grad_tilde @ direction.dx) >= 0:
+        return StepOutcome(False, None, direction, reason="not a descent direction")
+
+    alpha_min = theta_bar(it.mu, it.s, it.w, opts)
+    alpha_p = max_primal_step(it, direction, fs.delta, theta_p, opts.beta_exp)
+    return _line_search(fs, it, problem, opts, direction, alpha_p,
+                        below_minimum=lambda alpha: alpha < alpha_min,
+                        accepts=lambda new, alpha: True)
 
 
 def stabilization_step(fs: FactorizedSystem, it: Iterate, filt: Filter,
@@ -352,7 +375,6 @@ def stabilization_step(fs: FactorizedSystem, it: Iterate, filt: Filter,
     at this residual level.
     """
     theta_p = opts.theta_p_vector(problem)
-    theta_b = opts.theta_b_vector(problem)
 
     direction = compute_direction(fs, it, 1.0, opts.beta1)
     if not _finite_direction(direction):
@@ -367,54 +389,14 @@ def stabilization_step(fs: FactorizedSystem, it: Iterate, filt: Filter,
     comp_term = inf_norm(it.s * it.y - it.mu) ** 3 / it.mu ** 2
     dx_sq = float(direction.dx @ direction.dx)
 
-    alpha_p = max_primal_step(it, direction, fs.delta, theta_p, opts.beta_exp)
-
-    while True:
-        if alpha_p <= opts.beta5:
-            return StepOutcome(False, None, direction, reason="step size below minimum")
-        try:
-            mu_plus, x_plus, a_plus, s_plus = primal_trial(
-                it, direction.dx, 1.0, alpha_p, problem)
-        except StepRejected:
-            alpha_p *= opts.beta6
-            continue
-        if it.m and np.min(s_plus) <= 0:
-            alpha_p *= opts.beta6
-            continue
-        if not fraction_to_boundary_ok(s_plus, it, direction, fs.delta,
-                                       theta_b, opts.beta_exp):
-            alpha_p *= opts.beta6
-            continue
-        interval = dual_interval(s_plus, mu_plus, it, direction, opts.beta2, theta_b)
-        if interval is None:
-            alpha_p *= opts.beta6
-            continue
-        try:
-            grad_f_plus = problem.grad_f(x_plus)
-            jac_plus = problem.jac(x_plus)
-        except EvaluationError:
-            alpha_p *= opts.beta6
-            continue
-        alpha_d = dual_step_size(s_plus, mu_plus, grad_f_plus, jac_plus,
-                                 it, direction, interval, alpha_p)
-        y_plus = it.y + alpha_d * direction.dy
-        try:
-            new = make_iterate(problem, mu_plus, x_plus, s_plus, y_plus, it.w,
-                               a=a_plus, jac=jac_plus, grad_f=grad_f_plus)
-        except EvaluationError:
-            alpha_p *= opts.beta6
-            continue
-
+    def sufficient(new: Iterate, alpha_p: float) -> bool:
         phi_plus = merit_phi(new, opts.beta1)
         model = 0.5 * (slope - 0.5 * fs.delta * alpha_p * dx_sq) - comp_term
-        sufficient = phi_plus <= phi_cur + alpha_p * opts.beta4 * model
-        if not sufficient:
-            kkt_plus = merit_kkt(new, opts.beta1)
-            sufficient = filt.accepts(phi_plus, kkt_plus, alpha_p, opts.beta_kkt)
-        if not sufficient:
-            alpha_p *= opts.beta6
-            continue
-        if not check_interior(new, opts.beta2):
-            alpha_p *= opts.beta6
-            continue
-        return StepOutcome(True, new, direction, alpha_p=alpha_p, alpha_d=alpha_d)
+        if phi_plus <= phi_cur + alpha_p * opts.beta4 * model:
+            return True
+        return filt.accepts(phi_plus, merit_kkt(new, opts.beta1), alpha_p, opts.beta_kkt)
+
+    alpha_p = max_primal_step(it, direction, fs.delta, theta_p, opts.beta_exp)
+    return _line_search(fs, it, problem, opts, direction, alpha_p,
+                        below_minimum=lambda alpha: alpha <= opts.beta5,
+                        accepts=sufficient)

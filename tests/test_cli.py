@@ -140,23 +140,6 @@ def test_batch_summary_counts_every_file(tmp_path):
     assert by_name["unbounded-lp"]["status"] == "unbounded"
 
 
-def test_batch_parallel_matches_serial(tmp_path):
-    for entry in builtin_registry().values():
-        if entry.file_data is not None:
-            (tmp_path / f"{entry.name}.nlp").write_text(
-                serialize_problem_file(entry.file_data))
-    s1 = tmp_path / "serial.csv"
-    s2 = tmp_path / "parallel.csv"
-    assert run_cli(["batch", str(tmp_path), "--summary", str(s1)]) == 0
-    assert run_cli(["batch", str(tmp_path), "--summary", str(s2), "--jobs", "3"]) == 0
-
-    def statuses(path):
-        with open(path, newline="") as fh:
-            return {(r["name"], r["status"]) for r in csv.DictReader(fh)}
-
-    assert statuses(s1) == statuses(s2)
-
-
 def test_batch_empty_directory_is_usage_error(tmp_path):
     assert run_cli(["batch", str(tmp_path)]) == 5
 

@@ -17,21 +17,18 @@ from onephase import (
     terminate_infeasible,
     terminate_optimal,
     terminate_unbounded,
-    update_iterate,
 )
-from onephase.iterate import StepRejected
-from onephase.steps import Direction
+from onephase.iterate import StepRejected, make_iterate, primal_trial
 
 from helpers import linear_problem, raw_iterate
 
 
-def direction(dx, ds, dy, gamma):
-    dx = np.atleast_1d(np.asarray(dx, float))
-    ds = np.atleast_1d(np.asarray(ds, float))
-    dy = np.atleast_1d(np.asarray(dy, float))
-    return Direction(dx=dx, ds=ds, dy=dy, gamma=gamma,
-                     b_d=np.zeros_like(dx), b_p=np.zeros_like(ds),
-                     b_c=np.zeros_like(ds))
+def step_to(cur, dx, gamma, alpha_p, problem, dy=0.0, alpha_d=0.0):
+    """The solver's nonlinear update: primal trial, then the new iterate."""
+    mu_plus, x_plus, a_plus, s_plus = primal_trial(
+        cur, np.atleast_1d(np.asarray(dx, float)), gamma, alpha_p, problem)
+    y_plus = cur.y + alpha_d * np.atleast_1d(np.asarray(dy, float))
+    return make_iterate(problem, mu_plus, x_plus, s_plus, y_plus, cur.w, a=a_plus)
 
 
 class TestUpdateIterate:
@@ -43,14 +40,14 @@ class TestUpdateIterate:
         p = self.problem()
         mu = 0.7300000000000001
         cur = raw_iterate(mu, [-1.0], [mu * 1.0 + 1.0], [1.0], [1.0], jac=[[1.0]])
-        new = update_iterate(cur, direction(-0.1, 0.1, 0.0, 1.0), 0.8, 0.0, p)
+        new = step_to(cur, -0.1, 1.0, 0.8, p)
         assert new.mu == mu  # bit-identical
         assert_allclose(new.primal_residual(), [0.0], atol=1e-12)
 
     def test_affine_step_halves_mu(self):
         p = self.problem()
         cur = raw_iterate(1.0, [-2.0], [3.0], [0.5], [1.0], jac=[[1.0]])
-        new = update_iterate(cur, direction(0.0, 0.0, 0.0, 0.0), 0.5, 0.0, p)
+        new = step_to(cur, 0.0, 0.0, 0.5, p)
         assert new.mu == 0.5
 
     def test_linear_slack_update_matches_step(self):
@@ -58,19 +55,26 @@ class TestUpdateIterate:
         # at alpha_P = 0.5: x+=-0.2, mu+=0.5, s+ = 0.5 - (-0.2) = 0.7 = s + 0.5*d_s.
         p = self.problem()
         cur = raw_iterate(1.0, [0.0], [1.0], [1.0], [1.0], jac=[[1.0]])
-        d = direction(-0.4, -0.6, 0.0, 0.0)
-        new = update_iterate(cur, d, 0.5, 0.0, p)
+        new = step_to(cur, -0.4, 0.0, 0.5, p, dy=0.3, alpha_d=0.5)
         assert_allclose(new.x, [-0.2])
         assert new.mu == 0.5
         assert_allclose(new.s, [0.7])
-        assert_allclose(new.s, cur.s + 0.5 * d.ds)
+        assert_allclose(new.s, cur.s + 0.5 * -0.6)
+        assert_allclose(new.y, [1.15])
 
     def test_lost_interiority_signals(self):
         p = self.problem()
         cur = raw_iterate(1.0, [0.0], [1.0], [1.0], [1.0], jac=[[1.0]])
+        # x+ = 2 makes s+ = mu+ w - a = 1 - 2 < 0
+        _mu, _x, _a, s_plus = primal_trial(cur, np.array([2.0]), 1.0, 1.0, p)
+        assert_allclose(s_plus, [-1.0])
+
+    def test_nonfinite_constraints_reject_trial(self):
+        p = self.problem()
+        p.eval_a = lambda x: np.array([np.nan])
+        cur = raw_iterate(1.0, [0.0], [1.0], [1.0], [1.0], jac=[[1.0]])
         with pytest.raises(StepRejected):
-            # x+ = 2 makes s+ = mu+ w - a = 1 - 2 < 0
-            update_iterate(cur, direction(2.0, 0.0, 0.0, 1.0), 1.0, 0.0, p)
+            primal_trial(cur, np.array([0.5]), 1.0, 1.0, p)
 
 
 class TestSolverOptionDefaults:

@@ -235,7 +235,12 @@ class TestSolveTraceInvariants:
         result.trace.write_csv(buf)
         lines = buf.getvalue().splitlines()
         assert lines[0] == f"# {TRACE_SCHEMA_VERSION}"
-        assert lines[1].startswith("iter,outer,inner,kind,accepted")
+        # the onephase-trace-v1 header, pinned column by column
+        assert lines[1] == (
+            "iter,outer,inner,kind,accepted,gamma,delta,alpha_p,alpha_d,mu,"
+            "mu_pre,primal_resid,opt_dual,opt_comp,switch_dual,phi,kkt,"
+            "filter_size,f_evals,grad_evals,cons_evals,jac_evals,hess_evals,"
+            "factorizations,backsolves")
         assert len(lines) == 2 + len(result.trace)
 
 
