@@ -5,36 +5,12 @@ terminates with a first-order certificate: optimality, local primal
 infeasibility, or unboundedness of the shifted feasible set.  No
 feasibility-restoration phase and no penalty parameter: primal residual,
 complementarity and the barrier parameter are driven to zero at one rate.
+
+The names below are the public API.  Solver internals (steps, linear
+algebra, merit functions) are imported from their defining modules.
 """
 
-from .iterate import (
-    Certificate,
-    Iterate,
-    SolveStatus,
-    SolverOptions,
-    aggressive_criterion,
-    check_interior,
-    gamma_far,
-    gamma_inf,
-    make_iterate,
-    merit_kkt,
-    merit_phi,
-    merit_psi,
-    sigma,
-    terminate_infeasible,
-    terminate_optimal,
-    terminate_unbounded,
-)
-from .linalg import (
-    DeltaState,
-    FactorizedSystem,
-    MaxDeltaError,
-    SchurMatrix,
-    assemble_schur,
-    escalate_delta,
-    factorize_with_shift,
-    solve_shifted,
-)
+from .iterate import Certificate, Iterate, SolveStatus, SolverOptions
 from .problem import (
     DerivativeReport,
     EvaluationError,
@@ -54,41 +30,21 @@ from .problem_file import (
     serialize_problem_file,
 )
 from .registry import BuiltinProblem, builtin_registry
-from .solver import InitializationError, SolveResult, SolveTrace, TraceRecord, initialize, solve
-from .steps import (
-    Direction,
-    Filter,
-    aggressive_step,
-    build_rhs,
-    compute_direction,
-    dual_interval,
-    dual_step_size,
-    fraction_to_boundary_ok,
-    max_primal_step,
-    stabilization_step,
-    theta_bar,
-)
+from .solver import SolveResult, SolveTrace, TraceRecord, solve
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BuiltinProblem",
     "Certificate",
-    "DeltaState",
     "DerivativeReport",
-    "Direction",
     "EvaluationError",
-    "FactorizedSystem",
-    "Filter",
-    "InitializationError",
     "Iterate",
-    "MaxDeltaError",
     "NlpProblem",
     "ProblemFile",
     "ProblemFileError",
     "ProblemTransform",
     "Relation",
-    "SchurMatrix",
     "SolveResult",
     "SolveStatus",
     "SolveTrace",
@@ -96,37 +52,11 @@ __all__ = [
     "SourceConstraint",
     "SourceProblem",
     "TraceRecord",
-    "aggressive_criterion",
-    "aggressive_step",
-    "assemble_schur",
-    "build_rhs",
     "build_source",
     "builtin_registry",
     "check_derivatives",
-    "check_interior",
-    "compute_direction",
-    "dual_interval",
-    "dual_step_size",
-    "escalate_delta",
-    "factorize_with_shift",
-    "fraction_to_boundary_ok",
-    "gamma_far",
-    "gamma_inf",
-    "initialize",
-    "make_iterate",
-    "max_primal_step",
-    "merit_kkt",
-    "merit_phi",
-    "merit_psi",
     "parse_problem_file",
     "serialize_problem_file",
-    "sigma",
     "solve",
-    "solve_shifted",
-    "stabilization_step",
-    "terminate_infeasible",
-    "terminate_optimal",
-    "terminate_unbounded",
-    "theta_bar",
     "to_inequality_form",
 ]

@@ -44,6 +44,11 @@ class NlpProblem:
     ``hess(f)(x) + sum_i v_i * hess(a_i)(x)``; the solver supplies the
     weight vector, so individual constraint Hessians are never requested.
     Callbacks must be pure; a single solve calls them from one thread.
+
+    ``bounds`` declares variable-bound rows as ``(row, var, sign, c)``
+    entries meaning ``a_row(x) = sign*x_var - sign*c``: a lower bound
+    ``x_var >= c`` has ``sign = -1`` and an upper bound ``x_var <= c`` has
+    ``sign = +1``.  The solver pins these rows exactly (``w_row = 0``).
     """
 
     n: int
@@ -53,7 +58,7 @@ class NlpProblem:
     eval_a: Callable[[np.ndarray], np.ndarray]
     eval_jac: Callable[[np.ndarray], np.ndarray]
     eval_hess_lag: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    bound_indices: frozenset = frozenset()
+    bounds: tuple = ()
     linear_indices: frozenset = frozenset()
     name: str = "problem"
 
@@ -62,8 +67,17 @@ class NlpProblem:
             raise ValueError("problem needs at least one variable")
         if self.m < 0:
             raise ValueError("negative constraint count")
-        if not self.bound_indices <= set(range(self.m)):
-            raise ValueError("bound_indices outside {0..m-1}")
+        rows = set()
+        for row, var, sign, c in self.bounds:
+            if not (0 <= row < self.m and 0 <= var < self.n):
+                raise ValueError(f"bound row {row} or variable {var} out of range")
+            if sign not in (-1, 1):
+                raise ValueError(f"bound row {row} has sign {sign}, not +-1")
+            if not np.isfinite(c):
+                raise ValueError(f"bound row {row} has non-finite constant {c}")
+            if row in rows:
+                raise ValueError(f"bound row {row} declared twice")
+            rows.add(row)
         if not self.linear_indices <= set(range(self.m)):
             raise ValueError("linear_indices outside {0..m-1}")
 
@@ -161,8 +175,8 @@ def to_inequality_form(source: SourceProblem) -> tuple[NlpProblem, ProblemTransf
     """Lower a mixed-form problem to ``a(x) <= 0`` rows.
 
     Equalities ``c(x) = b`` become the pair ``c(x)-b <= 0`` and
-    ``b-c(x) <= 0``.  Box bounds become single-coefficient rows flagged in
-    ``bound_indices``.  Rejects inconsistent bound pairs (l > u) naming the
+    ``b-c(x) <= 0``.  Box bounds become single-coefficient rows declared in
+    ``bounds``.  Rejects inconsistent bound pairs (l > u) naming the
     variable.
     """
     n = source.n
@@ -176,10 +190,10 @@ def to_inequality_form(source: SourceProblem) -> tuple[NlpProblem, ProblemTransf
                              f"lower {lower[j]} > upper {upper[j]}")
 
     transform = ProblemTransform()
-    # Per-row evaluation data: (kind, payload).  Constraint rows carry
-    # (sign, SourceConstraint); bound rows carry (sign, var index, const).
-    row_defs: list[tuple] = []
-    bound_idx: set[int] = set()
+    # Constraint rows come first as (sign, SourceConstraint); bound rows
+    # follow as one (row, var, sign, const) block.
+    cons_rows: list[tuple[int, SourceConstraint]] = []
+    bounds: list[tuple[int, int, int, float]] = []
     linear_idx: set[int] = set()
 
     for k, con in enumerate(source.constraints):
@@ -190,58 +204,46 @@ def to_inequality_form(source: SourceProblem) -> tuple[NlpProblem, ProblemTransf
         else:
             signs = (+1, -1)
         for sign in signs:
-            i = len(row_defs)
-            row_defs.append(("constraint", sign, con))
-            transform.rows.append(TransformRow("constraint", k, sign))
             if con.linear:
-                linear_idx.add(i)
+                linear_idx.add(len(cons_rows))
+            cons_rows.append((sign, con))
+            transform.rows.append(TransformRow("constraint", k, sign))
 
     for j in range(n):
-        if np.isfinite(lower[j]):
-            i = len(row_defs)
-            row_defs.append(("bound", -1, j, float(lower[j])))
-            transform.rows.append(TransformRow("lower", j, -1))
-            bound_idx.add(i)
-            linear_idx.add(i)
-        if np.isfinite(upper[j]):
-            i = len(row_defs)
-            row_defs.append(("bound", +1, j, float(upper[j])))
-            transform.rows.append(TransformRow("upper", j, +1))
-            bound_idx.add(i)
-            linear_idx.add(i)
+        for kind, sign, c in (("lower", -1, lower[j]), ("upper", +1, upper[j])):
+            if np.isfinite(c):
+                row = len(cons_rows) + len(bounds)
+                bounds.append((row, j, sign, float(c)))
+                transform.rows.append(TransformRow(kind, j, sign))
+                linear_idx.add(row)
 
-    m = len(row_defs)
+    n_cons = len(cons_rows)
+    m = n_cons + len(bounds)
+    b_row = np.array([b[0] for b in bounds], dtype=int)
+    b_var = np.array([b[1] for b in bounds], dtype=int)
+    b_sign = np.array([b[2] for b in bounds], dtype=float)
+    b_c = np.array([b[3] for b in bounds], dtype=float)
 
     def eval_a(x: np.ndarray) -> np.ndarray:
         out = np.empty(m)
-        for i, row in enumerate(row_defs):
-            if row[0] == "constraint":
-                _, sign, con = row
-                out[i] = sign * (con.func(x) - con.rhs)
-            else:
-                _, sign, j, c = row
-                # lower: c - x_j <= 0;  upper: x_j - c <= 0
-                out[i] = sign * x[j] - sign * c
+        for i, (sign, con) in enumerate(cons_rows):
+            out[i] = sign * (con.func(x) - con.rhs)
+        # lower: c - x_j <= 0;  upper: x_j - c <= 0
+        out[n_cons:] = b_sign * x[b_var] - b_sign * b_c
         return out
 
     def eval_jac(x: np.ndarray) -> np.ndarray:
         J = np.zeros((m, n))
-        for i, row in enumerate(row_defs):
-            if row[0] == "constraint":
-                _, sign, con = row
-                J[i] = sign * np.asarray(con.grad(x), float)
-            else:
-                _, sign, j, _c = row
-                J[i, j] = sign
+        for i, (sign, con) in enumerate(cons_rows):
+            J[i] = sign * np.asarray(con.grad(x), float)
+        J[b_row, b_var] = b_sign
         return J
 
     def eval_hess_lag(x: np.ndarray, v: np.ndarray) -> np.ndarray:
         H = np.asarray(source.eval_hess_f(x), float).copy()
-        for i, row in enumerate(row_defs):
-            if row[0] == "constraint":
-                _, sign, con = row
-                if con.hess is not None:
-                    H += v[i] * sign * np.asarray(con.hess(x), float)
+        for i, (sign, con) in enumerate(cons_rows):
+            if con.hess is not None:
+                H += v[i] * sign * np.asarray(con.hess(x), float)
         return H
 
     problem = NlpProblem(
@@ -252,7 +254,7 @@ def to_inequality_form(source: SourceProblem) -> tuple[NlpProblem, ProblemTransf
         eval_a=eval_a,
         eval_jac=eval_jac,
         eval_hess_lag=eval_hess_lag,
-        bound_indices=frozenset(bound_idx),
+        bounds=tuple(bounds),
         linear_indices=frozenset(linear_idx),
         name=source.name,
     )

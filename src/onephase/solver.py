@@ -166,27 +166,8 @@ def _counting_problem(problem: NlpProblem) -> tuple[NlpProblem, dict]:
     return counted, counts
 
 
-def _bound_rows(problem: NlpProblem, x: np.ndarray) -> list[tuple[int, int, int, float]]:
-    """Decode flagged bound rows into (row, variable, sign, constant)."""
-    if not problem.bound_indices:
-        return []
-    J = problem.jac(x)
-    a = problem.a(x)
-    rows = []
-    for i in sorted(problem.bound_indices):
-        nz = np.flatnonzero(J[i])
-        if nz.size != 1 or abs(J[i, nz[0]]) != 1.0:
-            raise InitializationError(
-                f"bound row {i} is not a single +-1 coefficient row")
-        j = int(nz[0])
-        sign = int(J[i, j])
-        const = float(a[i] - sign * x[j])
-        rows.append((i, j, sign, const))
-    return rows
-
-
-def _project_onto_bounds(x: np.ndarray, bound_rows, kappa: float = 1e-2) -> np.ndarray:
-    """Push the start point strictly inside its variable bounds.
+def _project_onto_bounds(x: np.ndarray, bounds, kappa: float = 1e-2) -> np.ndarray:
+    """Push the start point strictly inside its declared variable bounds.
 
     Uses the relative margin min(kappa*max(1,|bound|), kappa*(u-l)) on each
     side, so one-sided bounds get a fixed push and tight boxes remain
@@ -195,11 +176,11 @@ def _project_onto_bounds(x: np.ndarray, bound_rows, kappa: float = 1e-2) -> np.n
     n = x.shape[0]
     lower = np.full(n, -np.inf)
     upper = np.full(n, np.inf)
-    for _i, j, sign, const in bound_rows:
-        if sign > 0:   # x_j + const <= 0
-            upper[j] = min(upper[j], -const)
-        else:          # -x_j + const <= 0
-            lower[j] = max(lower[j], const)
+    for _row, j, sign, c in bounds:
+        if sign > 0:   # x_j - c <= 0
+            upper[j] = min(upper[j], c)
+        else:          # c - x_j <= 0
+            lower[j] = max(lower[j], c)
     out = np.array(x, float)
     for j in range(n):
         lo, hi = lower[j], upper[j]
@@ -254,14 +235,12 @@ def initialize(problem: NlpProblem, x_start: np.ndarray,
         empty = np.zeros(0)
         return make_iterate(problem, mu0, x0, empty, empty, empty)
 
-    bound_rows = _bound_rows(problem, x0)
-    x0 = _project_onto_bounds(x0, bound_rows)
+    x0 = _project_onto_bounds(x0, problem.bounds)
     a0 = problem.a(x0)
     s_raw = -a0
 
     bound_mask = np.zeros(m, dtype=bool)
-    for i, _j, _sign, _c in bound_rows:
-        bound_mask[i] = True
+    bound_mask[[row for row, _j, _sign, _c in problem.bounds]] = True
     if np.any(s_raw[bound_mask] <= 0):
         bad = int(np.flatnonzero(bound_mask & (s_raw <= 0))[0])
         raise InitializationError(

@@ -12,22 +12,24 @@ import numpy as np
 import pytest
 
 from onephase import (
-    DeltaState,
-    MaxDeltaError,
     Relation,
     SolveStatus,
     SolverOptions,
     SourceConstraint,
     SourceProblem,
-    assemble_schur,
     builtin_registry,
-    compute_direction,
-    factorize_with_shift,
     solve,
     to_inequality_form,
 )
 from onephase.iterate import inf_norm, one_norm
-from onephase.linalg import SchurMatrix
+from onephase.linalg import (
+    DeltaState,
+    MaxDeltaError,
+    SchurMatrix,
+    assemble_schur,
+    factorize_with_shift,
+)
+from onephase.steps import compute_direction
 
 from helpers import random_interior_setup
 

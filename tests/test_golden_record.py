@@ -102,12 +102,32 @@ def dumps(rec: dict) -> str:
     return json.dumps(rec, indent=1, sort_keys=True) + "\n"
 
 
+def _flat(entry: dict, prefix: str = "") -> dict:
+    """``entry`` with nested dicts flattened to dotted keys."""
+    out = {}
+    for key, value in entry.items():
+        if isinstance(value, dict):
+            out.update(_flat(value, f"{prefix}{key}."))
+        else:
+            out[f"{prefix}{key}"] = value
+    return out
+
+
+def _differences(old: dict, new: dict) -> str:
+    """``key: old → new`` for every key whose value differs."""
+    old, new = _flat(old), _flat(new)
+    return ", ".join(f"{key}: {old.get(key)!r} → {new.get(key)!r}"
+                     for key in sorted(old.keys() | new.keys())
+                     if old.get(key) != new.get(key))
+
+
 def test_golden_record_unchanged():
     golden = json.loads(GOLDEN.read_text())
     current = record()
     assert sorted(current) == sorted(golden)
     changed = [label for label in golden if current[label] != golden[label]]
-    assert not changed, f"solves differing from the golden record: {changed}"
+    assert not changed, "solves differing from the golden record:\n" + "\n".join(
+        f"  {label}: {_differences(golden[label], current[label])}" for label in changed)
 
 
 if __name__ == "__main__":

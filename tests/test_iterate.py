@@ -4,21 +4,23 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from onephase import (
-    SolverOptions,
+from onephase import SolverOptions
+from onephase.iterate import (
+    StepRejected,
     aggressive_criterion,
     check_interior,
     gamma_far,
     gamma_inf,
+    make_iterate,
     merit_kkt,
     merit_phi,
     merit_psi,
+    primal_trial,
     sigma,
     terminate_infeasible,
     terminate_optimal,
     terminate_unbounded,
 )
-from onephase.iterate import StepRejected, make_iterate, primal_trial
 
 from helpers import linear_problem, raw_iterate
 

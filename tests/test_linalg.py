@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from onephase import (
+from onephase.linalg import (
     DeltaState,
     MaxDeltaError,
     SchurMatrix,

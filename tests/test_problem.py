@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,9 +12,9 @@ from onephase import (
     SourceProblem,
     builtin_registry,
     check_derivatives,
-    make_iterate,
     to_inequality_form,
 )
+from onephase.iterate import make_iterate
 
 from helpers import linear_problem, quadratic_problem
 
@@ -105,7 +107,7 @@ class TestToInequalityForm:
         problem, transform = to_inequality_form(
             quadratic_source(1, lower=np.array([0.0]), upper=np.array([1.0])))
         assert problem.m == 2
-        assert problem.bound_indices == frozenset({0, 1})
+        assert problem.bounds == ((0, 0, -1, 0.0), (1, 0, 1, 1.0))
         x = np.array([0.25])
         assert_allclose(problem.a(x), [-0.25, -0.75])  # -x <= 0, x-1 <= 0
         J = problem.jac(x)
@@ -151,16 +153,47 @@ class TestToInequalityForm:
                 assert_allclose(J1[i], J2[i], atol=1e-14)
 
     def test_bound_rows_have_single_unit_coefficient(self):
+        # Each declared bound must agree with the callbacks:
+        # J[row] = sign*e_var and a(x)[row] = sign*x[var] - sign*c.
         rng = np.random.default_rng(4)
+        checked = 0
         for entry in builtin_registry().values():
             problem, _ = entry.build()
-            if not problem.bound_indices:
-                continue
-            J = problem.jac(rng.standard_normal(problem.n))
-            for i in problem.bound_indices:
-                nz = np.flatnonzero(J[i])
-                assert nz.size == 1
-                assert abs(J[i, nz[0]]) == 1.0
+            x = rng.standard_normal(problem.n)
+            J, a = problem.jac(x), problem.a(x)
+            for row, var, sign, c in problem.bounds:
+                unit = np.zeros(problem.n)
+                unit[var] = sign
+                assert np.array_equal(J[row], unit), (entry.name, row)
+                assert a[row] == sign * x[var] - sign * c, (entry.name, row)
+                checked += 1
+        assert checked > 0
+
+
+class TestDeclaredBounds:
+    # 0 <= x_0 <= 1 as rows 0 and 1 of a 2-variable problem.
+    BOX = ((0, 0, -1, 0.0), (1, 0, 1, 1.0))
+
+    def box(self):
+        return linear_problem([0.0, 0.0], [[-1.0, 0.0], [1.0, 0.0]], [0.0, -1.0])
+
+    def test_valid_bounds_accepted(self):
+        assert replace(self.box(), bounds=self.BOX).bounds == self.BOX
+
+    @pytest.mark.parametrize("bounds, match", [
+        (((2, 0, 1, 1.0),), "out of range"),
+        (((-1, 0, 1, 1.0),), "out of range"),
+        (((0, 2, -1, 0.0),), "out of range"),
+        (((0, 0, 0, 0.0),), "sign"),
+        (((0, 0, -2, 0.0),), "sign"),
+        (((0, 0, -1, np.nan),), "non-finite"),
+        (((1, 0, 1, np.inf),), "non-finite"),
+        (((0, 0, -1, 0.0), (0, 0, 1, 1.0)), "declared twice"),
+    ], ids=["row-past-m", "row-negative", "var-past-n", "sign-zero", "sign-two",
+            "const-nan", "const-inf", "row-repeated"])
+    def test_invalid_bounds_rejected(self, bounds, match):
+        with pytest.raises(ValueError, match=match):
+            replace(self.box(), bounds=bounds)
 
 
 class TestCheckDerivatives:

@@ -81,7 +81,7 @@ start
         assert_allclose(default_start(pf), x)
         problem, _ = to_inequality_form(source)
         assert problem.m == 4
-        assert len(problem.bound_indices) == 2
+        assert len(problem.bounds) == 2
 
 
 class TestParseErrors:

@@ -5,24 +5,21 @@ import pytest
 from numpy.testing import assert_allclose
 
 from onephase import (
-    DeltaState,
     EvaluationError,
-    InitializationError,
-    MaxDeltaError,
     Relation,
-    SchurMatrix,
     SolveStatus,
     SolverOptions,
     SourceConstraint,
     SourceProblem,
     builtin_registry,
-    check_interior,
     solve,
     to_inequality_form,
 )
-from onephase.iterate import inf_norm
+from onephase.iterate import check_interior, inf_norm
+from onephase.linalg import DeltaState, MaxDeltaError, SchurMatrix
 from onephase.solver import (
     TRACE_SCHEMA_VERSION,
+    InitializationError,
     _refactorize,
     clip_initial_duals,
     initial_slack_shift,
@@ -66,6 +63,21 @@ class TestInitializeHelpers:
         assert_allclose(y0, [0.5 / 0.02])
 
 
+def far_box_qp():
+    """min (x-0.5)^2 s.t. 0 <= x <= 1."""
+    return SourceProblem(
+        n=1, eval_f=lambda x: float((x[0] - 0.5) ** 2),
+        eval_grad_f=lambda x: 2 * (x - 0.5), eval_hess_f=lambda x: 2 * np.eye(1),
+        lower=np.array([0.0]), upper=np.array([1.0]))
+
+
+def far_half_line_lp():
+    """min x s.t. x >= 0.5."""
+    return SourceProblem(
+        n=1, eval_f=lambda x: float(x[0]), eval_grad_f=lambda x: np.ones(1),
+        eval_hess_f=lambda x: np.zeros((1, 1)), lower=np.array([0.5]))
+
+
 class TestInitialize:
     def test_residual_identity_and_interiority(self):
         opts = SolverOptions()
@@ -83,8 +95,9 @@ class TestInitialize:
         entry = builtin_registry()["qp-separable10"]
         problem, _ = entry.build()
         it = initialize(problem, entry.x_start, opts)
-        for i in problem.bound_indices:
-            assert it.w[i] == 0.0
+        assert problem.bounds
+        for row, _var, _sign, _c in problem.bounds:
+            assert it.w[row] == 0.0
 
     def test_start_projected_inside_bounds(self):
         opts = SolverOptions()
@@ -105,6 +118,18 @@ class TestInitialize:
         problem, _ = to_inequality_form(source)
         with pytest.raises(InitializationError):
             initialize(problem, np.zeros(1), SolverOptions())
+
+    @pytest.mark.parametrize("source, x0", [
+        (far_box_qp, 1e16), (far_box_qp, 1e17), (far_box_qp, -1e17),
+        (far_half_line_lp, -1e17),
+    ], ids=["box-1e16", "box-1e17", "box-neg1e17", "half-line-neg1e17"])
+    def test_far_start_projects_onto_exact_bounds(self, source, x0):
+        # Bound constants come from the declaration, not from a(x0) - sign*x0,
+        # which rounds the constant away when |x0| dwarfs it.
+        problem, _ = to_inequality_form(source())
+        result = solve(problem, np.array([x0]))
+        assert result.status is SolveStatus.OPTIMAL
+        assert abs(result.x[0] - 0.5) <= 1e-5
 
     def test_unconstrained_start(self):
         p = quadratic_problem(np.eye(2), np.zeros(2))

@@ -2,25 +2,23 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from onephase import (
-    DeltaState,
+from onephase import NlpProblem, SolverOptions, builtin_registry
+from onephase.iterate import make_iterate
+from onephase.linalg import DeltaState, assemble_schur, factorize_with_shift
+from onephase.solver import initialize
+from onephase.steps import (
+    Direction,
     Filter,
-    NlpProblem,
-    SolverOptions,
-    assemble_schur,
+    aggressive_step,
     build_rhs,
-    builtin_registry,
     compute_direction,
     dual_interval,
     dual_step_size,
-    factorize_with_shift,
     fraction_to_boundary_ok,
-    make_iterate,
     max_primal_step,
+    stabilization_step,
     theta_bar,
 )
-from onephase.steps import Direction, aggressive_step, stabilization_step
-from onephase.solver import initialize
 
 from helpers import linear_problem, quadratic_problem, random_interior_setup, raw_iterate
 
