@@ -70,6 +70,7 @@ def _options_from_args(args) -> SolverOptions:
         opts.max_iter = args.max_iter
     if args.max_time is not None:
         opts.max_time = args.max_time
+    opts.validate()
     return opts
 
 
@@ -82,6 +83,8 @@ def _print_summary(name: str, result: SolveResult, level: str) -> None:
     if result.status in (SolveStatus.OPTIMAL, SolveStatus.PRIMAL_INFEASIBLE,
                          SolveStatus.UNBOUNDED):
         print(f"  certificate: {result.certificate}")
+    elif result.detail:
+        print(f"  detail: {result.detail}")
     if result.iterate is not None:
         print(f"  objective: {result.iterate.f:.12g}")
         x = result.iterate.x
@@ -107,6 +110,7 @@ def _trace_printer():
 def _cmd_solve(args) -> int:
     level = _log_level()
     try:
+        opts = _options_from_args(args)
         problem, _transform, x_start, name = _load_target(args.target)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -122,7 +126,6 @@ def _cmd_solve(args) -> int:
             print(f"derivative check at start point: grad {report.grad_f_error:.3e},"
                   f" jac {report.jac_error:.3e}, hess {report.hess_error:.3e}")
 
-    opts = _options_from_args(args)
     progress = _trace_printer() if level == "trace" else None
     result = solve(problem, x_start, opts, progress=progress)
     _print_summary(name, result, level)
@@ -140,11 +143,11 @@ def _solve_file(path: Path, opts: SolverOptions, trace_dir) -> dict:
     try:
         pf = parse_problem_file(path.read_text())
         problem, _ = to_inequality_form(build_source(pf))
-        result = solve(problem, default_start(pf), opts)
     except (ProblemFileError, ValueError, OSError) as exc:
         row.update(status="parse-error", exit_code=USAGE_ERROR, error=str(exc),
                    inner_iters="", outer_iters="", objective="", wall_time="")
         return row
+    result = solve(problem, default_start(pf), opts)
     row.update(
         status=result.status.value,
         exit_code=EXIT_CODES[result.status],
@@ -175,8 +178,12 @@ def _cmd_batch(args) -> int:
     if not files:
         print(f"error: no {BATCH_EXTENSION} files in {directory}", file=sys.stderr)
         return USAGE_ERROR
+    try:
+        opts = _options_from_args(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
 
-    opts = _options_from_args(args)
     rows = [_solve_file(p, opts, args.trace_dir) for p in files]
 
     if args.summary is not None:

@@ -83,7 +83,6 @@ class SolverOptions:
     mu_scale: float = 1.0      # scales the initial barrier parameter
     max_iter: int = 3000       # inner-iteration budget
     max_time: float = 3600.0   # wall-clock budget, seconds
-    debug_checks: bool = False  # re-verify iterate invariants at every acceptance
 
     def validate(self) -> None:
         def _in(value, lo, hi, name, lo_open=True, hi_open=True):

@@ -63,10 +63,11 @@ class SchurMatrix:
 
 @dataclass
 class FactorizedSystem:
-    """Lower Cholesky factor of ``schur.M + delta*I``."""
+    """Lower Cholesky factor of ``shifted = schur.M + delta*I`` (``schur.M`` if delta = 0)."""
 
     schur: SchurMatrix
     delta: float
+    shifted: np.ndarray
     factor: np.ndarray
     attempts: int = 1
     solves: int = field(default=0, compare=False)
@@ -136,7 +137,7 @@ def factorize_with_shift(
         L = _try_cholesky(M)
         if L is not None:
             state.delta_prev = 0.0
-            return FactorizedSystem(schur=schur, delta=0.0, factor=L, attempts=attempts)
+            return FactorizedSystem(schur, 0.0, M, L, attempts)
         tau = 0.0
 
     delta = max(delta_in / state.delta_dec, state.delta_min - tau)
@@ -161,10 +162,11 @@ def factorize_growing_shift(
         if delta >= state.delta_max:
             raise MaxDeltaError(delta, state.delta_max)
         attempts += 1
-        L = _try_cholesky(schur.M + delta * eye)
+        shifted = schur.M + delta * eye
+        L = _try_cholesky(shifted)
         if L is not None:
             state.delta_prev = delta
-            return FactorizedSystem(schur=schur, delta=delta, factor=L, attempts=attempts)
+            return FactorizedSystem(schur, delta, shifted, L, attempts)
         delta = state.delta_inc * delta
 
 
@@ -175,10 +177,9 @@ def solve_shifted(fs: FactorizedSystem, rhs: np.ndarray) -> np.ndarray:
     exceeds ``1e-10 * (1 + ||rhs||_inf)``; Cholesky backsolves alone lose
     accuracy near convergence.
     """
-    A = fs.schur.M + fs.delta * np.eye(fs.schur.M.shape[0])
     d = scipy.linalg.cho_solve((fs.factor, True), rhs)
     fs.solves += 1
-    resid = rhs - A @ d
+    resid = rhs - fs.shifted @ d
     if np.abs(resid).max(initial=0.0) > 1e-10 * (1.0 + np.abs(rhs).max(initial=0.0)):
         d = d + scipy.linalg.cho_solve((fs.factor, True), resid)
         fs.solves += 1

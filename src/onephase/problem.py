@@ -16,24 +16,31 @@ import numpy as np
 
 
 class EvaluationError(RuntimeError):
-    """A user callback produced a non-finite value.
+    """A user callback raised, returned the wrong shape or produced a
+    non-finite value.
 
     Carries the name of the callback and the flat index of the first
     offending entry so the failure can be reported precisely.
     """
 
-    def __init__(self, what: str, index: int | None = None):
+    def __init__(self, what: str, index: int | None = None, reason: str = "non-finite value"):
         self.what = what
         self.index = index
         loc = "" if index is None else f" at entry {index}"
-        super().__init__(f"non-finite value from {what}{loc}")
+        super().__init__(f"{reason} from {what}{loc}")
 
 
-def _check_finite(arr: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
-        bad = int(np.flatnonzero(~np.isfinite(np.atleast_1d(arr)))[0])
-        raise EvaluationError(what, bad)
-    return arr
+def _evaluate(what: str, shape: tuple, fn: Callable, *args) -> np.ndarray:
+    """``fn(*args)`` as a finite float array of ``shape``, or :class:`EvaluationError`
+    when the callback raises, returns another size or a non-finite entry."""
+    try:
+        out = np.asarray(fn(*args), dtype=float).reshape(shape)
+    except Exception as exc:
+        raise EvaluationError(what, reason=f"{type(exc).__name__}: {exc}") from exc
+    finite = np.isfinite(out)
+    if not finite.all():
+        raise EvaluationError(what, int(np.flatnonzero(~finite)[0]) if shape else None)
+    return out
 
 
 @dataclass
@@ -83,27 +90,19 @@ class NlpProblem:
 
     # Validating wrappers; all solver code goes through these.
     def f(self, x: np.ndarray) -> float:
-        val = float(self.eval_f(x))
-        if not np.isfinite(val):
-            raise EvaluationError("f")
-        return val
+        return float(_evaluate("f", (), self.eval_f, x))
 
     def grad_f(self, x: np.ndarray) -> np.ndarray:
-        g = np.asarray(self.eval_grad_f(x), dtype=float).reshape(self.n)
-        return _check_finite(g, "grad_f")
+        return _evaluate("grad_f", (self.n,), self.eval_grad_f, x)
 
     def a(self, x: np.ndarray) -> np.ndarray:
-        v = np.asarray(self.eval_a(x), dtype=float).reshape(self.m)
-        return _check_finite(v, "a")
+        return _evaluate("a", (self.m,), self.eval_a, x)
 
     def jac(self, x: np.ndarray) -> np.ndarray:
-        J = np.asarray(self.eval_jac(x), dtype=float).reshape(self.m, self.n)
-        return _check_finite(J, "jac")
+        return _evaluate("jac", (self.m, self.n), self.eval_jac, x)
 
     def hess_lag(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        H = np.asarray(self.eval_hess_lag(x, v), dtype=float)
-        H = H.reshape(self.n, self.n)
-        _check_finite(H, "hess_lag")
+        H = _evaluate("hess_lag", (self.n, self.n), self.eval_hess_lag, x, v)
         if __debug__:
             scale = max(1.0, float(np.abs(H).max()))
             assert np.abs(H - H.T).max() <= 1e-12 * scale, (

@@ -132,6 +132,7 @@ class SolveResult:
     inner_iterations: int
     outer_iterations: int
     wall_time: float
+    detail: str = ""
 
     @property
     def x(self) -> Optional[np.ndarray]:
@@ -164,6 +165,29 @@ def _counting_problem(problem: NlpProblem) -> tuple[NlpProblem, dict]:
         eval_hess_lag=tally("hess", problem.eval_hess_lag),
     )
     return counted, counts
+
+
+@dataclass
+class WorkTotals:
+    """The live factorization plus the trial factorizations and backsolves
+    folded in from every factorization it superseded."""
+
+    live: Optional[FactorizedSystem] = None
+    factorizations: int = 0
+    backsolves: int = 0
+
+    def supersede(self, fs: FactorizedSystem) -> FactorizedSystem:
+        """Fold the live factorization into the totals; ``fs`` becomes live."""
+        if self.live is not None:
+            self.factorizations += self.live.attempts
+            self.backsolves += self.live.solves
+        self.live = fs
+        return fs
+
+    def counters(self) -> dict:
+        live = self.live
+        return {"factorizations": self.factorizations + (live.attempts if live else 0),
+                "backsolves": self.backsolves + (live.solves if live else 0)}
 
 
 def _project_onto_bounds(x: np.ndarray, bounds, kappa: float = 1e-2) -> np.ndarray:
@@ -210,7 +234,7 @@ def clip_initial_duals(y: np.ndarray, s0: np.ndarray, mu0: float,
 
 
 def initialize(problem: NlpProblem, x_start: np.ndarray,
-               opts: SolverOptions, fs_log: Optional[list] = None) -> Iterate:
+               opts: SolverOptions, work: Optional[WorkTotals] = None) -> Iterate:
     """Build the starting iterate (mu0, x0, s0, y0) and the shift vector w.
 
     The start point is projected strictly inside any variable bounds; bound
@@ -218,6 +242,7 @@ def initialize(problem: NlpProblem, x_start: np.ndarray,
     from one Newton direction on the KKT system at unit duals, followed by
     shifts and clipping that center complementarity.  Finally
     w = (a(x0) + s0)/mu0, which makes the residual identity hold exactly.
+    The probe factorization becomes ``work``'s live one when given.
 
     Raises :class:`InitializationError` when a bound row is active or
     violated after projection; evaluation failures at the start point
@@ -256,8 +281,8 @@ def initialize(problem: NlpProblem, x_start: np.ndarray,
                            jac=probe.jac)
     state = DeltaState(opts.delta_min, opts.delta_inc, opts.delta_dec, opts.delta_max)
     fs = factorize_with_shift(schur, 0.0, state)
-    if fs_log is not None:
-        fs_log.append(fs)
+    if work is not None:
+        work.supersede(fs)
     direction = compute_direction(fs, probe, 0.0, opts.beta1)
 
     y_tilde = y_tilde + direction.dy
@@ -322,42 +347,20 @@ def solve(
     counted, counters = _counting_problem(problem)
     t0 = time.perf_counter()
     trace = SolveTrace()
-    all_fs: list[FactorizedSystem] = []
+    work = WorkTotals()
 
-    def result(status, iterate, certificate, outer):
+    def result(status, iterate, certificate, detail=""):
         return SolveResult(
             status=status,
             iterate=iterate,
             certificate=certificate,
             trace=trace,
-            counters={
-                "f": counters["f"], "grad": counters["grad"],
-                "cons": counters["cons"], "jac": counters["jac"],
-                "hess": counters["hess"],
-                "factorizations": sum(f.attempts for f in all_fs),
-                "backsolves": sum(f.solves for f in all_fs),
-            },
+            counters={**counters, **work.counters()},
             inner_iterations=inner_count,
-            outer_iterations=outer,
+            outer_iterations=outer_count,
             wall_time=time.perf_counter() - t0,
+            detail=detail,
         )
-
-    inner_count = 0
-    outer_count = 0
-    try:
-        cur = initialize(counted, x_start, opts, fs_log=all_fs)
-    except MaxDeltaError as exc:
-        return result(SolveStatus.MAX_DELTA, None,
-                      Certificate({"delta": exc.delta}), 0)
-    except EvaluationError:
-        return result(SolveStatus.EVALUATION_ERROR, None,
-                      Certificate({}), 0)
-
-    state = DeltaState(opts.delta_min, opts.delta_inc, opts.delta_dec, opts.delta_max)
-    filt = Filter()
-    filt.reset(merit_phi(cur, opts.beta1), merit_kkt(cur, opts.beta1))
-    delta = 0.0
-    mu0_w = cur.mu * inf_norm(cur.w)
 
     def check_termination(it: Iterate):
         if terminate_optimal(it, opts.eps_opt):
@@ -372,97 +375,89 @@ def solve(
             return SolveStatus.TIME_LIMIT, Certificate({"seconds": time.perf_counter() - t0})
         return None
 
-    while True:
-        # New outer iteration: snapshot, assemble, factorize.
-        try:
+    inner_count = 0
+    outer_count = 0
+    cur: Optional[Iterate] = None
+    try:
+        cur = initialize(counted, x_start, opts, work)
+        state = DeltaState(opts.delta_min, opts.delta_inc, opts.delta_dec, opts.delta_max)
+        filt = Filter()
+        filt.reset(merit_phi(cur, opts.beta1), merit_kkt(cur, opts.beta1))
+        delta = 0.0
+
+        while True:
+            # New outer iteration: snapshot, assemble, factorize.
             schur = assemble_schur(counted, cur.x, cur.s, cur.y, cur.mu,
                                    opts.beta1, jac=cur.jac)
-        except EvaluationError:
-            return result(SolveStatus.EVALUATION_ERROR, cur, Certificate({}),
-                          outer_count)
-        outer_count += 1
-        try:
-            fs = factorize_with_shift(schur, delta, state)
-        except MaxDeltaError as exc:
-            return result(SolveStatus.MAX_DELTA, cur,
-                          Certificate({"delta": exc.delta}), outer_count)
-        all_fs.append(fs)
-        delta = fs.delta
+            outer_count += 1
+            fs = work.supersede(factorize_with_shift(schur, delta, state))
+            delta = fs.delta
 
-        j = 1
-        while j <= opts.j_max:
-            hit = check_termination(cur)
-            if hit is not None:
-                return result(hit[0], cur, hit[1], outer_count)
-            inner_count += 1
+            j = 1
+            while j <= opts.j_max:
+                hit = check_termination(cur)
+                if hit is not None:
+                    return result(hit[0], cur, hit[1])
+                inner_count += 1
 
-            mu_pre = cur.mu
-            switch_dual = sigma(cur.y) * inf_norm(cur.lagrangian_grad(cur.mu, opts.beta1))
-            take_aggressive = aggressive_criterion(cur, opts.beta1, opts.beta3)
-            if take_aggressive:
-                outcome = aggressive_step(fs, cur, counted, opts)
-                kind = "aggressive"
-            else:
-                outcome = stabilization_step(fs, cur, filt, counted, opts)
-                kind = "stabilization"
-
-            if outcome.success:
-                prev = cur
-                cur = outcome.iterate
+                mu_pre = cur.mu
+                switch_dual = sigma(cur.y) * inf_norm(cur.lagrangian_grad(cur.mu, opts.beta1))
+                take_aggressive = aggressive_criterion(cur, opts.beta1, opts.beta3)
                 if take_aggressive:
-                    filt.reset(merit_phi(cur, opts.beta1), merit_kkt(cur, opts.beta1))
+                    outcome = aggressive_step(fs, cur, counted, opts)
+                    kind = "aggressive"
                 else:
-                    filt.add(merit_phi(cur, opts.beta1), merit_kkt(cur, opts.beta1))
-                if step_observer is not None:
-                    step_observer(prev, outcome.direction, outcome.alpha_p,
-                                  outcome.alpha_d, cur, kind)
-                if opts.debug_checks:
-                    assert check_interior(cur, opts.beta2)
-                    # rebuilt slacks satisfy the identity exactly up to
-                    # rounding at the iterate's own magnitude
-                    scale = inf_norm(cur.s) + inf_norm(cur.a) + cur.mu * inf_norm(cur.w)
-                    assert inf_norm(cur.primal_residual()) <= (
-                        1e-8 * (1.0 + mu0_w) + 16 * np.finfo(float).eps * scale)
+                    outcome = stabilization_step(fs, cur, filt, counted, opts)
+                    kind = "stabilization"
 
-            sig = sigma(cur.y)
-            record = TraceRecord(
-                iter=inner_count, outer=outer_count, inner=j, kind=kind,
-                accepted=outcome.success,
-                gamma=outcome.direction.gamma if outcome.direction else float("nan"),
-                delta=fs.delta, alpha_p=outcome.alpha_p, alpha_d=outcome.alpha_d,
-                mu=cur.mu, mu_pre=mu_pre,
-                primal_resid=inf_norm(cur.primal_residual()),
-                opt_dual=sig * inf_norm(cur.lagrangian_grad(0.0, 0.0)),
-                opt_comp=sig * inf_norm(cur.s * cur.y),
-                switch_dual=switch_dual,
-                phi=merit_phi(cur, opts.beta1), kkt=merit_kkt(cur, opts.beta1),
-                filter_size=len(filt.entries),
-                f_evals=counters["f"], grad_evals=counters["grad"],
-                cons_evals=counters["cons"], jac_evals=counters["jac"],
-                hess_evals=counters["hess"],
-                factorizations=sum(f.attempts for f in all_fs),
-                backsolves=sum(f.solves for f in all_fs),
-            )
-            trace.append(record)
-            if progress is not None:
-                progress(record)
+                if outcome.success:
+                    prev = cur
+                    cur = outcome.iterate
+                    if take_aggressive:
+                        filt.reset(merit_phi(cur, opts.beta1), merit_kkt(cur, opts.beta1))
+                    else:
+                        filt.add(merit_phi(cur, opts.beta1), merit_kkt(cur, opts.beta1))
+                    if step_observer is not None:
+                        step_observer(prev, outcome.direction, outcome.alpha_p,
+                                      outcome.alpha_d, cur, kind)
 
-            if outcome.success:
-                j += 1
-                continue
-            if j == 1:
-                # Escalate the shift and retry the inner loop with the same M.
-                dx_norm = inf_norm(outcome.direction.dx) if outcome.direction else 0.0
-                grad_norm = inf_norm(cur.lagrangian_grad(cur.mu, opts.beta1))
-                try:
+                sig = sigma(cur.y)
+                record = TraceRecord(
+                    iter=inner_count, outer=outer_count, inner=j, kind=kind,
+                    accepted=outcome.success,
+                    gamma=outcome.direction.gamma if outcome.direction else float("nan"),
+                    delta=fs.delta, alpha_p=outcome.alpha_p, alpha_d=outcome.alpha_d,
+                    mu=cur.mu, mu_pre=mu_pre,
+                    primal_resid=inf_norm(cur.primal_residual()),
+                    opt_dual=sig * inf_norm(cur.lagrangian_grad(0.0, 0.0)),
+                    opt_comp=sig * inf_norm(cur.s * cur.y),
+                    switch_dual=switch_dual,
+                    phi=merit_phi(cur, opts.beta1), kkt=merit_kkt(cur, opts.beta1),
+                    filter_size=len(filt.entries),
+                    f_evals=counters["f"], grad_evals=counters["grad"],
+                    cons_evals=counters["cons"], jac_evals=counters["jac"],
+                    hess_evals=counters["hess"],
+                    **work.counters(),
+                )
+                trace.append(record)
+                if progress is not None:
+                    progress(record)
+
+                if outcome.success:
+                    j += 1
+                    continue
+                if j == 1:
+                    # Escalate the shift and retry the inner loop with the same M.
+                    dx_norm = inf_norm(outcome.direction.dx) if outcome.direction else 0.0
+                    grad_norm = inf_norm(cur.lagrangian_grad(cur.mu, opts.beta1))
                     delta = escalate_delta(state, delta, grad_norm,
                                            dx_norm if dx_norm > 0 else 1.0)
-                    fs = _refactorize(schur, delta, state)
-                except MaxDeltaError as exc:
-                    return result(SolveStatus.MAX_DELTA, cur,
-                                  Certificate({"delta": exc.delta}), outer_count)
-                all_fs.append(fs)
-                delta = fs.delta
-                j = 1
-                continue
-            break  # failure with j > 1: new outer iteration
+                    fs = work.supersede(_refactorize(schur, delta, state))
+                    delta = fs.delta
+                    j = 1
+                    continue
+                break  # failure with j > 1: new outer iteration
+    except MaxDeltaError as exc:
+        return result(SolveStatus.MAX_DELTA, cur, Certificate({"delta": exc.delta}), str(exc))
+    except EvaluationError as exc:
+        return result(SolveStatus.EVALUATION_ERROR, cur, Certificate({}), str(exc))

@@ -163,23 +163,21 @@ def dual_interval(s_plus: np.ndarray, mu_plus: float, it: Iterate,
         theta_b * it.y * min(1.0, inf_norm(direction.dx)),
     )
     upper = mu_plus / (beta2 * s_plus)
-
-    lo, hi = 0.0, 1.0
-    for yi, di, li, ui in zip(it.y, direction.dy, lower, upper):
-        if li > ui:
-            return None
-        if di > 0:
-            lo = max(lo, (li - yi) / di)
-            hi = min(hi, (ui - yi) / di)
-        elif di < 0:
-            lo = max(lo, (ui - yi) / di)
-            hi = min(hi, (li - yi) / di)
-        else:
-            if not (li <= yi <= ui):
-                return None
-        if lo > hi:
-            return None
-    return (lo, hi)
+    y, dy = it.y, direction.dy
+    rising = dy > 0
+    moving = rising | (dy < 0)   # a dy of 0.0, -0.0 or NaN leaves y_i fixed
+    if np.any(lower > upper) or not np.all(moving | ((lower <= y) & (y <= upper))):
+        return None
+    # Fixed rows get no ratio; NaN ratios never tighten the interval, and the
+    # first of tied minima sets hi (it decides the sign of a zero hi).
+    lo_ratios = np.divide(np.where(rising, lower, upper) - y, dy,
+                          out=np.full(y.shape, np.nan), where=moving)
+    hi_ratios = np.divide(np.where(rising, upper, lower) - y, dy,
+                          out=np.full(y.shape, np.inf), where=moving)
+    hi_ratios[np.isnan(hi_ratios)] = np.inf
+    lo = max(0.0, np.fmax.reduce(lo_ratios, initial=-np.inf))
+    hi = min(1.0, hi_ratios[np.argmin(hi_ratios)])
+    return None if lo > hi else (lo, hi)
 
 
 def dual_step_size(s_plus: np.ndarray, mu_plus: float,

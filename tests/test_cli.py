@@ -57,11 +57,30 @@ def test_iteration_limit_exit_code():
     assert run_cli(["solve", "builtin:unbounded-lp", "--max-iter", "3"]) == 3
 
 
-def test_solver_failure_exit_code(tmp_path):
+def test_solver_failure_exit_code(tmp_path, capsys):
     # Negative curvature beyond the shift cap: concave unconstrained QP.
     evil = tmp_path / "evil.nlp"
     evil.write_text("problem evil\nvars 1\n\nobjective\nquad 0 0 -1e60\n")
     assert run_cli(["solve", str(evil)]) == 4
+    out = capsys.readouterr().out
+    assert "max-delta" in out
+    assert "  detail: shift " in out
+
+
+def test_invalid_solver_flag_is_usage_error(capsys):
+    assert run_cli(["solve", "builtin:wachter", "--tol", "-1"]) == USAGE_ERROR
+    captured = capsys.readouterr()
+    assert "eps_opt=-1.0" in captured.err
+    assert captured.out == ""
+
+
+def test_batch_invalid_solver_flag_is_usage_error(tmp_path, capsys):
+    (tmp_path / "lp.nlp").write_text(LP_TEXT)
+    summary = tmp_path / "summary.csv"
+    code = run_cli(["batch", str(tmp_path), "--tol", "-1", "--summary", str(summary)])
+    assert code == USAGE_ERROR
+    assert "eps_opt=-1.0" in capsys.readouterr().err
+    assert not summary.exists()
 
 
 def test_log_level_defaults_to_summary(monkeypatch, capsys):

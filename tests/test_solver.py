@@ -1,11 +1,15 @@
 import io
+import json
+import weakref
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import onephase.solver as solver_module
 from onephase import (
     EvaluationError,
+    NlpProblem,
     Relation,
     SolveStatus,
     SolverOptions,
@@ -27,6 +31,8 @@ from onephase.solver import (
 )
 
 from helpers import quadratic_problem
+from test_golden_record import GOLDEN
+from test_golden_record import _steps as golden_steps
 
 
 def lp_min_x_ge_1():
@@ -182,11 +188,30 @@ class TestSolveBasics:
         with pytest.raises(ValueError):
             solve(lp_min_x_ge_1(), np.zeros(1), SolverOptions(beta3=0.005))
 
-    def test_debug_checks_run_clean(self):
-        entry = builtin_registry()["wachter"]
-        problem, _ = entry.build()
-        result = solve(problem, entry.x_start, SolverOptions(debug_checks=True))
-        assert result.status is SolveStatus.OPTIMAL
+    def test_accepted_steps_keep_invariants(self):
+        # Every accepted iterate stays in the complementarity corridor, and its
+        # rebuilt slacks satisfy a(x) + s = mu*w up to rounding at its own
+        # magnitude, measured against mu0*||w||_inf of the start.
+        opts = SolverOptions()
+        eps = np.finfo(float).eps
+        for name in ("wachter", "qp-separable10"):
+            entry = builtin_registry()[name]
+            problem, _ = entry.build()
+            start = []
+            accepted = []
+
+            def observer(prev, direction, alpha_p, alpha_d, new, kind):
+                if not start:
+                    start.append(prev.mu * inf_norm(prev.w))
+                assert check_interior(new, opts.beta2), name
+                scale = inf_norm(new.s) + inf_norm(new.a) + new.mu * inf_norm(new.w)
+                assert inf_norm(new.primal_residual()) <= (
+                    1e-8 * (1.0 + start[0]) + 16 * eps * scale), name
+                accepted.append(kind)
+
+            result = solve(problem, entry.x_start, opts, step_observer=observer)
+            assert result.status is SolveStatus.OPTIMAL, name
+            assert accepted, name
 
 
 @pytest.fixture(scope="module")
@@ -311,6 +336,105 @@ class TestCallbacks:
             result = solve(problem, entry.x_start, step_observer=observer)
             assert result.status is SolveStatus.OPTIMAL
             assert worst <= 1e-10, name
+
+
+class TestFactorizationLifetime:
+    def test_superseded_factorizations_are_freed(self, monkeypatch):
+        # solve() keeps only the live factorization; every superseded one
+        # is folded into the work totals and released.
+        made = []
+
+        def recording(fn):
+            def wrapper(*args):
+                fs = fn(*args)
+                made.append(weakref.ref(fs))
+                return fs
+            return wrapper
+
+        monkeypatch.setattr(solver_module, "factorize_with_shift",
+                            recording(solver_module.factorize_with_shift))
+        monkeypatch.setattr(solver_module, "_refactorize",
+                            recording(solver_module._refactorize))
+        alive = []
+
+        def progress(record):
+            alive.append(sum(ref() is not None for ref in made))
+
+        entry = builtin_registry()["wachter"]
+        problem, _ = entry.build()
+        x0 = entry.x_start.copy()
+        x0[0] = -100.0
+        result = solve(problem, x0, progress=progress)
+        assert result.status is SolveStatus.OPTIMAL
+        assert result.outer_iterations >= 5
+        assert len(made) >= result.outer_iterations
+        assert max(alive) <= 1
+        assert result.counters["factorizations"] >= len(made)
+
+
+def _one_sided_lp(**callbacks):
+    """min x s.t. -1 - x <= 0 with some callbacks replaced."""
+    evals = {
+        "eval_f": lambda x: float(x[0]),
+        "eval_grad_f": lambda x: np.array([1.0]),
+        "eval_a": lambda x: np.array([-1.0 - x[0]]),
+        "eval_jac": lambda x: np.array([[-1.0]]),
+        "eval_hess_lag": lambda x, v: np.zeros((1, 1)),
+    }
+    evals.update(callbacks)
+    return NlpProblem(n=1, m=1, linear_indices=frozenset({0}), name="one-sided-lp", **evals)
+
+
+def _a_raising_below_half(x):
+    if x[0] <= -0.5:
+        raise ValueError("a is undefined here")
+    return np.array([-1.0 - x[0]])
+
+
+class TestHostileCallbacks:
+    @pytest.mark.parametrize("callbacks, detail", [
+        ({"eval_f": lambda x: 1 / 0}, "ZeroDivisionError: division by zero from f"),
+        ({"eval_grad_f": lambda x: np.array([1.0, 2.0])},
+         "ValueError: cannot reshape array of size 2 into shape (1,) from grad_f"),
+        ({"eval_hess_lag": lambda x, v: np.zeros((2, 2))},
+         "ValueError: cannot reshape array of size 4 into shape (1,1) from hess_lag"),
+    ], ids=["f-raises", "grad-wrong-length", "hess-wrong-shape"])
+    def test_bad_callback_is_reported_failure(self, callbacks, detail):
+        result = solve(_one_sided_lp(**callbacks), np.array([1.0]))
+        assert result.status is SolveStatus.EVALUATION_ERROR
+        assert result.detail == detail
+        assert result.iterate is None
+        assert result.outer_iterations == 0
+
+    def test_wrapper_chains_the_callback_exception(self):
+        with pytest.raises(EvaluationError) as info:
+            _one_sided_lp(eval_f=lambda x: 1 / 0).f(np.zeros(1))
+        assert info.value.what == "f"
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
+
+    def test_raising_constraint_region_is_rejected_like_nan(self):
+        result = solve(_one_sided_lp(eval_a=_a_raising_below_half), np.array([1.0]),
+                       SolverOptions(max_iter=200))
+        assert result.status is SolveStatus.ITERATION_LIMIT
+        assert result.detail == ""
+
+    def test_raising_constraint_matches_golden_nan_record(self):
+        # From the golden record's start, raising where eval_a is NaN there
+        # gives the same status, counters and step sequence.
+        golden = json.loads(GOLDEN.read_text())["nan-eval_a"]
+        result = solve(_one_sided_lp(eval_a=_a_raising_below_half), np.array([0.0]),
+                       SolverOptions(max_iter=200))
+        assert result.status.value == golden["status"]
+        assert result.counters == golden["counters"]
+        assert golden_steps(result.trace) == golden["steps"]
+
+    def test_max_delta_detail(self):
+        p = quadratic_problem(np.eye(1), np.zeros(1))
+        bad = p.__class__(**{**p.__dict__, "eval_hess_lag": lambda x, v: np.array([[-1e60]])})
+        result = solve(bad, np.ones(1))
+        assert result.status is SolveStatus.MAX_DELTA
+        assert result.detail.startswith("shift ")
+        assert "reached cap" in result.detail
 
 
 class TestInteriorOptimum:

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from onephase import NlpProblem, SolverOptions, builtin_registry
-from onephase.iterate import make_iterate
+from onephase.iterate import inf_norm, make_iterate
 from onephase.linalg import DeltaState, assemble_schur, factorize_with_shift
 from onephase.solver import initialize
 from onephase.steps import (
@@ -171,6 +171,86 @@ class TestDualInterval:
         d = direction(1.0, 0.0, 0.0)
         # s+ y / mu+ = 200 for every alpha: empty.
         assert dual_interval(np.array([2.0]), 0.01, it, d, 0.01, np.array([0.1])) is None
+
+
+def _dual_interval_loop(s_plus, mu_plus, it, direction, beta2, theta_b):
+    """The row-by-row loop that ``dual_interval`` vectorizes; the reference
+    for its equivalence test."""
+    if it.m == 0:
+        return (0.0, 1.0)
+    if np.min(s_plus) <= 0 or mu_plus <= 0:
+        return None
+    lower = np.maximum(
+        beta2 * mu_plus / s_plus,
+        theta_b * it.y * min(1.0, inf_norm(direction.dx)),
+    )
+    upper = mu_plus / (beta2 * s_plus)
+
+    lo, hi = 0.0, 1.0
+    for yi, di, li, ui in zip(it.y, direction.dy, lower, upper):
+        if li > ui:
+            return None
+        if di > 0:
+            lo = max(lo, (li - yi) / di)
+            hi = min(hi, (ui - yi) / di)
+        elif di < 0:
+            lo = max(lo, (ui - yi) / di)
+            hi = min(hi, (li - yi) / di)
+        else:
+            if not (li <= yi <= ui):
+                return None
+        if lo > hi:
+            return None
+    return (lo, hi)
+
+
+def _random_dual_interval_case(rng):
+    """Inputs mixing rows inside and outside the corridor, rows sitting
+    exactly on a corridor end (zero ratios of either sign), ``lower > upper``
+    rows (large beta2 and y) and ``dy`` entries equal to 0.0, -0.0 or NaN."""
+    m = int(rng.integers(1, 7))
+    s_plus = 10.0 ** rng.uniform(-2, 2, m)
+    mu_plus = 10.0 ** rng.uniform(-2, 1)
+    beta2 = 10.0 ** rng.uniform(-3, -0.05)
+    y = mu_plus / s_plus * 10.0 ** rng.uniform(-1.5, 2.5, m)
+    on_end = rng.integers(0, 4, m)
+    y = np.where(on_end == 0, beta2 * mu_plus / s_plus, y)
+    y = np.where(on_end == 1, mu_plus / (beta2 * s_plus), y)
+    kind = rng.integers(0, 10, m)
+    dy = rng.standard_normal(m) * 10.0 ** rng.uniform(-3, 1, m)
+    dy[kind == 6] = 0.0
+    dy[kind == 7] = -0.0
+    dy[(kind == 8) & (rng.random(m) < 0.2)] = np.nan
+    dx = rng.standard_normal(2) * 10.0 ** rng.uniform(-3, 1)
+    it = raw_iterate(mu_plus, np.zeros(2), s_plus, y, np.zeros(m))
+    d = direction(dx, np.zeros(m), dy)
+    return s_plus, mu_plus, it, d, beta2, rng.uniform(0.01, 0.9)
+
+
+class TestDualIntervalMatchesLoop:
+    def test_random_cases_identical(self):
+        rng = np.random.default_rng(20)
+        seen = {"none": 0, "interval": 0, "zero": 0, "negzero": 0, "crossed": 0,
+                "zero_hi": 0}
+        for _ in range(5000):
+            case = _random_dual_interval_case(rng)
+            want = _dual_interval_loop(*case)
+            got = dual_interval(*case)
+            s_plus, mu_plus, it, d, beta2, theta_b = case
+            if want is None:
+                assert got is None, case
+            else:
+                assert got is not None, case
+                assert got == want, case
+                assert np.signbit(got).tolist() == np.signbit(want).tolist(), case
+            seen["none" if want is None else "interval"] += 1
+            seen["zero_hi"] += bool(want is not None and want[1] == 0.0)
+            seen["zero"] += bool(np.any((d.dy == 0) & ~np.signbit(d.dy)))
+            seen["negzero"] += bool(np.any((d.dy == 0) & np.signbit(d.dy)))
+            lower = np.maximum(beta2 * mu_plus / s_plus,
+                               theta_b * it.y * min(1.0, inf_norm(d.dx)))
+            seen["crossed"] += bool(np.any(lower > mu_plus / (beta2 * s_plus)))
+        assert min(seen.values()) > 200, seen
 
 
 class TestDualStepSize:
