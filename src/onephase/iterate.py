@@ -24,8 +24,8 @@ from .problem import EvaluationError, NlpProblem
 
 def inf_norm(v: np.ndarray) -> float:
     """Infinity norm with the empty vector mapped to 0."""
-    v = np.asarray(v)
-    return float(np.abs(v).max()) if v.size else 0.0
+    v = np.abs(v)
+    return float(v.flat[v.argmax()]) if v.size else 0.0
 
 
 def one_norm(v: np.ndarray) -> float:

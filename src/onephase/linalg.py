@@ -6,10 +6,19 @@ definite system ``(M + delta*I) d = rhs`` where
 factorization: attempt ``delta = 0`` when the diagonal allows it, otherwise
 restart from the previous shift and multiply by ``delta_inc`` until the
 factorization succeeds or the shift cap is hit.
+
+Factorizations use numpy's LAPACK (``np.linalg.cholesky``), the same
+OpenBLAS build that assembles ``M``.  numpy and scipy each ship their own
+OpenBLAS with its own thread pool; factoring with scipy's while numpy's
+assembles made the two pools contend on every outer iteration (an order of
+magnitude at n = 128 on two cores).  The backsolves stay with
+``scipy.linalg.cho_solve``.  Thread counts are left to the user's
+``OPENBLAS_NUM_THREADS``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,10 +30,10 @@ from .problem import NlpProblem
 class MaxDeltaError(RuntimeError):
     """The regularization shift exceeded its cap; the solve is abandoned."""
 
-    def __init__(self, delta: float, delta_max: float):
+    def __init__(self, delta: float, delta_max: float, reason: str = ""):
         self.delta = delta
         self.delta_max = delta_max
-        super().__init__(f"shift {delta:.3e} reached cap {delta_max:.3e}")
+        super().__init__(reason or f"shift {delta:.3e} reached cap {delta_max:.3e}")
 
 
 @dataclass
@@ -106,12 +115,11 @@ def assemble_schur(
 
 
 def _try_cholesky(A: np.ndarray) -> np.ndarray | None:
-    # ValueError covers non-finite entries (overflowed assembly); treating
-    # it as a failed trial lets the shift loop run out to the cap instead
-    # of crashing the solve.
+    # A must be finite (factorize_with_shift checks): LAPACK factors NaNs
+    # into NaNs without reporting a failure.
     try:
-        return scipy.linalg.cholesky(A, lower=True)
-    except (scipy.linalg.LinAlgError, ValueError):
+        return np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
         return None
 
 
@@ -126,9 +134,13 @@ def factorize_with_shift(
     iteration).  If ``min diag(M) > 0`` an unshifted factorization is tried
     first; otherwise, or when it fails, the shift starts at
     ``max(delta_in / delta_dec, delta_min - tau)`` and grows as in
-    :func:`factorize_growing_shift`.
+    :func:`factorize_growing_shift`.  A non-finite ``M`` (an overflowed
+    assembly) raises :class:`MaxDeltaError` at once: no shift factors it.
     """
     M = schur.M
+    if not np.isfinite(M).all():
+        raise MaxDeltaError(math.inf, state.delta_max,
+                            "Schur matrix has non-finite entries; no shift factors it")
     tau = float(np.min(np.diag(M)))
     attempts = 0
 
@@ -153,7 +165,8 @@ def factorize_growing_shift(
     """Factor ``M + delta*I``, multiplying delta by ``delta_inc`` after
     every failed trial Cholesky.
 
-    ``attempts`` counts trials already spent on this matrix.  Raises
+    ``attempts`` counts trials already spent on this matrix, whose
+    finiteness :func:`factorize_with_shift` has checked.  Raises
     :class:`MaxDeltaError` once ``delta >= delta_max``; on success
     ``state.delta_prev`` is set to the returned shift.
     """

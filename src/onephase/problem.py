@@ -16,8 +16,8 @@ import numpy as np
 
 
 class EvaluationError(RuntimeError):
-    """A user callback raised, returned the wrong shape or produced a
-    non-finite value.
+    """A user callback raised, returned the wrong shape, produced a
+    non-finite value or (``hess_lag``) an asymmetric matrix.
 
     Carries the name of the callback and the flat index of the first
     offending entry so the failure can be reported precisely.
@@ -103,11 +103,9 @@ class NlpProblem:
 
     def hess_lag(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         H = _evaluate("hess_lag", (self.n, self.n), self.eval_hess_lag, x, v)
-        if __debug__:
-            scale = max(1.0, float(np.abs(H).max()))
-            assert np.abs(H - H.T).max() <= 1e-12 * scale, (
-                "eval_hess_lag returned an asymmetric matrix"
-            )
+        asym = np.flatnonzero(np.abs(H - H.T) > 1e-12 * max(1.0, float(np.abs(H).max())))
+        if asym.size:
+            raise EvaluationError("hess_lag", int(asym[0]), "asymmetric matrix")
         return H
 
 

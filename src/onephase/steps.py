@@ -156,27 +156,28 @@ def dual_interval(s_plus: np.ndarray, mu_plus: float, it: Iterate,
     """
     if it.m == 0:
         return (0.0, 1.0)
-    if np.min(s_plus) <= 0 or mu_plus <= 0:
+    if s_plus.min() <= 0 or mu_plus <= 0:
         return None
     lower = np.maximum(
         beta2 * mu_plus / s_plus,
         theta_b * it.y * min(1.0, inf_norm(direction.dx)),
     )
     upper = mu_plus / (beta2 * s_plus)
-    y, dy = it.y, direction.dy
-    rising = dy > 0
-    moving = rising | (dy < 0)   # a dy of 0.0, -0.0 or NaN leaves y_i fixed
-    if np.any(lower > upper) or not np.all(moving | ((lower <= y) & (y <= upper))):
+    if np.count_nonzero(lower > upper):
         return None
-    # Fixed rows get no ratio; NaN ratios never tighten the interval, and the
-    # first of tied minima sets hi (it decides the sign of a zero hi).
-    lo_ratios = np.divide(np.where(rising, lower, upper) - y, dy,
-                          out=np.full(y.shape, np.nan), where=moving)
-    hi_ratios = np.divide(np.where(rising, upper, lower) - y, dy,
-                          out=np.full(y.shape, np.inf), where=moving)
-    hi_ratios[np.isnan(hi_ratios)] = np.inf
-    lo = max(0.0, np.fmax.reduce(lo_ratios, initial=-np.inf))
-    hi = min(1.0, hi_ratios[np.argmin(hi_ratios)])
+    # A dy of 0.0, -0.0 or NaN leaves y_i fixed: as a signed zero it makes
+    # both ratios infinite (NaN on a corridor end), emptying the interval
+    # exactly when y_i is outside [lower_i, upper_i].  NaN ratios never
+    # tighten it, and the first of tied minima sets hi (and a zero hi's sign).
+    y, dy = it.y, np.where(np.isnan(direction.dy), 0.0, direction.dy)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        to_lower = (lower - y) / dy
+        to_upper = (upper - y) / dy
+    falling = np.signbit(dy)
+    lo_ratios = np.fmax(np.where(falling, to_upper, to_lower), -np.inf)
+    hi_ratios = np.fmin(np.where(falling, to_lower, to_upper), np.inf)
+    lo = max(0.0, lo_ratios[lo_ratios.argmax()])
+    hi = min(1.0, hi_ratios[hi_ratios.argmin()])
     return None if lo > hi else (lo, hi)
 
 

@@ -1,5 +1,10 @@
 """Shared constructors for solver tests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from onephase import Iterate, NlpProblem
@@ -105,3 +110,15 @@ def random_interior_setup(rng, n=None, m=None):
                  f=problem.f(x), grad_f=problem.grad_f(x),
                  a=problem.a(x), jac=problem.jac(x))
     return problem, it
+
+
+def run_python(code, *flags):
+    """Run ``code`` in a fresh interpreter (with ``flags`` such as ``-O``)
+    importing this source tree and these test modules; ``timeout=60`` turns
+    a hang into a failure."""
+    env = dict(os.environ)
+    tests = Path(__file__).resolve().parent
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(tests.parent / "src"), str(tests), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
+from onephase import SolveStatus, solve
 from onephase.linalg import (
     DeltaState,
     MaxDeltaError,
@@ -12,7 +14,7 @@ from onephase.linalg import (
     solve_shifted,
 )
 
-from helpers import linear_problem, quadratic_problem
+from helpers import linear_problem, quadratic_problem, run_python
 
 
 def plain_schur(M):
@@ -105,6 +107,69 @@ class TestFactorizeWithShift:
         fs = factorize_with_shift(plain_schur(M), 0.0, DeltaState())
         recon = fs.factor @ fs.factor.T
         assert_allclose(recon, M + fs.delta * np.eye(4), rtol=1e-8, atol=1e-10)
+
+
+# The shift loop once multiplied a zero start shift by delta_inc forever
+# when M had a NaN on its diagonal (tau = nan), so these run in a fresh
+# interpreter with a timeout.  A non-finite M must fail before any trial.
+_NONFINITE_SCRIPT = """
+import numpy as np
+import onephase.linalg as linalg
+def no_trial(A):
+    raise AssertionError("trial factorization of a non-finite M")
+linalg._try_cholesky = no_trial
+M = np.array({rows}, float)
+schur = linalg.SchurMatrix(M=M, x=np.zeros(2), s=np.ones(1), y=np.ones(1),
+                           mu=1.0, jac=np.zeros((1, 2)))
+state = linalg.DeltaState()
+try:
+    linalg.factorize_with_shift(schur, 0.0, state)
+except linalg.MaxDeltaError as exc:
+    print(exc.delta, state.delta_prev, exc)
+"""
+
+
+class TestNonFiniteSchur:
+    @pytest.mark.parametrize("rows", [
+        "[[np.nan, 0.0], [0.0, 1.0]]",
+        "[[1.0, np.nan], [np.nan, 1.0]]",
+        "[[1.0, np.inf], [np.inf, 1.0]]",
+        "[[1.0, 0.0], [0.0, -np.inf]]",
+    ], ids=["nan-diagonal", "nan-off-diagonal", "plus-inf", "minus-inf"])
+    def test_fails_at_once_with_max_delta(self, rows):
+        out = run_python(_NONFINITE_SCRIPT.format(rows=rows))
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split(maxsplit=2) == [
+            "inf", "0.0", "Schur matrix has non-finite entries; no shift factors it\n"]
+
+
+class TestSingleBlasFactorization:
+    @pytest.mark.parametrize("n", [3, 127, 128, 200])
+    @pytest.mark.parametrize("kind", ["spd", "indefinite"])
+    def test_factor_reconstructs_and_solves(self, n, kind):
+        rng = np.random.default_rng(n)
+        A = rng.standard_normal((n, n))
+        M = A @ A.T / n + 0.1 * np.eye(n) if kind == "spd" else 0.5 * (A + A.T)
+        fs = factorize_with_shift(plain_schur(M), 0.0, DeltaState())
+        assert (fs.delta == 0.0) == (kind == "spd")
+        assert np.all(np.triu(fs.factor, 1) == 0.0)
+        assert_allclose(fs.factor @ fs.factor.T, fs.shifted, rtol=0,
+                        atol=1e-12 * np.abs(fs.shifted).max())
+        rhs = rng.standard_normal(n)
+        assert_allclose(solve_shifted(fs, rhs), np.linalg.solve(fs.shifted, rhs),
+                        rtol=1e-8, atol=1e-10)
+
+    def test_solve_never_calls_scipy_cholesky(self, monkeypatch):
+        def second_blas(*args, **kwargs):
+            raise AssertionError("scipy.linalg.cholesky called")
+        monkeypatch.setattr(scipy.linalg, "cholesky", second_blas)
+        n = 128
+        rng = np.random.default_rng(0)
+        A = rng.standard_normal((n, n))
+        J = rng.standard_normal((n // 2, n))
+        p = quadratic_problem(A @ A.T / n + np.eye(n), rng.standard_normal(n),
+                              J, -np.ones(n // 2))
+        assert solve(p, np.zeros(n)).status is SolveStatus.OPTIMAL
 
 
 class TestSolveShifted:

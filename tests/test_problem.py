@@ -240,8 +240,10 @@ class TestEvaluationWrappers:
             eval_jac=lambda x: np.zeros((0, 2)),
             eval_hess_lag=lambda x, v: np.array([[1.0, 0.5], [0.0, 1.0]]),
         )
-        with pytest.raises(AssertionError):
+        with pytest.raises(EvaluationError) as info:
             p.hess_lag(np.zeros(2), np.zeros(0))
+        assert info.value.what == "hess_lag"
+        assert str(info.value) == "asymmetric matrix from hess_lag at entry 1"
 
     def test_nonfinite_objective(self):
         p = NlpProblem(

@@ -30,7 +30,7 @@ from onephase.solver import (
     initialize,
 )
 
-from helpers import quadratic_problem
+from helpers import quadratic_problem, run_python
 from test_golden_record import GOLDEN
 from test_golden_record import _steps as golden_steps
 
@@ -385,6 +385,11 @@ def _one_sided_lp(**callbacks):
     return NlpProblem(n=1, m=1, linear_indices=frozenset({0}), name="one-sided-lp", **evals)
 
 
+def _asymmetric_hessian_qp():
+    """min 0.5 x'Hx + x1 + x2 s.t. x1 + x2 <= 1 with H[0, 1] != H[1, 0]."""
+    return quadratic_problem([[2.0, 0.5], [0.0, 2.0]], [1.0, 1.0], [[1.0, 1.0]], [-1.0])
+
+
 def _a_raising_below_half(x):
     if x[0] <= -0.5:
         raise ValueError("a is undefined here")
@@ -427,6 +432,23 @@ class TestHostileCallbacks:
         assert result.status.value == golden["status"]
         assert result.counters == golden["counters"]
         assert golden_steps(result.trace) == golden["steps"]
+
+    def test_asymmetric_hessian_is_reported_failure(self):
+        result = solve(_asymmetric_hessian_qp(), np.zeros(2))
+        assert result.status is SolveStatus.EVALUATION_ERROR
+        assert result.detail == "asymmetric matrix from hess_lag at entry 1"
+        assert result.iterate is None
+
+    def test_asymmetric_hessian_is_reported_under_optimize_flag(self):
+        # python -O strips assert statements (the script's own assert shows
+        # the flag took effect); the symmetry check must not be one.
+        out = run_python("import numpy as np; assert False; "
+                         "from test_solver import _asymmetric_hessian_qp, solve; "
+                         "r = solve(_asymmetric_hessian_qp(), np.zeros(2)); "
+                         "print(r.status.value); print(r.detail)", "-O")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == [
+            "evaluation-error", "asymmetric matrix from hess_lag at entry 1"]
 
     def test_max_delta_detail(self):
         p = quadratic_problem(np.eye(1), np.zeros(1))
