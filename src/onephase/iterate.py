@@ -47,84 +47,34 @@ class SolveStatus(enum.Enum):
     EVALUATION_ERROR = "evaluation-error"
 
 
+# The paper's fixed parameters read in this module.
+BETA1 = 1e-4        # modified log-barrier slope
+BETA2 = 0.01        # complementarity corridor [beta2, 1/beta2]
+BETA3 = 0.02        # aggressive-step corridor buffer
+EPS_FAR = 1e-3      # infeasibility certificate: gamma_far tolerance
+EPS_INF = 1e-6      # infeasibility certificate: gamma_inf tolerance
+EPS_UNBD = 1e-12    # divergence test ||x||_inf >= 1/eps_unbd
+
+
 @dataclass
 class SolverOptions:
-    """Algorithm parameters; defaults follow the standard tuning.
+    """The values a caller sets; the method's fixed parameters are module
+    constants (``iterate``, ``steps``, ``linalg`` and ``solver``)."""
 
-    ``beta_kkt`` is the filter's KKT reduction factor and ``beta_exp`` the
-    step-size exponent in the fraction-to-boundary bound (two distinct
-    parameters despite their historical shared name).
-    """
-
-    eps_opt: float = 1e-6
-    eps_far: float = 1e-3
-    eps_inf: float = 1e-6
-    eps_unbd: float = 1e-12
-    beta1: float = 1e-4        # modified log-barrier slope
-    beta2: float = 0.01        # complementarity corridor
-    beta3: float = 0.02        # aggressive-step corridor buffer
-    beta4: float = 0.2         # merit decrease fraction
-    beta5: float = 2.0 ** -5   # minimum stabilization step size
-    beta6: float = 0.5         # backtracking factor
-    beta_kkt: float = 0.01     # filter KKT reduction factor
-    beta_exp: float = 0.5      # fraction-to-boundary exponent
-    beta8: float = 0.9         # dual-feasibility guard threshold
-    theta_b: float = 0.1       # fraction-to-boundary, acceptance
-    theta_p_linear: float = 0.1     # fraction-to-boundary, max step (linear rows)
-    theta_p_nonlinear: float = 0.25  # idem, nonlinear rows
-    delta_min: float = 1e-8
-    delta_inc: float = 8.0
-    delta_dec: float = float(np.pi)
-    delta_max: float = 1e50
-    j_max: int = 2             # inner iterations per factorization
-    beta10: float = 1e-4       # minimum initial slack shift
-    beta11: float = 1e-2       # minimum initial dual value
-    beta12: float = 1e3        # maximum initial dual value
+    eps_opt: float = 1e-6      # optimality tolerance
     mu_scale: float = 1.0      # scales the initial barrier parameter
     max_iter: int = 3000       # inner-iteration budget
     max_time: float = 3600.0   # wall-clock budget, seconds
 
     def validate(self) -> None:
-        def _in(value, lo, hi, name, lo_open=True, hi_open=True):
-            ok = (value > lo if lo_open else value >= lo) and (
-                value < hi if hi_open else value <= hi)
-            if not ok:
+        for name in ("eps_opt", "mu_scale"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
                 raise ValueError(f"{name}={value} outside its admissible interval")
-
-        _in(self.eps_opt, 0, math.inf, "eps_opt")
-        _in(self.eps_far, 0, 1, "eps_far")
-        _in(self.eps_inf, 0, 1, "eps_inf")
-        _in(self.eps_unbd, 0, 1, "eps_unbd")
-        _in(self.beta1, 0, 1, "beta1")
-        _in(self.beta2, 0, 1, "beta2")
-        _in(self.beta3, self.beta2, 1, "beta3")
-        _in(self.beta4, 0, 1, "beta4")
-        _in(self.beta5, 0, 1, "beta5")
-        _in(self.beta6, 0, 1, "beta6")
-        _in(self.beta_kkt, 0, 1, "beta_kkt")
-        _in(self.beta_exp, 0, 1, "beta_exp")
-        _in(self.beta8, 0.5, 1, "beta8")
-        _in(self.theta_b, 0, 1, "theta_b")
-        _in(self.theta_p_linear, self.theta_b, 1, "theta_p_linear", lo_open=False)
-        _in(self.theta_p_nonlinear, self.theta_b, 1, "theta_p_nonlinear", lo_open=False)
-        _in(self.delta_min, 0, math.inf, "delta_min")
-        _in(self.delta_inc, 1, math.inf, "delta_inc")
-        _in(self.delta_dec, 1, math.inf, "delta_dec")
-        _in(self.delta_max, self.delta_min, math.inf, "delta_max")
-        _in(self.beta10, 0, 1, "beta10")
-        _in(self.beta11, 0, math.inf, "beta11")
-        _in(self.beta12, self.beta11, math.inf, "beta12", lo_open=False)
-        _in(self.mu_scale, 0, math.inf, "mu_scale")
-        if self.j_max < 1:
-            raise ValueError("j_max must be at least 1")
+        if not self.max_time >= 0:  # NaN fails this test too
+            raise ValueError(f"max_time={self.max_time} outside its admissible interval")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-
-    def theta_p_vector(self, problem: NlpProblem) -> np.ndarray:
-        th = np.full(problem.m, self.theta_p_nonlinear)
-        for i in problem.linear_indices:
-            th[i] = self.theta_p_linear
-        return th
 
 
 @dataclass(frozen=True)
@@ -145,17 +95,17 @@ class Iterate:
     def m(self) -> int:
         return self.s.shape[0]
 
-    def lagrangian_grad(self, mu_bar: float, beta1: float) -> np.ndarray:
+    def lagrangian_grad(self, mu_bar: float) -> np.ndarray:
         """grad f + J^T (y - mu_bar*beta1*e) from the caches."""
         if self.m == 0:
             return self.grad_f
-        return self.grad_f + self.jac.T @ (self.y - mu_bar * beta1)
+        return self.grad_f + self.jac.T @ (self.y - mu_bar * BETA1)
 
-    def barrier_grad(self, beta1: float) -> np.ndarray:
+    def barrier_grad(self) -> np.ndarray:
         """Gradient of psi_mu at x: grad f + J^T (mu/s - mu*beta1*e)."""
         if self.m == 0:
             return self.grad_f
-        return self.grad_f + self.jac.T @ (self.mu / self.s - self.mu * beta1)
+        return self.grad_f + self.jac.T @ (self.mu / self.s - self.mu * BETA1)
 
     def primal_residual(self) -> np.ndarray:
         return self.a + self.s - self.mu * self.w
@@ -207,7 +157,7 @@ def primal_trial(cur: Iterate, dx: np.ndarray, gamma: float, alpha_p: float,
     return mu_plus, x_plus, a_plus, s_plus
 
 
-def check_interior(it: Iterate, beta2: float) -> bool:
+def check_interior(it: Iterate) -> bool:
     """Interiority test: mu, s, y > 0 and s_i y_i / mu within
     [beta2, 1/beta2] for every constraint."""
     if not (it.mu > 0):
@@ -217,7 +167,7 @@ def check_interior(it: Iterate, beta2: float) -> bool:
     if np.min(it.s) <= 0 or np.min(it.y) <= 0:
         return False
     ratio = it.s * it.y / it.mu
-    return bool(np.min(ratio) >= beta2 and np.max(ratio) <= 1.0 / beta2)
+    return bool(np.min(ratio) >= BETA2 and np.max(ratio) <= 1.0 / BETA2)
 
 
 def sigma(y: np.ndarray) -> float:
@@ -230,7 +180,7 @@ def terminate_optimal(it: Iterate, eps_opt: float) -> bool:
     raw primal residual ||a(x)+s|| all below ``eps_opt``."""
     sig = sigma(it.y)
     return (
-        sig * inf_norm(it.lagrangian_grad(0.0, 0.0)) <= eps_opt
+        sig * inf_norm(it.lagrangian_grad(0.0)) <= eps_opt
         and sig * inf_norm(it.s * it.y) <= eps_opt
         and inf_norm(it.a + it.s) <= eps_opt
     )
@@ -254,23 +204,23 @@ def gamma_inf(it: Iterate) -> float:
     return (one_norm(it.jac.T @ it.y) + float(it.s @ it.y)) / y1
 
 
-def terminate_infeasible(it: Iterate, eps_far: float, eps_inf: float) -> bool:
+def terminate_infeasible(it: Iterate) -> bool:
     """Local-infeasibility certificate: a^T y > 0 with both stationarity
     measures below tolerance."""
     if it.m == 0:
         return False
     if float(it.a @ it.y) <= 0:
         return False
-    return gamma_far(it) <= eps_far and gamma_inf(it) <= eps_inf
+    return gamma_far(it) <= EPS_FAR and gamma_inf(it) <= EPS_INF
 
 
-def terminate_unbounded(it: Iterate, eps_unbd: float) -> bool:
+def terminate_unbounded(it: Iterate) -> bool:
     """Divergence test ||x||_inf >= 1/eps_unbd: since a(x) <= mu^0 w along
     the whole run, diverging x certifies the shifted region is unbounded."""
-    return inf_norm(it.x) >= 1.0 / eps_unbd
+    return inf_norm(it.x) >= 1.0 / EPS_UNBD
 
 
-def aggressive_criterion(it: Iterate, beta1: float, beta3: float) -> bool:
+def aggressive_criterion(it: Iterate) -> bool:
     """Switching test for taking an aggressive (mu-reducing) step.
 
     Requires (a) the shifted barrier problem is solved to within mu,
@@ -278,19 +228,19 @@ def aggressive_criterion(it: Iterate, beta1: float, beta3: float) -> bool:
     bound (a Farkas-style safeguard), and (c) complementarity sits in the
     tighter [beta3, 1/beta3] corridor so the step has room to move it.
     """
-    grad_l = it.lagrangian_grad(it.mu, beta1)
+    grad_l = it.lagrangian_grad(it.mu)
     if sigma(it.y) * inf_norm(grad_l) > it.mu:
         return False
     if it.m == 0:
         return True
-    bound_vec = it.grad_f - beta1 * it.mu * (it.jac.T @ np.ones(it.m))
+    bound_vec = it.grad_f - BETA1 * it.mu * (it.jac.T @ np.ones(it.m))
     if one_norm(grad_l) > one_norm(bound_vec) + float(it.s @ it.y):
         return False
     ratio = it.s * it.y / it.mu
-    return bool(np.min(ratio) >= beta3 and np.max(ratio) <= 1.0 / beta3)
+    return bool(np.min(ratio) >= BETA3 and np.max(ratio) <= 1.0 / BETA3)
 
 
-def merit_psi(it: Iterate, beta1: float) -> float:
+def merit_psi(it: Iterate) -> float:
     """Shifted log-barrier merit
     psi_mu(x) = f(x) - mu * sum_i (beta1*a_i(x) + log(mu*w_i - a_i(x))).
 
@@ -302,21 +252,21 @@ def merit_psi(it: Iterate, beta1: float) -> float:
     slack = it.mu * it.w - it.a
     if np.min(slack) <= 0:
         return math.inf
-    return it.f - it.mu * float(beta1 * it.a.sum() + np.log(slack).sum())
+    return it.f - it.mu * float(BETA1 * it.a.sum() + np.log(slack).sum())
 
 
-def merit_phi(it: Iterate, beta1: float) -> float:
+def merit_phi(it: Iterate) -> float:
     """Augmented barrier merit phi = psi + ||Sy - mu e||_inf^3 / mu^2."""
-    psi = merit_psi(it, beta1)
+    psi = merit_psi(it)
     if not math.isfinite(psi):
         return psi
     return psi + inf_norm(it.s * it.y - it.mu) ** 3 / it.mu ** 2
 
 
-def merit_kkt(it: Iterate, beta1: float) -> float:
+def merit_kkt(it: Iterate) -> float:
     """Scaled KKT merit sigma(y) * max(||grad L_mu||_inf, ||Sy - mu e||_inf)."""
     return sigma(it.y) * max(
-        inf_norm(it.lagrangian_grad(it.mu, beta1)),
+        inf_norm(it.lagrangian_grad(it.mu)),
         inf_norm(it.s * it.y - it.mu),
     )
 
@@ -334,7 +284,7 @@ class Certificate:
 def optimality_certificate(it: Iterate) -> Certificate:
     sig = sigma(it.y)
     return Certificate({
-        "scaled_dual_infeasibility": sig * inf_norm(it.lagrangian_grad(0.0, 0.0)),
+        "scaled_dual_infeasibility": sig * inf_norm(it.lagrangian_grad(0.0)),
         "scaled_complementarity": sig * inf_norm(it.s * it.y),
         "primal_residual": inf_norm(it.a + it.s),
     })

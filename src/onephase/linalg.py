@@ -24,33 +24,29 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from .iterate import BETA1
 from .problem import NlpProblem
+
+# The paper's shift-strategy parameters.
+DELTA_MIN = 1e-8           # smallest nonzero shift
+DELTA_INC = 8.0            # growth factor after a failed trial
+DELTA_DEC = float(np.pi)   # decay of the previous shift at the next restart
+DELTA_MAX = 1e50           # shift cap; reaching it ends the solve
 
 
 class MaxDeltaError(RuntimeError):
     """The regularization shift exceeded its cap; the solve is abandoned."""
 
-    def __init__(self, delta: float, delta_max: float, reason: str = ""):
+    def __init__(self, delta: float, reason: str = ""):
         self.delta = delta
-        self.delta_max = delta_max
-        super().__init__(reason or f"shift {delta:.3e} reached cap {delta_max:.3e}")
+        super().__init__(reason or f"shift {delta:.3e} reached cap {DELTA_MAX:.3e}")
 
 
 @dataclass
 class DeltaState:
-    """Shift-strategy constants plus the last successful shift."""
+    """The last successful shift."""
 
-    delta_min: float = 1e-8
-    delta_inc: float = 8.0
-    delta_dec: float = float(np.pi)
-    delta_max: float = 1e50
     delta_prev: float = 0.0
-
-    def __post_init__(self):
-        if not (self.delta_max > self.delta_min > 0):
-            raise ValueError("need delta_max > delta_min > 0")
-        if self.delta_inc <= 1 or self.delta_dec <= 1:
-            raise ValueError("delta_inc and delta_dec must exceed 1")
 
 
 @dataclass
@@ -88,7 +84,6 @@ def assemble_schur(
     s: np.ndarray,
     y: np.ndarray,
     mu: float,
-    beta1: float = 1e-4,
     jac: np.ndarray | None = None,
     hess: np.ndarray | None = None,
 ) -> SchurMatrix:
@@ -100,7 +95,7 @@ def assemble_schur(
     m = problem.m
     assert np.all(s > 0) and np.all(y > 0), "assemble_schur needs s, y > 0"
     if hess is None:
-        hess = problem.hess_lag(x, y - mu * beta1)
+        hess = problem.hess_lag(x, y - mu * BETA1)
     M = np.array(hess, dtype=float)
     M = 0.5 * (M + M.T)
     if m:
@@ -116,9 +111,10 @@ def assemble_schur(
 
 def _try_cholesky(A: np.ndarray) -> np.ndarray | None:
     # A must be finite (factorize_with_shift checks): LAPACK factors NaNs
-    # into NaNs without reporting a failure.
+    # into NaNs without reporting a failure.  The factor is stored in
+    # Fortran order once, which spares cho_solve a copy per backsolve.
     try:
-        return np.linalg.cholesky(A)
+        return np.asfortranarray(np.linalg.cholesky(A))
     except np.linalg.LinAlgError:
         return None
 
@@ -139,8 +135,7 @@ def factorize_with_shift(
     """
     M = schur.M
     if not np.isfinite(M).all():
-        raise MaxDeltaError(math.inf, state.delta_max,
-                            "Schur matrix has non-finite entries; no shift factors it")
+        raise MaxDeltaError(math.inf, "Schur matrix has non-finite entries; no shift factors it")
     tau = float(np.min(np.diag(M)))
     attempts = 0
 
@@ -152,7 +147,7 @@ def factorize_with_shift(
             return FactorizedSystem(schur, 0.0, M, L, attempts)
         tau = 0.0
 
-    delta = max(delta_in / state.delta_dec, state.delta_min - tau)
+    delta = max(delta_in / DELTA_DEC, DELTA_MIN - tau)
     return factorize_growing_shift(schur, delta, state, attempts)
 
 
@@ -172,15 +167,15 @@ def factorize_growing_shift(
     """
     eye = np.eye(schur.M.shape[0])
     while True:
-        if delta >= state.delta_max:
-            raise MaxDeltaError(delta, state.delta_max)
+        if delta >= DELTA_MAX:
+            raise MaxDeltaError(delta)
         attempts += 1
         shifted = schur.M + delta * eye
         L = _try_cholesky(shifted)
         if L is not None:
             state.delta_prev = delta
             return FactorizedSystem(schur, delta, shifted, L, attempts)
-        delta = state.delta_inc * delta
+        delta = DELTA_INC * delta
 
 
 def solve_shifted(fs: FactorizedSystem, rhs: np.ndarray) -> np.ndarray:
@@ -218,12 +213,12 @@ def escalate_delta(
     """
     assert dx_norm > 0, "escalate_delta needs a nonzero direction"
     new = max(
-        state.delta_inc * delta,
-        state.delta_prev / state.delta_dec,
+        DELTA_INC * delta,
+        state.delta_prev / DELTA_DEC,
         grad_norm / dx_norm,
     )
     if new == 0.0:
-        new = state.delta_min
-    if new > state.delta_max:
-        raise MaxDeltaError(new, state.delta_max)
+        new = DELTA_MIN
+    if new > DELTA_MAX:
+        raise MaxDeltaError(new)
     return new

@@ -11,12 +11,14 @@ from __future__ import annotations
 import csv
 import io
 import time
+from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .iterate import (
+    BETA3,
     Certificate,
     Iterate,
     SolveStatus,
@@ -53,6 +55,13 @@ from .steps import (
     compute_direction,
     stabilization_step,
 )
+
+
+# The paper's fixed parameters read in this module.
+J_MAX = 2          # inner iterations per factorization
+BETA10 = 1e-4      # minimum initial slack shift
+BETA11 = 1e-2      # minimum initial dual value
+BETA12 = 1e3       # maximum initial dual value
 
 
 class InitializationError(EvaluationError):
@@ -220,17 +229,16 @@ def _project_onto_bounds(x: np.ndarray, bounds, kappa: float = 1e-2) -> np.ndarr
     return out
 
 
-def initial_slack_shift(s_raw: np.ndarray, beta10: float) -> np.ndarray:
+def initial_slack_shift(s_raw: np.ndarray) -> np.ndarray:
     """Raw slacks plus the scalar shift max(-2 min_i s_raw_i, beta10)."""
     if s_raw.size == 0:
         return s_raw.copy()
-    return s_raw + max(-2.0 * float(np.min(s_raw)), beta10)
+    return s_raw + max(-2.0 * float(np.min(s_raw)), BETA10)
 
 
-def clip_initial_duals(y: np.ndarray, s0: np.ndarray, mu0: float,
-                       beta3: float) -> np.ndarray:
+def clip_initial_duals(y: np.ndarray, s0: np.ndarray, mu0: float) -> np.ndarray:
     """Clamp dual estimates into the [beta3, 1/beta3] complementarity corridor."""
-    return np.minimum(np.maximum(beta3 * mu0 / s0, y), mu0 / (beta3 * s0))
+    return np.minimum(np.maximum(BETA3 * mu0 / s0, y), mu0 / (BETA3 * s0))
 
 
 def initialize(problem: NlpProblem, x_start: np.ndarray,
@@ -274,16 +282,14 @@ def initialize(problem: NlpProblem, x_start: np.ndarray,
     # One Newton direction at unit duals to estimate y.  The shifted slacks
     # only serve this solve; the residual target is a(x0) + s_tilde.
     y_tilde = np.ones(m)
-    s_tilde = initial_slack_shift(s_raw, opts.beta10)
+    s_tilde = initial_slack_shift(s_raw)
     probe_w = a0 + s_tilde
     probe = make_iterate(problem, 1.0, x0, s_tilde, y_tilde, probe_w, a=a0)
-    schur = assemble_schur(problem, x0, s_tilde, y_tilde, 1.0, opts.beta1,
-                           jac=probe.jac)
-    state = DeltaState(opts.delta_min, opts.delta_inc, opts.delta_dec, opts.delta_max)
-    fs = factorize_with_shift(schur, 0.0, state)
+    schur = assemble_schur(problem, x0, s_tilde, y_tilde, 1.0, jac=probe.jac)
+    fs = factorize_with_shift(schur, 0.0, DeltaState())
     if work is not None:
         work.supersede(fs)
-    direction = compute_direction(fs, probe, 0.0, opts.beta1)
+    direction = compute_direction(fs, probe, 0.0)
 
     y_tilde = y_tilde + direction.dy
     s_tilde = s_raw.copy()
@@ -299,7 +305,7 @@ def initialize(problem: NlpProblem, x_start: np.ndarray,
     denom_s = 2.0 * float(s_tilde.sum())
     if denom_s > 0:
         y_tilde = y_tilde + float(s_tilde @ y_tilde) / denom_s
-    y_tilde = np.clip(y_tilde, opts.beta11, opts.beta12)
+    y_tilde = np.clip(y_tilde, BETA11, BETA12)
     s_tilde[free] += float(s_tilde @ y_tilde) / (2.0 * float(y_tilde.sum()))
 
     mu_tilde = float(s_tilde @ y_tilde) / m
@@ -308,11 +314,11 @@ def initialize(problem: NlpProblem, x_start: np.ndarray,
     if mu0 <= 0 or np.min(s0) <= 0:
         raise InitializationError("could not construct a strictly interior start")
     w = (a0 + s0) / mu0
-    y0 = clip_initial_duals(y_tilde, s0, mu0, opts.beta3)
+    y0 = clip_initial_duals(y_tilde, s0, mu0)
 
     start = make_iterate(problem, mu0, x0, s0, y0, w, a=a0,
                          jac=probe.jac, f=probe.f, grad_f=probe.grad_f)
-    assert check_interior(start, opts.beta2)
+    assert check_interior(start)
     return start
 
 
@@ -348,6 +354,7 @@ def solve(
     t0 = time.perf_counter()
     trace = SolveTrace()
     work = WorkTotals()
+    rejected: Counter = Counter()   # (step kind, reason) of every rejected step
 
     def result(status, iterate, certificate, detail=""):
         return SolveResult(
@@ -362,17 +369,26 @@ def solve(
             detail=detail,
         )
 
+    def stall_detail() -> str:
+        text = f"{rejected.total()} of {inner_count} steps rejected"
+        if rejected:
+            (kind, reason), _count = rejected.most_common(1)[0]
+            text += f"; most often {kind}: {reason}"
+        return text
+
     def check_termination(it: Iterate):
         if terminate_optimal(it, opts.eps_opt):
             return SolveStatus.OPTIMAL, optimality_certificate(it)
-        if terminate_infeasible(it, opts.eps_far, opts.eps_inf):
+        if terminate_infeasible(it):
             return SolveStatus.PRIMAL_INFEASIBLE, infeasibility_certificate(it)
-        if terminate_unbounded(it, opts.eps_unbd):
+        if terminate_unbounded(it):
             return SolveStatus.UNBOUNDED, unboundedness_certificate(it)
         if inner_count >= opts.max_iter:
-            return SolveStatus.ITERATION_LIMIT, Certificate({"inner_iterations": inner_count})
+            return (SolveStatus.ITERATION_LIMIT,
+                    Certificate({"inner_iterations": inner_count}), stall_detail())
         if time.perf_counter() - t0 >= opts.max_time:
-            return SolveStatus.TIME_LIMIT, Certificate({"seconds": time.perf_counter() - t0})
+            return (SolveStatus.TIME_LIMIT,
+                    Certificate({"seconds": time.perf_counter() - t0}), stall_detail())
         return None
 
     inner_count = 0
@@ -380,43 +396,44 @@ def solve(
     cur: Optional[Iterate] = None
     try:
         cur = initialize(counted, x_start, opts, work)
-        state = DeltaState(opts.delta_min, opts.delta_inc, opts.delta_dec, opts.delta_max)
+        state = DeltaState()
         filt = Filter()
-        filt.reset(merit_phi(cur, opts.beta1), merit_kkt(cur, opts.beta1))
+        filt.reset(merit_phi(cur), merit_kkt(cur))
         delta = 0.0
 
         while True:
             # New outer iteration: snapshot, assemble, factorize.
-            schur = assemble_schur(counted, cur.x, cur.s, cur.y, cur.mu,
-                                   opts.beta1, jac=cur.jac)
+            schur = assemble_schur(counted, cur.x, cur.s, cur.y, cur.mu, jac=cur.jac)
             outer_count += 1
             fs = work.supersede(factorize_with_shift(schur, delta, state))
             delta = fs.delta
 
             j = 1
-            while j <= opts.j_max:
+            while j <= J_MAX:
                 hit = check_termination(cur)
                 if hit is not None:
-                    return result(hit[0], cur, hit[1])
+                    return result(hit[0], cur, *hit[1:])
                 inner_count += 1
 
                 mu_pre = cur.mu
-                switch_dual = sigma(cur.y) * inf_norm(cur.lagrangian_grad(cur.mu, opts.beta1))
-                take_aggressive = aggressive_criterion(cur, opts.beta1, opts.beta3)
+                switch_dual = sigma(cur.y) * inf_norm(cur.lagrangian_grad(cur.mu))
+                take_aggressive = aggressive_criterion(cur)
                 if take_aggressive:
-                    outcome = aggressive_step(fs, cur, counted, opts)
+                    outcome = aggressive_step(fs, cur, counted)
                     kind = "aggressive"
                 else:
-                    outcome = stabilization_step(fs, cur, filt, counted, opts)
+                    outcome = stabilization_step(fs, cur, filt, counted)
                     kind = "stabilization"
 
-                if outcome.success:
+                if not outcome.success:
+                    rejected[kind, outcome.reason] += 1
+                else:
                     prev = cur
                     cur = outcome.iterate
                     if take_aggressive:
-                        filt.reset(merit_phi(cur, opts.beta1), merit_kkt(cur, opts.beta1))
+                        filt.reset(merit_phi(cur), merit_kkt(cur))
                     else:
-                        filt.add(merit_phi(cur, opts.beta1), merit_kkt(cur, opts.beta1))
+                        filt.add(merit_phi(cur), merit_kkt(cur))
                     if step_observer is not None:
                         step_observer(prev, outcome.direction, outcome.alpha_p,
                                       outcome.alpha_d, cur, kind)
@@ -429,10 +446,10 @@ def solve(
                     delta=fs.delta, alpha_p=outcome.alpha_p, alpha_d=outcome.alpha_d,
                     mu=cur.mu, mu_pre=mu_pre,
                     primal_resid=inf_norm(cur.primal_residual()),
-                    opt_dual=sig * inf_norm(cur.lagrangian_grad(0.0, 0.0)),
+                    opt_dual=sig * inf_norm(cur.lagrangian_grad(0.0)),
                     opt_comp=sig * inf_norm(cur.s * cur.y),
                     switch_dual=switch_dual,
-                    phi=merit_phi(cur, opts.beta1), kkt=merit_kkt(cur, opts.beta1),
+                    phi=merit_phi(cur), kkt=merit_kkt(cur),
                     filter_size=len(filt.entries),
                     f_evals=counters["f"], grad_evals=counters["grad"],
                     cons_evals=counters["cons"], jac_evals=counters["jac"],
@@ -449,7 +466,7 @@ def solve(
                 if j == 1:
                     # Escalate the shift and retry the inner loop with the same M.
                     dx_norm = inf_norm(outcome.direction.dx) if outcome.direction else 0.0
-                    grad_norm = inf_norm(cur.lagrangian_grad(cur.mu, opts.beta1))
+                    grad_norm = inf_norm(cur.lagrangian_grad(cur.mu))
                     delta = escalate_delta(state, delta, grad_norm,
                                            dx_norm if dx_norm > 0 else 1.0)
                     fs = work.supersede(_refactorize(schur, delta, state))

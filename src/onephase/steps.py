@@ -18,8 +18,10 @@ from typing import Callable
 import numpy as np
 
 from .iterate import (
+    BETA1,
+    BETA2,
+    BETA3,
     Iterate,
-    SolverOptions,
     StepRejected,
     check_interior,
     inf_norm,
@@ -32,6 +34,16 @@ from .iterate import (
 from .linalg import FactorizedSystem, solve_shifted
 from .problem import EvaluationError, NlpProblem
 
+# The paper's fixed parameters read in this module.
+BETA4 = 0.2                # merit decrease fraction
+BETA5 = 2.0 ** -5          # minimum stabilization step size
+BETA6 = 0.5                # backtracking factor
+BETA_KKT = 0.01            # filter KKT reduction factor
+BETA_EXP = 0.5             # fraction-to-boundary step-size exponent
+BETA8 = 0.9                # dual-feasibility guard threshold
+THETA_B = 0.1              # fraction-to-boundary, acceptance
+THETA_P_LINEAR = 0.1       # fraction-to-boundary, maximum step (linear rows)
+THETA_P_NONLINEAR = 0.25   # idem, nonlinear rows
 MAX_GUARD_RETRIES = 10
 
 
@@ -63,27 +75,25 @@ class Filter:
     def add(self, phi: float, kkt: float) -> None:
         self.entries.append((phi, kkt))
 
-    def accepts(self, phi_plus: float, kkt_plus: float, alpha_p: float,
-                beta_kkt: float) -> bool:
+    def accepts(self, phi_plus: float, kkt_plus: float, alpha_p: float) -> bool:
         """KKT-progress acceptance against every recorded entry."""
         return all(
-            kkt_plus <= (1.0 - beta_kkt * alpha_p) * kkt_e
+            kkt_plus <= (1.0 - BETA_KKT * alpha_p) * kkt_e
             and phi_plus <= phi_e + math.sqrt(kkt_e)
             for phi_e, kkt_e in self.entries
         )
 
 
-def build_rhs(it: Iterate, gamma: float, beta1: float):
+def build_rhs(it: Iterate, gamma: float):
     """Target KKT-residual change: b_D = grad L_{gamma*mu}(x, y),
     b_P = (1-gamma)*mu*w,  b_C = S y - gamma*mu*e."""
-    b_d = it.lagrangian_grad(gamma * it.mu, beta1)
+    b_d = it.lagrangian_grad(gamma * it.mu)
     b_p = (1.0 - gamma) * it.mu * it.w
     b_c = it.s * it.y - gamma * it.mu
     return b_d, b_p, b_c
 
 
-def compute_direction(fs: FactorizedSystem, it: Iterate, gamma: float,
-                      beta1: float) -> Direction:
+def compute_direction(fs: FactorizedSystem, it: Iterate, gamma: float) -> Direction:
     """Directions from the snapshot factorization with a fresh rhs.
 
     dx solves (M + delta I) dx = -(b_D + J_hat^T S_hat^{-1} (Y b_P - b_C));
@@ -93,7 +103,7 @@ def compute_direction(fs: FactorizedSystem, it: Iterate, gamma: float,
     snapshot.  At the snapshot point this is the exact Newton system.
     """
     hat = fs.schur
-    b_d, b_p, b_c = build_rhs(it, gamma, beta1)
+    b_d, b_p, b_c = build_rhs(it, gamma)
     if it.m:
         rhs = -(b_d + hat.jac.T @ ((it.y * b_p - b_c) / hat.s))
     else:
@@ -109,16 +119,23 @@ def compute_direction(fs: FactorizedSystem, it: Iterate, gamma: float,
     return Direction(dx=dx, ds=ds, dy=dy, gamma=gamma, b_d=b_d, b_p=b_p, b_c=b_c)
 
 
-def _boundary_bound(it: Iterate, direction: Direction, delta: float,
-                    beta_exp: float) -> np.ndarray:
+def theta_p_vector(problem: NlpProblem) -> np.ndarray:
+    """Per-row fraction-to-boundary factor of the maximum step: theta_p
+    linear on linear rows, theta_p nonlinear elsewhere."""
+    theta_p = np.full(problem.m, THETA_P_NONLINEAR)
+    theta_p[list(problem.linear_indices)] = THETA_P_LINEAR
+    return theta_p
+
+
+def _boundary_bound(it: Iterate, direction: Direction, delta: float) -> np.ndarray:
     """min(s, ||dx||_inf (delta + ||dy||_inf + ||dx||_inf^beta_exp) e)."""
     dx_norm = inf_norm(direction.dx)
-    t = dx_norm * (delta + inf_norm(direction.dy) + dx_norm ** beta_exp)
+    t = dx_norm * (delta + inf_norm(direction.dy) + dx_norm ** BETA_EXP)
     return np.minimum(it.s, t)
 
 
 def max_primal_step(it: Iterate, direction: Direction, delta: float,
-                    theta_p: np.ndarray, beta_exp: float) -> float:
+                    theta_p: np.ndarray) -> float:
     """Largest alpha in [0,1] with s + alpha*ds >= theta_p * bound.
 
     The bound caps at ``theta_p * s``, so alpha = 0 is always feasible and
@@ -126,7 +143,7 @@ def max_primal_step(it: Iterate, direction: Direction, delta: float,
     """
     if it.m == 0:
         return 1.0
-    floor = theta_p * _boundary_bound(it, direction, delta, beta_exp)
+    floor = theta_p * _boundary_bound(it, direction, delta)
     room = it.s - floor
     shrinking = direction.ds < 0
     if not np.any(shrinking):
@@ -136,18 +153,16 @@ def max_primal_step(it: Iterate, direction: Direction, delta: float,
 
 
 def fraction_to_boundary_ok(s_plus: np.ndarray, it: Iterate, direction: Direction,
-                            delta: float, theta_b: float,
-                            beta_exp: float) -> bool:
+                            delta: float) -> bool:
     """Acceptance-side rule s+ >= theta_b * min(s, step-size bound)."""
     if it.m == 0:
         return True
-    floor = theta_b * _boundary_bound(it, direction, delta, beta_exp)
+    floor = THETA_B * _boundary_bound(it, direction, delta)
     return bool(np.all(s_plus >= floor))
 
 
 def dual_interval(s_plus: np.ndarray, mu_plus: float, it: Iterate,
-                  direction: Direction, beta2: float,
-                  theta_b: float) -> tuple[float, float] | None:
+                  direction: Direction) -> tuple[float, float] | None:
     """Feasible dual step sizes: the largest [lo, hi] within [0,1] keeping
     s+_i (y + alpha dy)_i / mu+ in [beta2, 1/beta2] and
     y + alpha dy >= theta_b * y * min(1, ||dx||_inf).
@@ -159,10 +174,10 @@ def dual_interval(s_plus: np.ndarray, mu_plus: float, it: Iterate,
     if s_plus.min() <= 0 or mu_plus <= 0:
         return None
     lower = np.maximum(
-        beta2 * mu_plus / s_plus,
-        theta_b * it.y * min(1.0, inf_norm(direction.dx)),
+        BETA2 * mu_plus / s_plus,
+        THETA_B * it.y * min(1.0, inf_norm(direction.dx)),
     )
-    upper = mu_plus / (beta2 * s_plus)
+    upper = mu_plus / (BETA2 * s_plus)
     if np.count_nonzero(lower > upper):
         return None
     # A dy of 0.0, -0.0 or NaN leaves y_i fixed: as a signed zero it makes
@@ -216,7 +231,7 @@ class StepOutcome:
     reason: str = ""
 
 
-def theta_bar(mu: float, s: np.ndarray, w: np.ndarray, opts: SolverOptions) -> float:
+def theta_bar(mu: float, s: np.ndarray, w: np.ndarray) -> float:
     """Minimum aggressive step size.
 
     min(1/2, beta6/(4 mu) * min((beta3-beta2)/beta3, 1-theta_b)
@@ -232,8 +247,8 @@ def theta_bar(mu: float, s: np.ndarray, w: np.ndarray, opts: SolverOptions) -> f
     if not np.any(shifted):
         return 0.5
     slack_ratio = float(np.min(s[shifted] / w[shifted]))
-    corridor = min((opts.beta3 - opts.beta2) / opts.beta3, 1.0 - opts.theta_b)
-    return min(0.5, opts.beta6 / (4.0 * mu) * corridor * slack_ratio)
+    corridor = min((BETA3 - BETA2) / BETA3, 1.0 - THETA_B)
+    return min(0.5, BETA6 / (4.0 * mu) * corridor * slack_ratio)
 
 
 def _trial_duals(it: Iterate, gamma: float) -> np.ndarray:
@@ -253,7 +268,7 @@ def _finite_direction(direction: Direction) -> bool:
 
 
 def _line_search(fs: FactorizedSystem, it: Iterate, problem: NlpProblem,
-                 opts: SolverOptions, direction: Direction, alpha_p: float,
+                 direction: Direction, alpha_p: float,
                  below_minimum: Callable[[float], bool],
                  accepts: Callable[[Iterate, float], bool]) -> StepOutcome:
     """Backtracking search shared by both step kinds.
@@ -279,57 +294,55 @@ def _line_search(fs: FactorizedSystem, it: Iterate, problem: NlpProblem,
             mu_plus, x_plus, a_plus, s_plus = primal_trial(
                 it, direction.dx, direction.gamma, alpha_p, problem)
         except StepRejected:
-            alpha_p *= opts.beta6
+            alpha_p *= BETA6
             continue
         if it.m and (mu_plus <= 0 or np.min(s_plus) <= 0):
-            alpha_p *= opts.beta6
+            alpha_p *= BETA6
             continue
-        if not fraction_to_boundary_ok(s_plus, it, direction, fs.delta,
-                                       opts.theta_b, opts.beta_exp):
-            alpha_p *= opts.beta6
+        if not fraction_to_boundary_ok(s_plus, it, direction, fs.delta):
+            alpha_p *= BETA6
             continue
-        interval = dual_interval(s_plus, mu_plus, it, direction, opts.beta2, opts.theta_b)
+        interval = dual_interval(s_plus, mu_plus, it, direction)
         if interval is None:
-            alpha_p *= opts.beta6
+            alpha_p *= BETA6
             continue
         try:
             grad_f_plus = problem.grad_f(x_plus)
             jac_plus = problem.jac(x_plus)
         except EvaluationError:
-            alpha_p *= opts.beta6
+            alpha_p *= BETA6
             continue
         alpha_d = dual_step_size(s_plus, mu_plus, grad_f_plus, jac_plus,
                                  it, direction, interval, alpha_p)
         y_plus = it.y + alpha_d * direction.dy
 
-        if mu_plus / it.mu < 1.0 - opts.beta8:
+        if mu_plus / it.mu < 1.0 - BETA8:
             # mu dropped hard; make sure the dual infeasibility followed.
             grad_l_plus = grad_f_plus if it.m == 0 else (
-                grad_f_plus + jac_plus.T @ (y_plus - mu_plus * opts.beta1))
-            denom = (1.0 - opts.beta8) * sigma(y_plus) * inf_norm(grad_l_plus)
+                grad_f_plus + jac_plus.T @ (y_plus - mu_plus * BETA1))
+            denom = (1.0 - BETA8) * sigma(y_plus) * inf_norm(grad_l_plus)
             tau = mu_plus / denom if denom > 0 else math.inf
             if tau < 1.0:
                 guard_retries += 1
                 if guard_retries > MAX_GUARD_RETRIES:
                     return StepOutcome(False, None, direction,
                                        reason="dual-feasibility guard retries exhausted")
-                alpha_p = max(opts.beta8 ** 2, alpha_p * tau ** 2)
+                alpha_p = max(BETA8 ** 2, alpha_p * tau ** 2)
                 continue
 
         try:
             new = make_iterate(problem, mu_plus, x_plus, s_plus, y_plus, it.w,
                                a=a_plus, jac=jac_plus, grad_f=grad_f_plus)
         except EvaluationError:
-            alpha_p *= opts.beta6
+            alpha_p *= BETA6
             continue
-        if not accepts(new, alpha_p) or not check_interior(new, opts.beta2):
-            alpha_p *= opts.beta6
+        if not accepts(new, alpha_p) or not check_interior(new):
+            alpha_p *= BETA6
             continue
         return StepOutcome(True, new, direction, alpha_p=alpha_p, alpha_d=alpha_d)
 
 
-def aggressive_step(fs: FactorizedSystem, it: Iterate, problem: NlpProblem,
-                    opts: SolverOptions) -> StepOutcome:
+def aggressive_step(fs: FactorizedSystem, it: Iterate, problem: NlpProblem) -> StepOutcome:
     """Mehrotra-style mu-reducing step.
 
     A pure predictor (gamma = 0) direction sets the corrector target
@@ -339,33 +352,33 @@ def aggressive_step(fs: FactorizedSystem, it: Iterate, problem: NlpProblem,
     centering duals.  After the dual step is chosen, a guard rejects steps
     that slash mu while the dual infeasibility stays large.
     """
-    theta_p = opts.theta_p_vector(problem)
+    theta_p = theta_p_vector(problem)
 
-    predictor = compute_direction(fs, it, 0.0, opts.beta1)
+    predictor = compute_direction(fs, it, 0.0)
     if not _finite_direction(predictor):
         return StepOutcome(False, None, predictor, reason="non-finite direction")
-    alpha_hat = max_primal_step(it, predictor, fs.delta, theta_p, opts.beta_exp)
+    alpha_hat = max_primal_step(it, predictor, fs.delta, theta_p)
     gamma = min(0.5, (1.0 - alpha_hat) ** 2)
 
-    direction = compute_direction(fs, it, gamma, opts.beta1)
+    direction = compute_direction(fs, it, gamma)
     if not _finite_direction(direction):
         return StepOutcome(False, None, direction, reason="non-finite direction")
 
     y_tilde = _trial_duals(it, gamma)
     grad_tilde = it.grad_f if it.m == 0 else (
-        it.grad_f + it.jac.T @ (y_tilde - gamma * it.mu * opts.beta1))
+        it.grad_f + it.jac.T @ (y_tilde - gamma * it.mu * BETA1))
     if float(grad_tilde @ direction.dx) >= 0:
         return StepOutcome(False, None, direction, reason="not a descent direction")
 
-    alpha_min = theta_bar(it.mu, it.s, it.w, opts)
-    alpha_p = max_primal_step(it, direction, fs.delta, theta_p, opts.beta_exp)
-    return _line_search(fs, it, problem, opts, direction, alpha_p,
+    alpha_min = theta_bar(it.mu, it.s, it.w)
+    alpha_p = max_primal_step(it, direction, fs.delta, theta_p)
+    return _line_search(fs, it, problem, direction, alpha_p,
                         below_minimum=lambda alpha: alpha < alpha_min,
                         accepts=lambda new, alpha: True)
 
 
 def stabilization_step(fs: FactorizedSystem, it: Iterate, filt: Filter,
-                       problem: NlpProblem, opts: SolverOptions) -> StepOutcome:
+                       problem: NlpProblem) -> StepOutcome:
     """gamma = 1 step: hold mu and the primal residual, descend the merits.
 
     The trial point must either make sufficient progress on the augmented
@@ -373,29 +386,27 @@ def stabilization_step(fs: FactorizedSystem, it: Iterate, filt: Filter,
     the model slope) or pass the KKT filter against every accepted iterate
     at this residual level.
     """
-    theta_p = opts.theta_p_vector(problem)
-
-    direction = compute_direction(fs, it, 1.0, opts.beta1)
+    direction = compute_direction(fs, it, 1.0)
     if not _finite_direction(direction):
         return StepOutcome(False, None, direction, reason="non-finite direction")
 
-    grad_psi = it.barrier_grad(opts.beta1)
+    grad_psi = it.barrier_grad()
     slope = float(grad_psi @ direction.dx)
     if slope >= 0:
         return StepOutcome(False, None, direction, reason="not a descent direction")
 
-    phi_cur = merit_phi(it, opts.beta1)
+    phi_cur = merit_phi(it)
     comp_term = inf_norm(it.s * it.y - it.mu) ** 3 / it.mu ** 2
     dx_sq = float(direction.dx @ direction.dx)
 
     def sufficient(new: Iterate, alpha_p: float) -> bool:
-        phi_plus = merit_phi(new, opts.beta1)
+        phi_plus = merit_phi(new)
         model = 0.5 * (slope - 0.5 * fs.delta * alpha_p * dx_sq) - comp_term
-        if phi_plus <= phi_cur + alpha_p * opts.beta4 * model:
+        if phi_plus <= phi_cur + alpha_p * BETA4 * model:
             return True
-        return filt.accepts(phi_plus, merit_kkt(new, opts.beta1), alpha_p, opts.beta_kkt)
+        return filt.accepts(phi_plus, merit_kkt(new), alpha_p)
 
-    alpha_p = max_primal_step(it, direction, fs.delta, theta_p, opts.beta_exp)
-    return _line_search(fs, it, problem, opts, direction, alpha_p,
-                        below_minimum=lambda alpha: alpha <= opts.beta5,
+    alpha_p = max_primal_step(it, direction, fs.delta, theta_p_vector(problem))
+    return _line_search(fs, it, problem, direction, alpha_p,
+                        below_minimum=lambda alpha: alpha <= BETA5,
                         accepts=sufficient)

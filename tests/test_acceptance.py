@@ -14,14 +14,14 @@ import pytest
 from onephase import (
     Relation,
     SolveStatus,
-    SolverOptions,
     SourceConstraint,
     SourceProblem,
     builtin_registry,
     solve,
     to_inequality_form,
 )
-from onephase.iterate import inf_norm, one_norm
+from onephase import linalg
+from onephase.iterate import BETA2, inf_norm, one_norm
 from onephase.linalg import (
     DeltaState,
     MaxDeltaError,
@@ -75,7 +75,6 @@ def test_01_wachter_example_converges_from_hostile_starts():
 
 def test_02_iterate_invariants_hold_on_every_registry_problem():
     with criterion(2, "residual identity and complementarity corridor never violated"):
-        beta2 = SolverOptions().beta2
         for name in builtin_registry():
             problem, result, steps = collect_steps(name)
             if problem.m == 0:
@@ -92,7 +91,7 @@ def test_02_iterate_invariants_hold_on_every_registry_problem():
                 if inf_norm(it.a + it.s - it.mu * it.w) > 1e-8 * (1.0 + mu0_w):
                     violations += 1
                 ratio = it.s * it.y / it.mu
-                if np.min(ratio) < beta2 or np.max(ratio) > 1.0 / beta2:
+                if np.min(ratio) < BETA2 or np.max(ratio) > 1.0 / BETA2:
                     violations += 1
             assert violations == 0, name
 
@@ -181,14 +180,13 @@ def test_07_descent_property_of_stabilization_directions():
     with criterion(7, "gamma=1 directions descend the barrier on 100 random instances"):
         rng = np.random.default_rng(77)
         checked = 0
-        beta1 = SolverOptions().beta1
         while checked < 100:
             problem, it = random_interior_setup(rng)
             schur_state = DeltaState()
-            schur = assemble_schur(problem, it.x, it.s, it.y, it.mu, beta1, jac=it.jac)
+            schur = assemble_schur(problem, it.x, it.s, it.y, it.mu, jac=it.jac)
             fs = factorize_with_shift(schur, 0.0, schur_state)
-            d = compute_direction(fs, it, 1.0, beta1)
-            g = it.barrier_grad(beta1)
+            d = compute_direction(fs, it, 1.0)
+            g = it.barrier_grad()
             if inf_norm(g) <= 1e-12:
                 continue
             checked += 1
@@ -246,8 +244,7 @@ def test_08_factorization_strategy_matches_hand_trace():
             [[-3.0]],
             [[-1e60]],
         ]
-        opts = SolverOptions()
-        cfg = (opts.delta_min, opts.delta_inc, opts.delta_dec, opts.delta_max)
+        cfg = (linalg.DELTA_MIN, linalg.DELTA_INC, linalg.DELTA_DEC, linalg.DELTA_MAX)
         expected = oracle_shift_sequence(matrices, cfg)
 
         state = DeltaState()

@@ -3,12 +3,13 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from onephase import builtin_registry, serialize_problem_file
-from onephase.cli import USAGE_ERROR, run_cli
+from onephase import SolverOptions, builtin_registry, serialize_problem_file
+from onephase.cli import USAGE_ERROR, _options_from_args, build_parser, run_cli
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -72,6 +73,24 @@ def test_invalid_solver_flag_is_usage_error(capsys):
     captured = capsys.readouterr()
     assert "eps_opt=-1.0" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("value", ["nan", "-1"])
+def test_invalid_max_time_is_usage_error(value, capsys):
+    assert run_cli(["solve", "builtin:qp-2d", "--max-time", value]) == USAGE_ERROR
+    captured = capsys.readouterr()
+    assert f"max_time={float(value)}" in captured.err
+    assert captured.out == ""
+
+
+def test_every_option_is_set_by_a_flag():
+    # A SolverOptions field that no flag sets is a knob no caller can reach.
+    args = build_parser().parse_args([
+        "solve", "builtin:qp-2d", "--tol", "1e-5", "--mu-scale", "2",
+        "--max-iter", "7", "--max-time", "9"])
+    opts, default = _options_from_args(args), SolverOptions()
+    for f in fields(SolverOptions):
+        assert getattr(opts, f.name) != getattr(default, f.name), f.name
 
 
 def test_batch_invalid_solver_flag_is_usage_error(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from onephase import SolverOptions
+from onephase import SolverOptions, iterate, linalg, solver, steps
 from onephase.iterate import (
     StepRejected,
     aggressive_criterion,
@@ -83,59 +83,62 @@ class TestSolverOptionDefaults:
     def test_default_tuning_table(self):
         opts = SolverOptions()
         assert opts.eps_opt == 1e-6
-        assert opts.eps_far == 1e-3
-        assert opts.eps_inf == 1e-6
-        assert opts.eps_unbd == 1e-12
-        assert opts.beta1 == 1e-4
-        assert opts.beta2 == 0.01
-        assert opts.beta3 == 0.02
-        assert opts.beta4 == 0.2
-        assert opts.beta5 == 2.0 ** -5
-        assert opts.beta6 == 0.5
-        assert opts.beta_kkt == 0.01
-        assert opts.beta_exp == 0.5
-        assert opts.beta8 == 0.9
-        assert opts.theta_b == 0.1
-        assert opts.theta_p_linear == 0.1
-        assert opts.theta_p_nonlinear == 0.25
-        assert opts.delta_min == 1e-8
-        assert opts.delta_inc == 8.0
-        assert opts.delta_dec == pytest.approx(np.pi)
-        assert opts.delta_max == 1e50
-        assert opts.j_max == 2
-        assert opts.beta10 == 1e-4
-        assert opts.beta11 == 1e-2
-        assert opts.beta12 == 1e3
         assert opts.mu_scale == 1.0
         assert opts.max_iter == 3000
+        assert opts.max_time == 3600.0
         opts.validate()
+        assert (iterate.EPS_FAR, iterate.EPS_INF, iterate.EPS_UNBD) == (1e-3, 1e-6, 1e-12)
+        assert (iterate.BETA1, iterate.BETA2, iterate.BETA3) == (1e-4, 0.01, 0.02)
+        assert (steps.BETA4, steps.BETA5, steps.BETA6) == (0.2, 2.0 ** -5, 0.5)
+        assert (steps.BETA_KKT, steps.BETA_EXP, steps.BETA8) == (0.01, 0.5, 0.9)
+        assert (steps.THETA_B, steps.THETA_P_LINEAR, steps.THETA_P_NONLINEAR) == (
+            0.1, 0.1, 0.25)
+        assert (linalg.DELTA_MIN, linalg.DELTA_INC, linalg.DELTA_MAX) == (1e-8, 8.0, 1e50)
+        assert linalg.DELTA_DEC == pytest.approx(np.pi)
+        assert (solver.J_MAX, solver.BETA10, solver.BETA11, solver.BETA12) == (
+            2, 1e-4, 1e-2, 1e3)
+
+    def test_constants_lie_in_admissible_intervals(self):
+        for value in (iterate.EPS_FAR, iterate.EPS_INF, iterate.EPS_UNBD, iterate.BETA1,
+                      steps.BETA4, steps.BETA5, steps.BETA6, steps.BETA_KKT,
+                      steps.BETA_EXP, steps.THETA_B, solver.BETA10):
+            assert 0 < value < 1
+        assert 0 < iterate.BETA2 < iterate.BETA3 < 1
+        assert 0.5 < steps.BETA8 < 1
+        assert steps.THETA_B <= steps.THETA_P_LINEAR < 1
+        assert steps.THETA_B <= steps.THETA_P_NONLINEAR < 1
+        assert 0 < linalg.DELTA_MIN < linalg.DELTA_MAX < math.inf
+        assert linalg.DELTA_INC > 1 and linalg.DELTA_DEC > 1
+        assert 0 < solver.BETA11 <= solver.BETA12 < math.inf
+        assert isinstance(solver.J_MAX, int) and solver.J_MAX >= 1
 
     def test_interval_violations_rejected(self):
         for bad in (
-            SolverOptions(beta2=0.0),
-            SolverOptions(beta3=0.005),      # must exceed beta2
-            SolverOptions(beta8=0.4),        # lives in (0.5, 1)
-            SolverOptions(theta_p_linear=0.05),  # below theta_b
-            SolverOptions(delta_max=1e-9),   # below delta_min
-            SolverOptions(beta12=1e-3),      # below beta11
-            SolverOptions(j_max=0),
+            SolverOptions(eps_opt=0.0),
+            SolverOptions(eps_opt=math.inf),
+            SolverOptions(mu_scale=-1.0),
+            SolverOptions(mu_scale=math.nan),
+            SolverOptions(max_iter=0),
+            SolverOptions(max_time=-1.0),
+            SolverOptions(max_time=math.nan),
         ):
             with pytest.raises(ValueError):
                 bad.validate()
+        SolverOptions(max_time=0.0).validate()
 
 
 class TestCheckInterior:
     def test_centered_point(self):
         it = raw_iterate(1.0, [0.0], [1.0], [1.0], [0.0])
-        assert check_interior(it, 0.01)
+        assert check_interior(it)
 
     def test_small_product_fails(self):
         it = raw_iterate(1.0, [0.0], [1.0], [0.005], [0.0])
-        assert not check_interior(it, 0.01)
+        assert not check_interior(it)
 
     def test_zero_mu_fails(self):
         it = raw_iterate(0.0, [0.0], [1.0], [1.0], [0.0])
-        assert not check_interior(it, 0.01)
+        assert not check_interior(it)
 
 
 class TestSigma:
@@ -219,96 +222,98 @@ class TestTerminateInfeasible:
     def test_certificate_holds(self):
         it = raw_iterate(1.0, [0.0], [1e-8, 1e-8], [1.0, 1.0], [1.0, 1.0],
                          a=[1.0, 1.0], jac=[[1.0], [-1.0]])
-        assert terminate_infeasible(it, 1e-3, 1e-6)
+        assert terminate_infeasible(it)
 
     def test_nonpositive_pairing_blocks(self):
         it = raw_iterate(1.0, [0.0], [1e-8], [1.0], [1.0], a=[-1.0], jac=[[1.0]])
-        assert not terminate_infeasible(it, 1e-3, 1e-6)
+        assert not terminate_infeasible(it)
 
     def test_far_measure_blocks(self):
         it = raw_iterate(1.0, [0.0], [1e-9, 1e-9], [1.0, 1.0], [1.0, 1.0],
                          a=[1.0, 1.0], jac=[[1.0], [-0.98]])
         # gamma_far = 0.02/2 = 0.01 > 1e-3
-        assert not terminate_infeasible(it, 1e-3, 1e-6)
+        assert not terminate_infeasible(it)
 
 
 class TestTerminateUnbounded:
     def test_diverged(self):
         it = raw_iterate(1.0, [1e13], [1.0], [1.0], [0.0])
-        assert terminate_unbounded(it, 1e-12)
+        assert terminate_unbounded(it)
 
     def test_moderate(self):
         it = raw_iterate(1.0, [1.0], [1.0], [1.0], [0.0])
-        assert not terminate_unbounded(it, 1e-12)
+        assert not terminate_unbounded(it)
 
     def test_boundary(self):
         it = raw_iterate(1.0, [1e12], [1.0], [1.0], [0.0])
-        assert terminate_unbounded(it, 1e-12)
+        assert terminate_unbounded(it)
 
 
 class TestAggressiveCriterion:
     def test_exact_shifted_solution(self):
         # grad L_mu = 0 and s y = mu: all three clauses slack.
-        beta1 = 1e-4
+        beta1 = iterate.BETA1
         it = raw_iterate(1.0, [0.0], [1.0], [1.0], [0.5],
                          grad_f=[-(1.0 - beta1)], a=[-0.5], jac=[[1.0]])
-        assert aggressive_criterion(it, beta1, 0.02)
+        assert aggressive_criterion(it)
 
     def test_complementarity_buffer_blocks(self):
-        beta1 = 1e-4
+        beta1 = iterate.BETA1
         it = raw_iterate(1.0, [0.0], [1.0], [0.015], [0.5],
                          grad_f=[-(0.015 - beta1)], a=[-0.5], jac=[[1.0]])
-        assert not aggressive_criterion(it, beta1, 0.02)
+        assert not aggressive_criterion(it)
 
     def test_unsolved_barrier_blocks(self):
-        beta1 = 1e-4
+        beta1 = iterate.BETA1
         it = raw_iterate(1.0, [0.0], [1.0], [1.0], [0.5],
                          grad_f=[2.0 - (1.0 - beta1)], a=[-0.5], jac=[[1.0]])
-        assert not aggressive_criterion(it, beta1, 0.02)
+        assert not aggressive_criterion(it)
 
 
 class TestMerits:
     def test_psi_plain_log(self):
+        # log(mu*w - a) = log 1 = 0 leaves the slope term -mu*beta1*a.
         it = raw_iterate(1.0, [0.0], [1.0], [1.0], [0.0], f=0.0, a=[-1.0])
-        assert merit_psi(it, 0.0) == pytest.approx(0.0, abs=1e-15)
+        assert merit_psi(it) == pytest.approx(iterate.BETA1, rel=1e-12)
 
     def test_psi_shifted(self):
         it = raw_iterate(1.0, [0.0], [2.0], [1.0], [1.0], f=0.0, a=[-1.0])
-        assert merit_psi(it, 1e-4) == pytest.approx(1e-4 - math.log(2.0), rel=1e-12)
+        assert merit_psi(it) == pytest.approx(iterate.BETA1 - math.log(2.0), rel=1e-12)
 
     def test_psi_boundary_signal(self):
         it = raw_iterate(1.0, [0.0], [0.0], [1.0], [1.0], f=0.0, a=[1.0])
-        assert merit_psi(it, 1e-4) == math.inf
+        assert merit_psi(it) == math.inf
 
     def test_phi_equals_psi_when_centered(self):
         it = raw_iterate(1.0, [0.0], [2.0], [0.5], [1.0], f=0.3, a=[-1.0])
-        assert merit_phi(it, 1e-4) == pytest.approx(merit_psi(it, 1e-4), rel=1e-12)
+        assert merit_phi(it) == pytest.approx(merit_psi(it), rel=1e-12)
 
     def test_phi_cubic_term(self):
         it = raw_iterate(1.0, [0.0], [2.0], [1.0], [1.0], f=0.0, a=[-1.0])
-        psi = merit_psi(it, 0.0)
-        assert merit_phi(it, 0.0) == pytest.approx(psi + 1.0, rel=1e-12)
+        psi = merit_psi(it)
+        assert merit_phi(it) == pytest.approx(psi + 1.0, rel=1e-12)
 
     def test_phi_hand_value(self):
-        # psi = 0, |Sy - mu| = 0.2, mu = 0.5 -> 0.008/0.25 = 0.032
+        # psi = mu*beta1, |Sy - mu| = 0.2, mu = 0.5 -> 0.008/0.25 = 0.032
         it = raw_iterate(0.5, [0.0], [1.0], [0.7], [0.0], f=0.0, a=[-1.0])
-        assert merit_psi(it, 0.0) == pytest.approx(0.0, abs=1e-15)
-        assert merit_phi(it, 0.0) == pytest.approx(0.032, rel=1e-12)
+        psi = 0.5 * iterate.BETA1
+        assert merit_psi(it) == pytest.approx(psi, rel=1e-12)
+        assert merit_phi(it) == pytest.approx(psi + 0.032, rel=1e-12)
 
     def test_kkt_zero_at_center(self):
-        beta1 = 0.0
+        beta1 = iterate.BETA1
         it = raw_iterate(1.0, [0.0], [1.0], [1.0], [0.0],
-                         grad_f=[-1.0], a=[-1.0], jac=[[1.0]])
-        assert merit_kkt(it, beta1) == 0.0
+                         grad_f=[-(1.0 - beta1)], a=[-1.0], jac=[[1.0]])
+        assert merit_kkt(it) == 0.0
 
     def test_kkt_max_of_pair(self):
         it = raw_iterate(1.0, [0.0], [2.0], [1.0], [0.0],
-                         grad_f=[2.0], a=[-2.0], jac=[[1.0]])
-        # grad L = 2 + 1 = 3, Sy - mu = 1
-        assert merit_kkt(it, 0.0) == pytest.approx(3.0)
+                         grad_f=[2.0 + iterate.BETA1], a=[-2.0], jac=[[1.0]])
+        # grad L = 2 + beta1 + (1 - beta1) = 3, Sy - mu = 1
+        assert merit_kkt(it) == pytest.approx(3.0)
 
     def test_kkt_scaled(self):
         it = raw_iterate(1.0, [0.0], [0.01], [200.0], [0.0],
-                         grad_f=[-197.0], a=[-0.01], jac=[[1.0]])
-        # sigma = 0.5, grad L = 3, Sy - mu = 1
-        assert merit_kkt(it, 0.0) == pytest.approx(1.5)
+                         grad_f=[-197.0 + iterate.BETA1], a=[-0.01], jac=[[1.0]])
+        # sigma = 0.5, grad L = -197 + beta1 + (200 - beta1) = 3, Sy - mu = 1
+        assert merit_kkt(it) == pytest.approx(1.5)

@@ -153,6 +153,7 @@ class TestSingleBlasFactorization:
         fs = factorize_with_shift(plain_schur(M), 0.0, DeltaState())
         assert (fs.delta == 0.0) == (kind == "spd")
         assert np.all(np.triu(fs.factor, 1) == 0.0)
+        assert fs.factor.flags.f_contiguous  # cho_solve copies a C-ordered factor
         assert_allclose(fs.factor @ fs.factor.T, fs.shifted, rtol=0,
                         atol=1e-12 * np.abs(fs.shifted).max())
         rhs = rng.standard_normal(n)

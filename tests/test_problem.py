@@ -24,29 +24,29 @@ def one_d_problem():
     return linear_problem([1.0], [[1.0]], [-1.0])
 
 
-def lagrangian_grad(problem, x, y, mu, beta1):
+def lagrangian_grad(problem, x, y, mu):
     """grad f(x) + J(x)^T (y - mu*beta1*e) as the solver computes it: from
     the caches of a freshly evaluated iterate."""
     m = problem.m
     it = make_iterate(problem, mu, x, np.ones(m), y, np.zeros(m))
-    return it.lagrangian_grad(mu, beta1)
+    return it.lagrangian_grad(mu)
 
 
 class TestModifiedLagrangianGradient:
     def test_classical_lagrangian(self):
         p = one_d_problem()
-        g = lagrangian_grad(p, np.array([0.0]), np.array([2.0]), 0.0, 1e-4)
+        g = lagrangian_grad(p, np.array([0.0]), np.array([2.0]), 0.0)
         assert_allclose(g, [3.0])
 
     def test_modified_term(self):
         p = one_d_problem()
-        g = lagrangian_grad(p, np.array([0.0]), np.array([2.0]), 1.0, 1e-4)
+        g = lagrangian_grad(p, np.array([0.0]), np.array([2.0]), 1.0)
         assert_allclose(g, [2.9999])
 
     def test_zero_multipliers(self):
         p = quadratic_problem(np.eye(2), [0.5, -1.0], [[1.0, 1.0]], [0.0])
         x = np.array([0.3, 0.7])
-        g = lagrangian_grad(p, x, np.zeros(1), 0.0, 1e-4)
+        g = lagrangian_grad(p, x, np.zeros(1), 0.0)
         assert_allclose(g, p.grad_f(x))
 
     def test_linear_in_y(self):
@@ -58,10 +58,10 @@ class TestModifiedLagrangianGradient:
             y1 = rng.standard_normal(4)
             y2 = rng.standard_normal(4)
             t = float(rng.standard_normal())
-            lhs = lagrangian_grad(p, x, y1 + t * y2, 0.3, 1e-4)
-            g1 = lagrangian_grad(p, x, y1, 0.3, 1e-4)
-            g2 = lagrangian_grad(p, x, y2, 0.3, 1e-4)
-            g0 = lagrangian_grad(p, x, np.zeros(4), 0.3, 1e-4)
+            lhs = lagrangian_grad(p, x, y1 + t * y2, 0.3)
+            g1 = lagrangian_grad(p, x, y1, 0.3)
+            g2 = lagrangian_grad(p, x, y2, 0.3)
+            g0 = lagrangian_grad(p, x, np.zeros(4), 0.3)
             assert_allclose(lhs, g1 + t * (g2 - g0), atol=1e-12)
 
     def test_propagates_evaluation_error(self):
@@ -74,7 +74,7 @@ class TestModifiedLagrangianGradient:
             eval_hess_lag=p.eval_hess_lag,
         )
         with pytest.raises(EvaluationError) as err:
-            lagrangian_grad(bad, np.zeros(1), np.ones(1), 0.0, 1e-4)
+            lagrangian_grad(bad, np.zeros(1), np.ones(1), 0.0)
         assert err.value.what == "jac"
         assert err.value.index == 0
 

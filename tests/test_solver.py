@@ -31,7 +31,7 @@ from onephase.solver import (
 )
 
 from helpers import quadratic_problem, run_python
-from test_golden_record import GOLDEN
+from test_golden_record import GOLDEN, _nan_region_problem
 from test_golden_record import _steps as golden_steps
 
 
@@ -53,19 +53,19 @@ def lp_min_x_ge_1():
 class TestInitializeHelpers:
     def test_slack_shift_small_raw(self):
         # s_raw = (2,): shift = max(-4, 1e-4) = 1e-4.
-        out = initial_slack_shift(np.array([2.0]), 1e-4)
+        out = initial_slack_shift(np.array([2.0]))
         assert_allclose(out, [2.0001])
 
     def test_slack_shift_negative_raw(self):
-        out = initial_slack_shift(np.array([-1.0, 3.0]), 1e-4)
+        out = initial_slack_shift(np.array([-1.0, 3.0]))
         assert_allclose(out, [1.0, 5.0])
 
     def test_dual_clip_lower(self):
-        y0 = clip_initial_duals(np.zeros(2), np.array([1.0, 2.0]), 0.5, 0.02)
+        y0 = clip_initial_duals(np.zeros(2), np.array([1.0, 2.0]), 0.5)
         assert_allclose(y0, [0.02 * 0.5, 0.02 * 0.25])
 
     def test_dual_clip_upper(self):
-        y0 = clip_initial_duals(np.full(1, 1e9), np.array([1.0]), 0.5, 0.02)
+        y0 = clip_initial_duals(np.full(1, 1e9), np.array([1.0]), 0.5)
         assert_allclose(y0, [0.5 / 0.02])
 
 
@@ -90,7 +90,7 @@ class TestInitialize:
         for entry in builtin_registry().values():
             problem, _ = entry.build()
             it = initialize(problem, entry.x_start, opts)
-            assert check_interior(it, opts.beta2), entry.name
+            assert check_interior(it), entry.name
             if problem.m:
                 resid = inf_norm(it.primal_residual())
                 assert resid <= 1e-12 * (1.0 + it.mu * inf_norm(it.w)), entry.name
@@ -173,10 +173,12 @@ class TestSolveBasics:
         result = solve(problem, entry.x_start, SolverOptions(max_iter=5))
         assert result.status is SolveStatus.ITERATION_LIMIT
         assert result.inner_iterations == 5
+        assert result.detail == "0 of 5 steps rejected"
 
     def test_time_limit(self):
         result = solve(lp_min_x_ge_1(), np.zeros(1), SolverOptions(max_time=0.0))
         assert result.status is SolveStatus.TIME_LIMIT
+        assert result.detail == "0 of 0 steps rejected"
 
     def test_evaluation_error_at_start(self):
         p = quadratic_problem(np.eye(1), np.zeros(1))
@@ -186,7 +188,7 @@ class TestSolveBasics:
 
     def test_invalid_options_rejected(self):
         with pytest.raises(ValueError):
-            solve(lp_min_x_ge_1(), np.zeros(1), SolverOptions(beta3=0.005))
+            solve(lp_min_x_ge_1(), np.zeros(1), SolverOptions(max_time=float("nan")))
 
     def test_accepted_steps_keep_invariants(self):
         # Every accepted iterate stays in the complementarity corridor, and its
@@ -203,7 +205,7 @@ class TestSolveBasics:
             def observer(prev, direction, alpha_p, alpha_d, new, kind):
                 if not start:
                     start.append(prev.mu * inf_norm(prev.w))
-                assert check_interior(new, opts.beta2), name
+                assert check_interior(new), name
                 scale = inf_norm(new.s) + inf_norm(new.a) + new.mu * inf_norm(new.w)
                 assert inf_norm(new.primal_residual()) <= (
                     1e-8 * (1.0 + start[0]) + 16 * eps * scale), name
@@ -421,7 +423,8 @@ class TestHostileCallbacks:
         result = solve(_one_sided_lp(eval_a=_a_raising_below_half), np.array([1.0]),
                        SolverOptions(max_iter=200))
         assert result.status is SolveStatus.ITERATION_LIMIT
-        assert result.detail == ""
+        rejected = sum(not rec.accepted for rec in result.trace.records)
+        assert result.detail.startswith(f"{rejected} of 200 steps rejected; most often ")
 
     def test_raising_constraint_matches_golden_nan_record(self):
         # From the golden record's start, raising where eval_a is NaN there
@@ -457,6 +460,15 @@ class TestHostileCallbacks:
         assert result.status is SolveStatus.MAX_DELTA
         assert result.detail.startswith("shift ")
         assert "reached cap" in result.detail
+
+    def test_iteration_limit_names_the_most_frequent_rejection(self):
+        result = solve(_nan_region_problem("eval_a"), np.array([0.0]),
+                       SolverOptions(max_iter=200))
+        assert result.status is SolveStatus.ITERATION_LIMIT
+        kinds = [rec.kind for rec in result.trace.records if not rec.accepted]
+        assert kinds.count("stabilization") > len(kinds) / 2
+        assert result.detail == (f"{len(kinds)} of 200 steps rejected; "
+                                 "most often stabilization: step size below minimum")
 
 
 class TestInteriorOptimum:

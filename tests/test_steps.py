@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from onephase import NlpProblem, SolverOptions, builtin_registry
-from onephase.iterate import inf_norm, make_iterate
+from onephase.iterate import BETA1, BETA2, inf_norm, make_iterate
 from onephase.linalg import DeltaState, assemble_schur, factorize_with_shift
 from onephase.solver import initialize
 from onephase.steps import (
@@ -18,11 +18,11 @@ from onephase.steps import (
     max_primal_step,
     stabilization_step,
     theta_bar,
+    theta_p_vector,
 )
+from onephase.steps import BETA8, THETA_B, THETA_P_LINEAR, THETA_P_NONLINEAR
 
 from helpers import linear_problem, quadratic_problem, random_interior_setup, raw_iterate
-
-BETA1 = 1e-4
 
 
 def direction(dx, ds, dy, gamma=1.0):
@@ -35,20 +35,20 @@ def direction(dx, ds, dy, gamma=1.0):
 
 
 def factorized_at(problem, it, delta_in=0.0):
-    schur = assemble_schur(problem, it.x, it.s, it.y, it.mu, BETA1, jac=it.jac)
+    schur = assemble_schur(problem, it.x, it.s, it.y, it.mu, jac=it.jac)
     return factorize_with_shift(schur, delta_in, DeltaState())
 
 
 class TestBuildRhs:
     def test_stabilization_target(self):
         it = raw_iterate(0.8, [0.0], [2.0], [1.5], [0.7], grad_f=[1.0], jac=[[2.0]])
-        b_d, b_p, b_c = build_rhs(it, 1.0, BETA1)
+        b_d, b_p, b_c = build_rhs(it, 1.0)
         assert_allclose(b_p, [0.0])
         assert_allclose(b_c, it.s * it.y - it.mu)
 
     def test_affine_target_hand_values(self):
         it = raw_iterate(0.5, [0.0], [1.0], [1.0], [1.0], grad_f=[0.0], jac=[[1.0]])
-        b_d, b_p, b_c = build_rhs(it, 0.0, BETA1)
+        b_d, b_p, b_c = build_rhs(it, 0.0)
         assert_allclose(b_p, [0.5])
         assert_allclose(b_c, [1.0])
 
@@ -56,7 +56,7 @@ class TestBuildRhs:
         grad = -(1.0 - BETA1)
         it = raw_iterate(1.0, [0.0], [1.0], [1.0], [0.0],
                          grad_f=[grad], a=[-1.0], jac=[[1.0]])
-        b_d, b_p, b_c = build_rhs(it, 1.0, BETA1)
+        b_d, b_p, b_c = build_rhs(it, 1.0)
         assert_allclose(b_d, [0.0], atol=1e-16)
         assert_allclose(b_p, [0.0])
         assert_allclose(b_c, [0.0])
@@ -67,7 +67,7 @@ class TestComputeDirection:
         p = linear_problem([-(1.0 - BETA1)], [[1.0]], [-1.0])
         it = make_iterate(p, 1.0, np.zeros(1), np.ones(1), np.ones(1), np.zeros(1))
         fs = factorized_at(p, it)
-        d = compute_direction(fs, it, 1.0, BETA1)
+        d = compute_direction(fs, it, 1.0)
         assert_allclose(d.dx, [0.0], atol=1e-14)
         assert_allclose(d.dy, [0.0], atol=1e-14)
         assert_allclose(d.ds, [0.0], atol=1e-14)
@@ -80,7 +80,7 @@ class TestComputeDirection:
         fs = factorized_at(p, it)
         assert fs.delta == 0.0
         assert_allclose(fs.schur.M, [[2.0]])
-        d = compute_direction(fs, it, 1.0, BETA1)
+        d = compute_direction(fs, it, 1.0)
         assert_allclose(d.dx, [-(1.0 - BETA1) / 2.0], rtol=1e-12)
 
     def test_direction_invariants(self):
@@ -88,11 +88,11 @@ class TestComputeDirection:
         for _ in range(10):
             problem, it = random_interior_setup(rng)
             fs = factorized_at(problem, it)
-            d1 = compute_direction(fs, it, 1.0, BETA1)
+            d1 = compute_direction(fs, it, 1.0)
             assert_allclose(d1.b_p, np.zeros(it.m))
             assert_allclose(d1.ds, -it.jac @ d1.dx, atol=1e-12)
             gamma = float(rng.uniform(0.0, 1.0))
-            dg = compute_direction(fs, it, gamma, BETA1)
+            dg = compute_direction(fs, it, gamma)
             assert_allclose(dg.b_p, (1.0 - gamma) * it.mu * it.w, atol=1e-15)
 
     def test_newton_system_rows_at_snapshot(self):
@@ -105,7 +105,7 @@ class TestComputeDirection:
             fs = factorized_at(problem, it)
             H = problem.hess_lag(it.x, it.y - it.mu * BETA1)
             for gamma in (0.0, float(rng.uniform()), 1.0):
-                d = compute_direction(fs, it, gamma, BETA1)
+                d = compute_direction(fs, it, gamma)
                 scale = 1.0 + np.abs(d.b_d).max(initial=0.0)
                 row1 = (H + fs.delta * np.eye(problem.n)) @ d.dx + it.jac.T @ d.dy
                 assert_allclose(row1, -d.b_d, atol=1e-7 * scale)
@@ -119,48 +119,47 @@ class TestMaxPrimalStep:
     def test_growing_slacks_allow_full_step(self):
         it = raw_iterate(1.0, [0.0], [1.0], [1.0], [0.0])
         d = direction(1.0, 0.5, 0.0)
-        assert max_primal_step(it, d, 0.0, np.array([0.25]), 0.5) == 1.0
+        assert max_primal_step(it, d, 0.0, np.array([0.25])) == 1.0
 
     def test_ratio_test_hand_value(self):
         # bound term t = 1*(0 + 0 + 1) = 1, floor 0.25: alpha = 0.75.
         it = raw_iterate(1.0, [0.0], [1.0], [1.0], [0.0])
         d = direction(1.0, -1.0, 0.0)
-        assert max_primal_step(it, d, 0.0, np.array([0.25]), 0.5) == pytest.approx(0.75)
+        assert max_primal_step(it, d, 0.0, np.array([0.25])) == pytest.approx(0.75)
 
     def test_zero_dx_allows_boundary(self):
         it = raw_iterate(1.0, [0.0], [1.0], [1.0], [0.0])
         d = direction(0.0, -1.0, 0.0)
-        assert max_primal_step(it, d, 0.0, np.array([0.25]), 0.5) == pytest.approx(1.0)
+        assert max_primal_step(it, d, 0.0, np.array([0.25])) == pytest.approx(1.0)
 
 
 class TestFractionToBoundary:
     def test_zero_step_passes(self):
         it = raw_iterate(1.0, [0.0], [1.0], [1.0], [0.0])
         d = direction(1.0, 0.0, 0.0)
-        assert fraction_to_boundary_ok(it.s.copy(), it, d, 0.0, np.array([0.1]), 0.5)
+        assert fraction_to_boundary_ok(it.s.copy(), it, d, 0.0)
 
     def test_zero_dx_relaxes_rule(self):
         it = raw_iterate(1.0, [0.0], [1.0], [1.0], [0.0])
         d = direction(0.0, -1.0, 0.0)
-        assert fraction_to_boundary_ok(np.array([1e-9]), it, d, 0.0, np.array([0.1]), 0.5)
+        assert fraction_to_boundary_ok(np.array([1e-9]), it, d, 0.0)
 
     def test_shrinking_below_floor_fails(self):
         it = raw_iterate(1.0, [0.0], [1.0], [1.0], [0.0])
         d = direction(1.0, -0.95, 0.0)
-        assert not fraction_to_boundary_ok(np.array([0.05]), it, d, 1.0,
-                                           np.array([0.1]), 0.5)
+        assert not fraction_to_boundary_ok(np.array([0.05]), it, d, 1.0)
 
 
 class TestDualInterval:
     def test_constant_feasible_interval(self):
         it = raw_iterate(1.0, [0.0], [1.0], [1.0], [0.0])
         d = direction(0.0, 0.0, 0.0)
-        assert dual_interval(np.ones(1), 1.0, it, d, 0.01, np.array([0.1])) == (0.0, 1.0)
+        assert dual_interval(np.ones(1), 1.0, it, d) == (0.0, 1.0)
 
     def test_hand_intersection(self):
         it = raw_iterate(1.0, [0.0], [1.0], [1.0], [0.0])
         d = direction(1.0, 0.0, -1.0)
-        interval = dual_interval(np.ones(1), 1.0, it, d, 0.01, np.array([0.1]))
+        interval = dual_interval(np.ones(1), 1.0, it, d)
         assert interval is not None
         lo, hi = interval
         assert lo == pytest.approx(0.0)
@@ -170,10 +169,10 @@ class TestDualInterval:
         it = raw_iterate(1.0, [0.0], [1.0], [1.0], [0.0])
         d = direction(1.0, 0.0, 0.0)
         # s+ y / mu+ = 200 for every alpha: empty.
-        assert dual_interval(np.array([2.0]), 0.01, it, d, 0.01, np.array([0.1])) is None
+        assert dual_interval(np.array([2.0]), 0.01, it, d) is None
 
 
-def _dual_interval_loop(s_plus, mu_plus, it, direction, beta2, theta_b):
+def _dual_interval_loop(s_plus, mu_plus, it, direction):
     """The row-by-row loop that ``dual_interval`` vectorizes; the reference
     for its equivalence test."""
     if it.m == 0:
@@ -181,10 +180,10 @@ def _dual_interval_loop(s_plus, mu_plus, it, direction, beta2, theta_b):
     if np.min(s_plus) <= 0 or mu_plus <= 0:
         return None
     lower = np.maximum(
-        beta2 * mu_plus / s_plus,
-        theta_b * it.y * min(1.0, inf_norm(direction.dx)),
+        BETA2 * mu_plus / s_plus,
+        THETA_B * it.y * min(1.0, inf_norm(direction.dx)),
     )
-    upper = mu_plus / (beta2 * s_plus)
+    upper = mu_plus / (BETA2 * s_plus)
 
     lo, hi = 0.0, 1.0
     for yi, di, li, ui in zip(it.y, direction.dy, lower, upper):
@@ -207,15 +206,15 @@ def _dual_interval_loop(s_plus, mu_plus, it, direction, beta2, theta_b):
 def _random_dual_interval_case(rng):
     """Inputs mixing rows inside and outside the corridor, rows sitting
     exactly on a corridor end (zero ratios of either sign), ``lower > upper``
-    rows (large beta2 and y) and ``dy`` entries equal to 0.0, -0.0 or NaN."""
+    rows (y far above the corridor) and ``dy`` entries equal to 0.0, -0.0 or
+    NaN."""
     m = int(rng.integers(1, 7))
     s_plus = 10.0 ** rng.uniform(-2, 2, m)
     mu_plus = 10.0 ** rng.uniform(-2, 1)
-    beta2 = 10.0 ** rng.uniform(-3, -0.05)
-    y = mu_plus / s_plus * 10.0 ** rng.uniform(-1.5, 2.5, m)
+    y = mu_plus / s_plus * 10.0 ** rng.uniform(-3, 4.5, m)
     on_end = rng.integers(0, 4, m)
-    y = np.where(on_end == 0, beta2 * mu_plus / s_plus, y)
-    y = np.where(on_end == 1, mu_plus / (beta2 * s_plus), y)
+    y = np.where(on_end == 0, BETA2 * mu_plus / s_plus, y)
+    y = np.where(on_end == 1, mu_plus / (BETA2 * s_plus), y)
     kind = rng.integers(0, 10, m)
     dy = rng.standard_normal(m) * 10.0 ** rng.uniform(-3, 1, m)
     dy[kind == 6] = 0.0
@@ -224,7 +223,7 @@ def _random_dual_interval_case(rng):
     dx = rng.standard_normal(2) * 10.0 ** rng.uniform(-3, 1)
     it = raw_iterate(mu_plus, np.zeros(2), s_plus, y, np.zeros(m))
     d = direction(dx, np.zeros(m), dy)
-    return s_plus, mu_plus, it, d, beta2, rng.uniform(0.01, 0.9)
+    return s_plus, mu_plus, it, d
 
 
 class TestDualIntervalMatchesLoop:
@@ -236,7 +235,7 @@ class TestDualIntervalMatchesLoop:
             case = _random_dual_interval_case(rng)
             want = _dual_interval_loop(*case)
             got = dual_interval(*case)
-            s_plus, mu_plus, it, d, beta2, theta_b = case
+            s_plus, mu_plus, it, d = case
             if want is None:
                 assert got is None, case
             else:
@@ -247,9 +246,9 @@ class TestDualIntervalMatchesLoop:
             seen["zero_hi"] += bool(want is not None and want[1] == 0.0)
             seen["zero"] += bool(np.any((d.dy == 0) & ~np.signbit(d.dy)))
             seen["negzero"] += bool(np.any((d.dy == 0) & np.signbit(d.dy)))
-            lower = np.maximum(beta2 * mu_plus / s_plus,
-                               theta_b * it.y * min(1.0, inf_norm(d.dx)))
-            seen["crossed"] += bool(np.any(lower > mu_plus / (beta2 * s_plus)))
+            lower = np.maximum(BETA2 * mu_plus / s_plus,
+                               THETA_B * it.y * min(1.0, inf_norm(d.dx)))
+            seen["crossed"] += bool(np.any(lower > mu_plus / (BETA2 * s_plus)))
         assert min(seen.values()) > 200, seen
 
 
@@ -299,34 +298,40 @@ class TestDualStepSize:
 
 class TestThetaBar:
     def test_default_hand_value(self):
-        opts = SolverOptions()
-        val = theta_bar(1.0, np.ones(1), np.ones(1), opts)
+        val = theta_bar(1.0, np.ones(1), np.ones(1))
         assert val == pytest.approx(0.0625)
 
     def test_no_shifted_constraints_caps_at_half(self):
-        opts = SolverOptions()
-        assert theta_bar(1.0, np.ones(2), np.zeros(2), opts) == 0.5
+        assert theta_bar(1.0, np.ones(2), np.zeros(2)) == 0.5
 
     def test_cap_at_half(self):
-        opts = SolverOptions()
-        val = theta_bar(1e-3, np.ones(1), np.ones(1), opts)
+        val = theta_bar(1e-3, np.ones(1), np.ones(1))
         assert val == 0.5
+
+
+class TestThetaPVector:
+    def test_linear_rows_get_the_linear_factor(self):
+        p = linear_problem([0.0], [[1.0], [2.0], [3.0]], [0.0, 0.0, 0.0])
+        p.linear_indices = frozenset({0, 2})
+        assert theta_p_vector(p).tolist() == [
+            THETA_P_LINEAR, THETA_P_NONLINEAR, THETA_P_LINEAR]
+        assert theta_p_vector(quadratic_problem([[1.0]], [0.0])).shape == (0,)
 
 
 class TestFilter:
     def test_accepts_requires_both_curves(self):
         filt = Filter()
         filt.reset(10.0, 4.0)
-        assert filt.accepts(11.0, 3.9, 1.0, 0.01)
-        assert not filt.accepts(12.1, 3.9, 1.0, 0.01)  # phi above envelope
-        assert not filt.accepts(11.0, 3.97, 1.0, 0.01)  # kkt not reduced
+        assert filt.accepts(11.0, 3.9, 1.0)
+        assert not filt.accepts(12.1, 3.9, 1.0)  # phi above envelope
+        assert not filt.accepts(11.0, 3.97, 1.0)  # kkt not reduced
 
     def test_every_entry_must_pass(self):
         filt = Filter()
         filt.reset(10.0, 4.0)
         filt.add(5.0, 1.0)
         # passes against (10,4) but not against (5,1)
-        assert not filt.accepts(8.0, 2.0, 1.0, 0.01)
+        assert not filt.accepts(8.0, 2.0, 1.0)
 
     def test_reset_clears(self):
         filt = Filter()
@@ -340,10 +345,9 @@ class TestAggressiveStep:
     def test_feasible_start_reduces_mu(self):
         entry = builtin_registry()["qp-separable10"]
         problem, _ = entry.build()
-        opts = SolverOptions()
-        it = initialize(problem, entry.x_start, opts)
+        it = initialize(problem, entry.x_start, SolverOptions())
         fs = factorized_at(problem, it)
-        out = aggressive_step(fs, it, problem, opts)
+        out = aggressive_step(fs, it, problem)
         assert out.success
         assert out.direction.gamma == 0.0  # predictor took a full step
         assert out.iterate.mu < it.mu
@@ -363,12 +367,11 @@ class TestAggressiveStep:
             eval_hess_lag=lambda x, v: np.array([[3.0 * x[0] ** 2]]),
         )
         it = make_iterate(p, 1.0, np.array([0.5]), np.zeros(0), np.zeros(0), np.zeros(0))
-        opts = SolverOptions()
         fs = factorized_at(p, it)
-        out = aggressive_step(fs, it, p, opts)
+        out = aggressive_step(fs, it, p)
         assert out.success
-        assert out.alpha_p == pytest.approx(opts.beta8 ** 2)
-        assert out.iterate.mu == pytest.approx(1.0 - opts.beta8 ** 2)
+        assert out.alpha_p == pytest.approx(BETA8 ** 2)
+        assert out.iterate.mu == pytest.approx(1.0 - BETA8 ** 2)
 
     def test_mu_update_identity_random(self):
         rng = np.random.default_rng(24)
@@ -376,7 +379,7 @@ class TestAggressiveStep:
         for _ in range(40):
             problem, it = random_interior_setup(rng)
             fs = factorized_at(problem, it)
-            out = aggressive_step(fs, it, problem, SolverOptions())
+            out = aggressive_step(fs, it, problem)
             if out.success:
                 hits += 1
                 expect = (1.0 - (1.0 - out.direction.gamma) * out.alpha_p) * it.mu
@@ -392,7 +395,7 @@ class TestStabilizationStep:
         fs = factorized_at(p, it)
         filt = Filter()
         filt.reset(np.inf, np.inf)
-        out = stabilization_step(fs, it, filt, p, SolverOptions())
+        out = stabilization_step(fs, it, filt, p)
         assert out.success
         assert out.alpha_p == 1.0
         assert_allclose(out.iterate.x, [0.0], atol=1e-15)
@@ -401,7 +404,7 @@ class TestStabilizationStep:
         p = quadratic_problem([[1.0]], [0.0])
         it = make_iterate(p, 1.0, np.zeros(1), np.zeros(0), np.zeros(0), np.zeros(0))
         fs = factorized_at(p, it)
-        out = stabilization_step(fs, it, Filter(), p, SolverOptions())
+        out = stabilization_step(fs, it, Filter(), p)
         assert not out.success
         assert "descent" in out.reason
 
@@ -411,8 +414,8 @@ class TestStabilizationStep:
         for _ in range(25):
             problem, it = random_interior_setup(rng)
             fs = factorized_at(problem, it)
-            d = compute_direction(fs, it, 1.0, BETA1)
-            g = it.barrier_grad(BETA1)
+            d = compute_direction(fs, it, 1.0)
+            g = it.barrier_grad()
             gnorm = float(np.linalg.norm(g))
             if gnorm <= 1e-12:
                 continue
