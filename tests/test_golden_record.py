@@ -1,8 +1,10 @@
 """Golden record of what a user can see of a solve.
 
 For a fixed set of solves this records the status, the inner and outer
-iteration counts, the full ``counters`` dict and the sequence of
-(step kind, accepted) pairs of the trace.  Refactors of the solver must
+iteration counts, the full ``counters`` dict, the sequence of
+(step kind, accepted) pairs of the trace, and the final ``x`` and ``f``
+as ``float.hex`` strings (``null`` when the solve ends without an
+iterate), so the values a user reads are pinned to the last bit.  Refactors of the solver must
 leave every entry unchanged.  The set covers:
 
 * the 8 registry problems from their own start and 5 seeded perturbed
@@ -94,6 +96,8 @@ def record() -> dict:
             "outer_iterations": result.outer_iterations,
             "counters": result.counters,
             "steps": _steps(result.trace),
+            "x": None if result.x is None else [float(v).hex() for v in result.x],
+            "f": None if result.f is None else float(result.f).hex(),
         }
     return out
 
