@@ -29,8 +29,7 @@ def inf_norm(v: np.ndarray) -> float:
 
 
 def one_norm(v: np.ndarray) -> float:
-    v = np.asarray(v)
-    return float(np.abs(v).sum()) if v.size else 0.0
+    return float(np.abs(v).sum())
 
 
 class StepRejected(Exception):
@@ -79,7 +78,12 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class Iterate:
-    """Immutable snapshot (mu, x, s, y) with cached evaluations at x."""
+    """Immutable snapshot (mu, x, s, y) with cached evaluations at x.
+
+    Its arrays are never mutated in place, so holding an iterate (as
+    ``SchurMatrix.at`` does) holds a snapshot.  Without rows, s, y, w and
+    a are empty and jac is (0, n): every formula holds as an empty sum.
+    """
 
     mu: float
     x: np.ndarray
@@ -97,14 +101,10 @@ class Iterate:
 
     def lagrangian_grad(self, mu_bar: float) -> np.ndarray:
         """grad f + J^T (y - mu_bar*beta1*e) from the caches."""
-        if self.m == 0:
-            return self.grad_f
         return self.grad_f + self.jac.T @ (self.y - mu_bar * BETA1)
 
     def barrier_grad(self) -> np.ndarray:
         """Gradient of psi_mu at x: grad f + J^T (mu/s - mu*beta1*e)."""
-        if self.m == 0:
-            return self.grad_f
         return self.grad_f + self.jac.T @ (self.mu / self.s - self.mu * BETA1)
 
     def primal_residual(self) -> np.ndarray:
@@ -162,12 +162,10 @@ def check_interior(it: Iterate) -> bool:
     [beta2, 1/beta2] for every constraint."""
     if not (it.mu > 0):
         return False
-    if it.m == 0:
-        return True
-    if np.min(it.s) <= 0 or np.min(it.y) <= 0:
+    if np.min(it.s, initial=np.inf) <= 0 or np.min(it.y, initial=np.inf) <= 0:
         return False
     ratio = it.s * it.y / it.mu
-    return bool(np.min(ratio) >= BETA2 and np.max(ratio) <= 1.0 / BETA2)
+    return bool(np.all((ratio >= BETA2) & (ratio <= 1.0 / BETA2)))
 
 
 def sigma(y: np.ndarray) -> float:
@@ -207,8 +205,6 @@ def gamma_inf(it: Iterate) -> float:
 def terminate_infeasible(it: Iterate) -> bool:
     """Local-infeasibility certificate: a^T y > 0 with both stationarity
     measures below tolerance."""
-    if it.m == 0:
-        return False
     if float(it.a @ it.y) <= 0:
         return False
     return gamma_far(it) <= EPS_FAR and gamma_inf(it) <= EPS_INF
@@ -231,13 +227,11 @@ def aggressive_criterion(it: Iterate) -> bool:
     grad_l = it.lagrangian_grad(it.mu)
     if sigma(it.y) * inf_norm(grad_l) > it.mu:
         return False
-    if it.m == 0:
-        return True
     bound_vec = it.grad_f - BETA1 * it.mu * (it.jac.T @ np.ones(it.m))
     if one_norm(grad_l) > one_norm(bound_vec) + float(it.s @ it.y):
         return False
     ratio = it.s * it.y / it.mu
-    return bool(np.min(ratio) >= BETA3 and np.max(ratio) <= 1.0 / BETA3)
+    return bool(np.all((ratio >= BETA3) & (ratio <= 1.0 / BETA3)))
 
 
 def merit_psi(it: Iterate) -> float:
@@ -247,10 +241,8 @@ def merit_psi(it: Iterate) -> float:
     Returns +inf when any shifted slack is nonpositive, so backtracking
     treats boundary violations like any other merit increase.
     """
-    if it.m == 0:
-        return it.f
     slack = it.mu * it.w - it.a
-    if np.min(slack) <= 0:
+    if np.min(slack, initial=np.inf) <= 0:
         return math.inf
     return it.f - it.mu * float(BETA1 * it.a.sum() + np.log(slack).sum())
 

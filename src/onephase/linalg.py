@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .iterate import BETA1
+from .iterate import BETA1, Iterate
 from .problem import NlpProblem
 
 # The paper's shift-strategy parameters.
@@ -51,19 +51,16 @@ class DeltaState:
 
 @dataclass
 class SchurMatrix:
-    """M together with the point it was assembled at.
+    """M together with the iterate it was assembled at.
 
     Inner iterations reuse the factorization of M built here, so the
-    assembly-point slacks, duals and Jacobian ride along for the direction
-    formulas.
+    direction formulas read the assembly point's slacks, duals and Jacobian
+    from ``at``.  Iterates are never mutated in place, so holding one is a
+    snapshot.  ``at`` is None for a matrix that is only factored.
     """
 
     M: np.ndarray
-    x: np.ndarray
-    s: np.ndarray
-    y: np.ndarray
-    mu: float
-    jac: np.ndarray
+    at: Iterate | None
 
 
 @dataclass
@@ -78,35 +75,19 @@ class FactorizedSystem:
     solves: int = field(default=0, compare=False)
 
 
-def assemble_schur(
-    problem: NlpProblem,
-    x: np.ndarray,
-    s: np.ndarray,
-    y: np.ndarray,
-    mu: float,
-    jac: np.ndarray | None = None,
-    hess: np.ndarray | None = None,
-) -> SchurMatrix:
-    """Build ``M = hess_lag(x, y - mu*beta1*e) + J^T Y S^{-1} J``.
+def assemble_schur(problem: NlpProblem, it: Iterate) -> SchurMatrix:
+    """Build ``M = hess_lag(x, y - mu*beta1*e) + J^T Y S^{-1} J`` at ``it``.
 
-    ``jac``/``hess`` may be passed to reuse cached evaluations.  Slacks and
-    duals must be strictly positive.
+    One Hessian evaluation; the Jacobian is the iterate's cached one.
+    Slacks and duals must be strictly positive.
     """
-    m = problem.m
+    s, y, jac = it.s, it.y, it.jac
     assert np.all(s > 0) and np.all(y > 0), "assemble_schur needs s, y > 0"
-    if hess is None:
-        hess = problem.hess_lag(x, y - mu * BETA1)
-    M = np.array(hess, dtype=float)
+    M = np.array(problem.hess_lag(it.x, y - it.mu * BETA1), dtype=float)
     M = 0.5 * (M + M.T)
-    if m:
-        if jac is None:
-            jac = problem.jac(x)
-        M += (jac.T * (y / s)) @ jac
-        M = 0.5 * (M + M.T)
-    else:
-        jac = np.zeros((0, problem.n))
-    return SchurMatrix(M=M, x=np.array(x, float), s=np.array(s, float),
-                       y=np.array(y, float), mu=float(mu), jac=jac)
+    M += (jac.T * (y / s)) @ jac
+    M = 0.5 * (M + M.T)
+    return SchurMatrix(M=M, at=it)
 
 
 def _try_cholesky(A: np.ndarray) -> np.ndarray | None:

@@ -273,10 +273,8 @@ class DerivativeReport:
 def _rel_err(analytic: np.ndarray, fd: np.ndarray) -> float:
     analytic = np.atleast_1d(np.asarray(analytic, float))
     fd = np.atleast_1d(np.asarray(fd, float))
-    if analytic.size == 0:
-        return 0.0
     denom = np.maximum(1.0, np.abs(fd))
-    return float(np.max(np.abs(analytic - fd) / denom))
+    return float(np.max(np.abs(analytic - fd) / denom, initial=0.0))
 
 
 def check_derivatives(problem: NlpProblem, x: np.ndarray, h: float = 1e-6) -> DerivativeReport:
@@ -298,17 +296,15 @@ def check_derivatives(problem: NlpProblem, x: np.ndarray, h: float = 1e-6) -> De
         xm[j] -= h
         denom = xp[j] - xm[j]  # realized step; exact for nearby floats
         fd_grad[j] = (problem.f(xp) - problem.f(xm)) / denom
-        if m:
-            fd_jac[:, j] = (problem.a(xp) - problem.a(xm)) / denom
+        fd_jac[:, j] = (problem.a(xp) - problem.a(xm)) / denom
 
         def lag_grad(z):
-            g = problem.grad_f(z)
-            return g if m == 0 else g + problem.jac(z).T @ v
+            return problem.grad_f(z) + problem.jac(z).T @ v
 
         fd_hess[:, j] = (lag_grad(xp) - lag_grad(xm)) / denom
 
     return DerivativeReport(
         grad_f_error=_rel_err(problem.grad_f(x), fd_grad),
-        jac_error=_rel_err(problem.jac(x), fd_jac) if m else 0.0,
+        jac_error=_rel_err(problem.jac(x), fd_jac),
         hess_error=_rel_err(problem.hess_lag(x, v), 0.5 * (fd_hess + fd_hess.T)),
     )

@@ -231,8 +231,6 @@ def _project_onto_bounds(x: np.ndarray, bounds, kappa: float = 1e-2) -> np.ndarr
 
 def initial_slack_shift(s_raw: np.ndarray) -> np.ndarray:
     """Raw slacks plus the scalar shift max(-2 min_i s_raw_i, beta10)."""
-    if s_raw.size == 0:
-        return s_raw.copy()
     return s_raw + max(-2.0 * float(np.min(s_raw)), BETA10)
 
 
@@ -264,6 +262,8 @@ def initialize(problem: NlpProblem, x_start: np.ndarray,
 
     m = problem.m
     if m == 0:
+        # No duals to estimate: the general path below would divide by m
+        # and spend one Hessian and one factorization more.
         mu0 = opts.mu_scale * 1.0
         empty = np.zeros(0)
         return make_iterate(problem, mu0, x0, empty, empty, empty)
@@ -285,7 +285,7 @@ def initialize(problem: NlpProblem, x_start: np.ndarray,
     s_tilde = initial_slack_shift(s_raw)
     probe_w = a0 + s_tilde
     probe = make_iterate(problem, 1.0, x0, s_tilde, y_tilde, probe_w, a=a0)
-    schur = assemble_schur(problem, x0, s_tilde, y_tilde, 1.0, jac=probe.jac)
+    schur = assemble_schur(problem, probe)
     fs = factorize_with_shift(schur, 0.0, DeltaState())
     if work is not None:
         work.supersede(fs)
@@ -403,7 +403,7 @@ def solve(
 
         while True:
             # New outer iteration: snapshot, assemble, factorize.
-            schur = assemble_schur(counted, cur.x, cur.s, cur.y, cur.mu, jac=cur.jac)
+            schur = assemble_schur(counted, cur)
             outer_count += 1
             fs = work.supersede(factorize_with_shift(schur, delta, state))
             delta = fs.delta

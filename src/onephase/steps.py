@@ -102,20 +102,12 @@ def compute_direction(fs: FactorizedSystem, it: Iterate, gamma: float) -> Direct
     solves the Newton rows S dy + Y ds = -b_C, J dx + ds = -b_P at the
     snapshot.  At the snapshot point this is the exact Newton system.
     """
-    hat = fs.schur
+    hat = fs.schur.at
     b_d, b_p, b_c = build_rhs(it, gamma)
-    if it.m:
-        rhs = -(b_d + hat.jac.T @ ((it.y * b_p - b_c) / hat.s))
-    else:
-        rhs = -b_d
+    rhs = -(b_d + hat.jac.T @ ((it.y * b_p - b_c) / hat.s))
     dx = solve_shifted(fs, rhs)
-    if it.m:
-        jhat_dx = hat.jac @ dx
-        dy = (hat.y / hat.s) * (jhat_dx + b_p - b_c / hat.y)
-        ds = -(1.0 - gamma) * it.mu * it.w - it.jac @ dx
-    else:
-        dy = np.zeros(0)
-        ds = np.zeros(0)
+    dy = (hat.y / hat.s) * (hat.jac @ dx + b_p - b_c / hat.y)
+    ds = -(1.0 - gamma) * it.mu * it.w - it.jac @ dx
     return Direction(dx=dx, ds=ds, dy=dy, gamma=gamma, b_d=b_d, b_p=b_p, b_c=b_c)
 
 
@@ -141,8 +133,6 @@ def max_primal_step(it: Iterate, direction: Direction, delta: float,
     The bound caps at ``theta_p * s``, so alpha = 0 is always feasible and
     the largest alpha follows from a per-component ratio test.
     """
-    if it.m == 0:
-        return 1.0
     floor = theta_p * _boundary_bound(it, direction, delta)
     room = it.s - floor
     shrinking = direction.ds < 0
@@ -155,8 +145,6 @@ def max_primal_step(it: Iterate, direction: Direction, delta: float,
 def fraction_to_boundary_ok(s_plus: np.ndarray, it: Iterate, direction: Direction,
                             delta: float) -> bool:
     """Acceptance-side rule s+ >= theta_b * min(s, step-size bound)."""
-    if it.m == 0:
-        return True
     floor = THETA_B * _boundary_bound(it, direction, delta)
     return bool(np.all(s_plus >= floor))
 
@@ -170,6 +158,8 @@ def dual_interval(s_plus: np.ndarray, mu_plus: float, it: Iterate,
     Returns None when the intersection is empty (the trial is rejected).
     """
     if it.m == 0:
+        # The argmin below raises on empty ratios, and is kept over an
+        # initial= reduction because it carries the sign of a zero hi.
         return (0.0, 1.0)
     if s_plus.min() <= 0 or mu_plus <= 0:
         return None
@@ -208,16 +198,13 @@ def dual_step_size(s_plus: np.ndarray, mu_plus: float,
     duals are not left behind when delta is large.
     """
     lo, hi = interval
-    if it.m == 0:
+    p = np.concatenate([s_plus * it.y - mu_plus, grad_f_plus + jac_plus.T @ it.y])
+    q = np.concatenate([s_plus * direction.dy, jac_plus.T @ direction.dy])
+    qq = float(q @ q)
+    if qq == 0.0:
         zeta = hi
     else:
-        p = np.concatenate([s_plus * it.y - mu_plus, grad_f_plus + jac_plus.T @ it.y])
-        q = np.concatenate([s_plus * direction.dy, jac_plus.T @ direction.dy])
-        qq = float(q @ q)
-        if qq == 0.0:
-            zeta = hi
-        else:
-            zeta = min(max(-float(p @ q) / qq, lo), hi)
+        zeta = min(max(-float(p @ q) / qq, lo), hi)
     return min(max(zeta, alpha_p), hi)
 
 
@@ -296,6 +283,9 @@ def _line_search(fs: FactorizedSystem, it: Iterate, problem: NlpProblem,
         except StepRejected:
             alpha_p *= BETA6
             continue
+        # Without rows, a trial that zeroes mu must still reach the
+        # dual-feasibility guard, whose retry jumps to beta8^2 instead of
+        # halving; with rows, min(s_plus) also needs a nonempty s_plus.
         if it.m and (mu_plus <= 0 or np.min(s_plus) <= 0):
             alpha_p *= BETA6
             continue
@@ -318,8 +308,7 @@ def _line_search(fs: FactorizedSystem, it: Iterate, problem: NlpProblem,
 
         if mu_plus / it.mu < 1.0 - BETA8:
             # mu dropped hard; make sure the dual infeasibility followed.
-            grad_l_plus = grad_f_plus if it.m == 0 else (
-                grad_f_plus + jac_plus.T @ (y_plus - mu_plus * BETA1))
+            grad_l_plus = grad_f_plus + jac_plus.T @ (y_plus - mu_plus * BETA1)
             denom = (1.0 - BETA8) * sigma(y_plus) * inf_norm(grad_l_plus)
             tau = mu_plus / denom if denom > 0 else math.inf
             if tau < 1.0:
@@ -365,8 +354,7 @@ def aggressive_step(fs: FactorizedSystem, it: Iterate, problem: NlpProblem) -> S
         return StepOutcome(False, None, direction, reason="non-finite direction")
 
     y_tilde = _trial_duals(it, gamma)
-    grad_tilde = it.grad_f if it.m == 0 else (
-        it.grad_f + it.jac.T @ (y_tilde - gamma * it.mu * BETA1))
+    grad_tilde = it.grad_f + it.jac.T @ (y_tilde - gamma * it.mu * BETA1)
     if float(grad_tilde @ direction.dx) >= 0:
         return StepOutcome(False, None, direction, reason="not a descent direction")
 

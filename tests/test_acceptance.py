@@ -183,7 +183,7 @@ def test_07_descent_property_of_stabilization_directions():
         while checked < 100:
             problem, it = random_interior_setup(rng)
             schur_state = DeltaState()
-            schur = assemble_schur(problem, it.x, it.s, it.y, it.mu, jac=it.jac)
+            schur = assemble_schur(problem, it)
             fs = factorize_with_shift(schur, 0.0, schur_state)
             d = compute_direction(fs, it, 1.0)
             g = it.barrier_grad()
@@ -251,9 +251,7 @@ def test_08_factorization_strategy_matches_hand_trace():
         delta = 0.0
         produced = []
         for M in matrices:
-            M = np.atleast_2d(np.asarray(M, float))
-            schur = SchurMatrix(M=M, x=np.zeros(M.shape[0]), s=np.ones(1),
-                                y=np.ones(1), mu=1.0, jac=np.zeros((1, M.shape[0])))
+            schur = SchurMatrix(M=np.atleast_2d(np.asarray(M, float)), at=None)
             try:
                 fs = factorize_with_shift(schur, delta, state)
             except MaxDeltaError:

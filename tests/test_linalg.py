@@ -4,6 +4,7 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 from onephase import SolveStatus, solve
+from onephase.iterate import make_iterate
 from onephase.linalg import (
     DeltaState,
     MaxDeltaError,
@@ -18,40 +19,37 @@ from helpers import linear_problem, quadratic_problem, run_python
 
 
 def plain_schur(M):
-    M = np.atleast_2d(np.asarray(M, float))
-    n = M.shape[0]
-    return SchurMatrix(M=M, x=np.zeros(n), s=np.ones(1), y=np.ones(1),
-                       mu=1.0, jac=np.zeros((1, n)))
+    return SchurMatrix(M=np.atleast_2d(np.asarray(M, float)), at=None)
+
+
+def point(problem, x, s, y, mu=1.0):
+    return make_iterate(problem, mu, x, s, y, np.zeros(len(s)))
 
 
 class TestAssembleSchur:
     def test_one_d_qp(self):
         # f = x^2/2, a = x - 1: M = 1 + 1*(2/0.5)*1 = 5
         p = quadratic_problem([[1.0]], [0.0], [[1.0]], [-1.0])
-        schur = assemble_schur(p, np.zeros(1), np.array([0.5]), np.array([2.0]), 1.0)
+        schur = assemble_schur(p, point(p, np.zeros(1), [0.5], [2.0]))
         assert_allclose(schur.M, [[5.0]])
 
     def test_unconstrained_is_hessian(self):
         H = np.array([[2.0, 0.3], [0.3, 1.0]])
         p = quadratic_problem(H, np.zeros(2))
-        schur = assemble_schur(p, np.zeros(2), np.zeros(0), np.zeros(0), 1.0)
+        schur = assemble_schur(p, point(p, np.zeros(2), [], []))
         assert_allclose(schur.M, H)
 
     def test_unit_ratio_adds_jtj(self):
         # y = s makes Y S^{-1} the identity: M = hess + J^T J
         p = quadratic_problem([[3.0]], [0.0], [[1.0]], [0.0])
         v = np.array([0.7])
-        schur = assemble_schur(p, np.zeros(1), v, v, 1.0)
+        schur = assemble_schur(p, point(p, np.zeros(1), v, v))
         assert_allclose(schur.M, [[4.0]])
 
     def test_records_assembly_point(self):
         p = quadratic_problem([[1.0]], [0.0], [[1.0]], [-1.0])
-        x, s, y = np.array([0.2]), np.array([0.8]), np.array([1.25])
-        schur = assemble_schur(p, x, s, y, 0.5)
-        assert_allclose(schur.x, x)
-        assert_allclose(schur.s, s)
-        assert_allclose(schur.y, y)
-        assert schur.mu == 0.5
+        it = point(p, np.array([0.2]), [0.8], [1.25], mu=0.5)
+        assert assemble_schur(p, it).at is it
 
 
 class TestFactorizeWithShift:
@@ -119,8 +117,7 @@ def no_trial(A):
     raise AssertionError("trial factorization of a non-finite M")
 linalg._try_cholesky = no_trial
 M = np.array({rows}, float)
-schur = linalg.SchurMatrix(M=M, x=np.zeros(2), s=np.ones(1), y=np.ones(1),
-                           mu=1.0, jac=np.zeros((1, 2)))
+schur = linalg.SchurMatrix(M=M, at=None)
 state = linalg.DeltaState()
 try:
     linalg.factorize_with_shift(schur, 0.0, state)

@@ -495,8 +495,7 @@ class TestInteriorOptimum:
 
 class TestRefactorize:
     def test_grows_shift_until_definite(self):
-        schur = SchurMatrix(M=np.array([[-5.0]]), x=np.zeros(1), s=np.ones(1),
-                            y=np.ones(1), mu=1.0, jac=np.zeros((1, 1)))
+        schur = SchurMatrix(M=np.array([[-5.0]]), at=None)
         state = DeltaState()
         fs = _refactorize(schur, 1.0, state)
         # 1 fails (pivot -4), 8 succeeds (pivot 3)
@@ -505,8 +504,7 @@ class TestRefactorize:
         assert state.delta_prev == 8.0
 
     def test_cap_respected(self):
-        schur = SchurMatrix(M=np.array([[-1e60]]), x=np.zeros(1), s=np.ones(1),
-                            y=np.ones(1), mu=1.0, jac=np.zeros((1, 1)))
+        schur = SchurMatrix(M=np.array([[-1e60]]), at=None)
         with pytest.raises(MaxDeltaError):
             _refactorize(schur, 1.0, DeltaState())
 

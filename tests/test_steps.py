@@ -2,8 +2,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from onephase import NlpProblem, SolverOptions, builtin_registry
-from onephase.iterate import BETA1, BETA2, inf_norm, make_iterate
+from onephase import NlpProblem, SolverOptions, builtin_registry, check_derivatives
+from onephase.iterate import (
+    BETA1,
+    BETA2,
+    check_interior,
+    inf_norm,
+    make_iterate,
+    merit_psi,
+    terminate_infeasible,
+)
 from onephase.linalg import DeltaState, assemble_schur, factorize_with_shift
 from onephase.solver import initialize
 from onephase.steps import (
@@ -35,8 +43,41 @@ def direction(dx, ds, dy, gamma=1.0):
 
 
 def factorized_at(problem, it, delta_in=0.0):
-    schur = assemble_schur(problem, it.x, it.s, it.y, it.mu, jac=it.jac)
-    return factorize_with_shift(schur, delta_in, DeltaState())
+    return factorize_with_shift(assemble_schur(problem, it), delta_in, DeltaState())
+
+
+def _no_rows():
+    """min 0.5||x||^2 - x0 at x = (2, -1) with no constraint rows, and its
+    predictor direction."""
+    p = quadratic_problem(np.eye(2), [-1.0, 0.0])
+    it = make_iterate(p, 0.5, np.array([2.0, -1.0]), np.zeros(0), np.zeros(0), np.zeros(0))
+    return p, it, compute_direction(factorized_at(p, it), it, 0.0)
+
+
+# (function, value on an m = 0 iterate, the value its deleted m == 0 branch returned)
+NO_ROW_VALUES = [
+    ("check_interior", lambda p, it, d: check_interior(it), True),
+    ("terminate_infeasible", lambda p, it, d: terminate_infeasible(it), False),
+    ("merit_psi", lambda p, it, d: merit_psi(it), lambda it: it.f),
+    ("max_primal_step", lambda p, it, d: max_primal_step(it, d, 0.0, theta_p_vector(p)), 1.0),
+    ("fraction_to_boundary_ok",
+     lambda p, it, d: fraction_to_boundary_ok(np.zeros(0), it, d, 0.0), True),
+    ("dual_step_size", lambda p, it, d: dual_step_size(
+        np.zeros(0), 0.25, it.grad_f, it.jac, it, d, (0.2, 0.75), 0.1), 0.75),
+    ("compute_direction.dy", lambda p, it, d: d.dy, np.zeros(0)),
+    ("compute_direction.ds", lambda p, it, d: d.ds, np.zeros(0)),
+    ("lagrangian_grad", lambda p, it, d: it.lagrangian_grad(0.3), lambda it: it.grad_f),
+    ("barrier_grad", lambda p, it, d: it.barrier_grad(), lambda it: it.grad_f),
+    ("check_derivatives.jac_error", lambda p, it, d: check_derivatives(p, it.x).jac_error, 0.0),
+]
+
+
+@pytest.mark.parametrize("value, expected", [case[1:] for case in NO_ROW_VALUES],
+                         ids=[case[0] for case in NO_ROW_VALUES])
+def test_no_rows_give_the_values_of_the_deleted_branches(value, expected):
+    p, it, d = _no_rows()
+    expected = expected(it) if callable(expected) else expected
+    np.testing.assert_array_equal(value(p, it, d), expected, strict=True)
 
 
 class TestBuildRhs:
