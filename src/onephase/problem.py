@@ -172,9 +172,11 @@ def to_inequality_form(source: SourceProblem) -> tuple[NlpProblem, ProblemTransf
     """Lower a mixed-form problem to ``a(x) <= 0`` rows.
 
     Equalities ``c(x) = b`` become the pair ``c(x)-b <= 0`` and
-    ``b-c(x) <= 0``.  Box bounds become single-coefficient rows declared in
-    ``bounds``.  Rejects inconsistent bound pairs (l > u) naming the
-    variable.
+    ``b-c(x) <= 0``.  A fixed variable (``l_j = u_j``) has no interior, so
+    it becomes the same opposing pair of shifted rows, placed after the
+    source constraints.  Other box bounds become single-coefficient rows
+    declared in ``bounds``.  Rejects a NaN bound and inconsistent bound
+    pairs (l > u), naming the variable.
     """
     n = source.n
     lower = np.full(n, -np.inf) if source.lower is None else np.asarray(source.lower, float)
@@ -182,6 +184,9 @@ def to_inequality_form(source: SourceProblem) -> tuple[NlpProblem, ProblemTransf
     if lower.shape != (n,) or upper.shape != (n,):
         raise ValueError("bound arrays must have length n")
     for j in range(n):
+        if np.isnan(lower[j]) or np.isnan(upper[j]):
+            raise ValueError(f"NaN bound for variable {j}: "
+                             f"lower {lower[j]}, upper {upper[j]}")
         if lower[j] > upper[j]:
             raise ValueError(f"inconsistent bounds for variable {j}: "
                              f"lower {lower[j]} > upper {upper[j]}")
@@ -206,9 +211,20 @@ def to_inequality_form(source: SourceProblem) -> tuple[NlpProblem, ProblemTransf
             cons_rows.append((sign, con))
             transform.rows.append(TransformRow("constraint", k, sign))
 
+    fixed = np.isfinite(lower) & (lower == upper)
+    for j in np.flatnonzero(fixed):
+        e_j = np.zeros(n)
+        e_j[j] = 1.0
+        con = SourceConstraint(func=lambda x, j=j: x[j], grad=lambda x, e_j=e_j: e_j,
+                               relation=Relation.EQ, rhs=float(lower[j]), linear=True)
+        for kind, sign in (("upper", +1), ("lower", -1)):
+            linear_idx.add(len(cons_rows))
+            cons_rows.append((sign, con))
+            transform.rows.append(TransformRow(kind, int(j), sign))
+
     for j in range(n):
         for kind, sign, c in (("lower", -1, lower[j]), ("upper", +1, upper[j])):
-            if np.isfinite(c):
+            if np.isfinite(c) and not fixed[j]:
                 row = len(cons_rows) + len(bounds)
                 bounds.append((row, j, sign, float(c)))
                 transform.rows.append(TransformRow(kind, j, sign))

@@ -254,7 +254,7 @@ def initialize(problem: NlpProblem, x_start: np.ndarray,
     violated after projection; evaluation failures at the start point
     propagate.
     """
-    x0 = np.asarray(x_start, float)
+    x0 = np.array(x_start, float)  # a copy: iterates own their arrays
     if x0.shape != (problem.n,):
         raise ValueError(f"x_start must have shape ({problem.n},)")
     if not np.all(np.isfinite(x0)):

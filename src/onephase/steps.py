@@ -158,8 +158,8 @@ def dual_interval(s_plus: np.ndarray, mu_plus: float, it: Iterate,
     Returns None when the intersection is empty (the trial is rejected).
     """
     if it.m == 0:
-        # The argmin below raises on empty ratios, and is kept over an
-        # initial= reduction because it carries the sign of a zero hi.
+        # s_plus.min() and the argmin below raise on empty arrays; the
+        # argmin is kept over an initial= reduction for a zero hi's sign.
         return (0.0, 1.0)
     if s_plus.min() <= 0 or mu_plus <= 0:
         return None
@@ -285,7 +285,7 @@ def _line_search(fs: FactorizedSystem, it: Iterate, problem: NlpProblem,
             continue
         # Without rows, a trial that zeroes mu must still reach the
         # dual-feasibility guard, whose retry jumps to beta8^2 instead of
-        # halving; with rows, min(s_plus) also needs a nonempty s_plus.
+        # halving (and np.min of an empty s_plus would raise).
         if it.m and (mu_plus <= 0 or np.min(s_plus) <= 0):
             alpha_p *= BETA6
             continue

@@ -124,6 +124,29 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_fixed_variable_file_is_optimal(tmp_path, capsys):
+    # bounds line "0 1.0 1.0" fixes x0; its start needs shifted rows.
+    f = tmp_path / "fixed.nlp"
+    f.write_text("problem fixed\nvars 2\n\nobjective\nlinear 1.0 1.0\n"
+                 "quad 0 0 1.0\nquad 1 1 1.0\n\nbounds\n0 1.0 1.0\n")
+    assert run_cli(["solve", str(f)]) == 0
+    x_line = next(line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("  x:"))
+    assert float(x_line.split()[1]) == pytest.approx(1.0, abs=1e-5)
+
+
+def test_nan_bound_is_parse_error(tmp_path, capsys):
+    f = tmp_path / "nan.nlp"
+    f.write_text("problem nan\nvars 1\n\nobjective\nlinear 1.0\n\nbounds\n0 nan 5.0\n")
+    assert run_cli(["solve", str(f)]) == USAGE_ERROR
+    assert "NaN bound for variable 0" in capsys.readouterr().err
+    summary = tmp_path / "summary.csv"
+    assert run_cli(["batch", str(tmp_path), "--summary", str(summary)]) == 4
+    with open(summary, newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert (row["status"], row["exit_code"]) == ("parse-error", str(USAGE_ERROR))
+
+
 def test_solve_file_with_trace(tmp_path, capsys):
     f = tmp_path / "lp.nlp"
     f.write_text(LP_TEXT)

@@ -9,9 +9,11 @@ from onephase import (
     NlpProblem,
     Relation,
     SourceConstraint,
+    SolveStatus,
     SourceProblem,
     builtin_registry,
     check_derivatives,
+    solve,
     to_inequality_form,
 )
 from onephase.iterate import make_iterate
@@ -125,6 +127,32 @@ class TestToInequalityForm:
         with pytest.raises(ValueError, match="variable 1"):
             to_inequality_form(quadratic_source(
                 2, lower=np.array([0.0, 2.0]), upper=np.array([1.0, 1.0])))
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_nan_bound_rejected_with_index(self, side):
+        bounds = {"lower": np.zeros(2), "upper": np.ones(2)}
+        bounds[side][1] = np.nan
+        with pytest.raises(ValueError, match="NaN bound for variable 1"):
+            to_inequality_form(quadratic_source(2, **bounds))
+
+    def test_fixed_variable_becomes_shifted_pair_before_bound_rows(self):
+        # x0 + x1 <= 4, x0 fixed at 1, x1 >= 0.5: rows are the constraint,
+        # then x0 - 1 <= 0 and 1 - x0 <= 0, then the declared 0.5 - x1 <= 0.
+        con = SourceConstraint(func=lambda x: float(x.sum()), grad=lambda x: np.ones(2),
+                               relation=Relation.LE, rhs=4.0, linear=True)
+        problem, transform = to_inequality_form(quadratic_source(
+            2, lower=np.array([1.0, 0.5]), upper=np.array([1.0, np.inf]),
+            constraints=[con]))
+        assert problem.bounds == ((3, 1, -1, 0.5),)
+        assert problem.linear_indices == {0, 1, 2, 3}
+        assert [(r.source_kind, r.source_index, r.sign) for r in transform.rows] == [
+            ("constraint", 0, 1), ("upper", 0, 1), ("lower", 0, -1), ("lower", 1, -1)]
+        x = np.array([3.0, 2.0])
+        assert_allclose(problem.a(x), [1.0, 2.0, -2.0, -1.5])
+        assert_allclose(problem.jac(x), [[1, 1], [1, 0], [-1, 0], [0, -1]])
+        result = solve(problem, np.array([0.0, 2.0]))
+        assert result.status is SolveStatus.OPTIMAL
+        assert_allclose(result.x, [1.0, 0.5], atol=1e-5)
 
     def test_transform_is_bijection(self):
         for entry in builtin_registry().values():

@@ -112,17 +112,28 @@ class TestInitialize:
         it = initialize(problem, np.full(10, 25.0), opts)
         assert np.all(problem.a(it.x) < 0)
 
+    def test_start_iterate_does_not_alias_x_start(self):
+        # Unconstrained and already optimal: the start is the result.
+        x_start = np.zeros(2)
+        result = solve(quadratic_problem(np.eye(2), np.zeros(2)), x_start)
+        assert result.status is SolveStatus.OPTIMAL and result.inner_iterations == 0
+        x_start[0] = 7.0
+        assert result.x[0] == 0.0
+
     def test_degenerate_bounds_fatal(self):
-        source = SourceProblem(
-            n=1,
+        # Declared bound rows 1 <= x0 <= 1 have no interior to project into.
+        # (to_inequality_form lowers l = u to shifted rows instead.)
+        problem = NlpProblem(
+            n=1, m=2,
             eval_f=lambda x: float(x[0]),
             eval_grad_f=lambda x: np.array([1.0]),
-            eval_hess_f=lambda x: np.zeros((1, 1)),
-            lower=np.array([1.0]),
-            upper=np.array([1.0]),
+            eval_a=lambda x: np.array([1.0 - x[0], x[0] - 1.0]),
+            eval_jac=lambda x: np.array([[-1.0], [1.0]]),
+            eval_hess_lag=lambda x, v: np.zeros((1, 1)),
+            bounds=((0, 0, -1, 1.0), (1, 0, 1, 1.0)),
+            linear_indices=frozenset({0, 1}),
         )
-        problem, _ = to_inequality_form(source)
-        with pytest.raises(InitializationError):
+        with pytest.raises(InitializationError, match="bound row 0"):
             initialize(problem, np.zeros(1), SolverOptions())
 
     @pytest.mark.parametrize("source, x0", [
