@@ -44,7 +44,7 @@ def _log_level() -> str:
 
 def _load_target(target: str):
     """Resolve 'builtin:NAME' or a problem-file path into
-    (problem, transform, x_start, name)."""
+    (problem, x_start, name)."""
     if target.startswith("builtin:"):
         name = target.split(":", 1)[1]
         registry = builtin_registry()
@@ -52,12 +52,11 @@ def _load_target(target: str):
             known = ", ".join(sorted(registry))
             raise ValueError(f"unknown builtin problem {name!r}; known: {known}")
         entry = registry[name]
-        problem, transform = entry.build()
-        return problem, transform, entry.x_start.copy(), entry.name
-    text = Path(target).read_text()
-    pf = parse_problem_file(text)
-    problem, transform = to_inequality_form(build_source(pf))
-    return problem, transform, default_start(pf), pf.name
+        problem, _transform = entry.build()
+        return problem, entry.x_start.copy(), entry.name
+    pf = parse_problem_file(Path(target).read_text())
+    problem, _transform = to_inequality_form(build_source(pf))
+    return problem, default_start(pf), pf.name
 
 
 def _options_from_args(args) -> SolverOptions:
@@ -111,7 +110,7 @@ def _cmd_solve(args) -> int:
     level = _log_level()
     try:
         opts = _options_from_args(args)
-        problem, _transform, x_start, name = _load_target(args.target)
+        problem, x_start, name = _load_target(args.target)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -173,15 +173,27 @@ def sigma(y: np.ndarray) -> float:
     return 100.0 / max(100.0, inf_norm(y))
 
 
-def terminate_optimal(it: Iterate, eps_opt: float) -> bool:
-    """Scaled first-order optimality: sigma||grad L_0||, sigma||Sy|| and the
-    raw primal residual ||a(x)+s|| all below ``eps_opt``."""
+@dataclass
+class Certificate:
+    """Measured quantities backing a terminal status."""
+
+    values: dict = field(default_factory=dict)
+
+    def __str__(self) -> str:
+        return ", ".join(f"{k}={v:.3e}" for k, v in self.values.items())
+
+
+def terminate_optimal(it: Iterate, eps_opt: float) -> Certificate | None:
+    """Scaled first-order optimality: the certificate of sigma||grad L_0||,
+    sigma||Sy|| and the raw primal residual ||a(x)+s|| when all three are
+    below ``eps_opt``, else None."""
     sig = sigma(it.y)
-    return (
-        sig * inf_norm(it.lagrangian_grad(0.0)) <= eps_opt
-        and sig * inf_norm(it.s * it.y) <= eps_opt
-        and inf_norm(it.a + it.s) <= eps_opt
-    )
+    values = {
+        "scaled_dual_infeasibility": sig * inf_norm(it.lagrangian_grad(0.0)),
+        "scaled_complementarity": sig * inf_norm(it.s * it.y),
+        "primal_residual": inf_norm(it.a + it.s),
+    }
+    return Certificate(values) if all(v <= eps_opt for v in values.values()) else None
 
 
 def gamma_far(it: Iterate) -> float:
@@ -202,18 +214,24 @@ def gamma_inf(it: Iterate) -> float:
     return (one_norm(it.jac.T @ it.y) + float(it.s @ it.y)) / y1
 
 
-def terminate_infeasible(it: Iterate) -> bool:
+def terminate_infeasible(it: Iterate) -> Certificate | None:
     """Local-infeasibility certificate: a^T y > 0 with both stationarity
-    measures below tolerance."""
-    if float(it.a @ it.y) <= 0:
-        return False
-    return gamma_far(it) <= EPS_FAR and gamma_inf(it) <= EPS_INF
+    measures below tolerance, else None."""
+    a_dot_y = float(it.a @ it.y)
+    if a_dot_y <= 0:
+        return None
+    far, inf = gamma_far(it), gamma_inf(it)
+    if not (far <= EPS_FAR and inf <= EPS_INF):
+        return None
+    return Certificate({"a_dot_y": a_dot_y, "gamma_far": far, "gamma_inf": inf,
+                        "dual_norm": inf_norm(it.y)})
 
 
-def terminate_unbounded(it: Iterate) -> bool:
-    """Divergence test ||x||_inf >= 1/eps_unbd: since a(x) <= mu^0 w along
-    the whole run, diverging x certifies the shifted region is unbounded."""
-    return inf_norm(it.x) >= 1.0 / EPS_UNBD
+def terminate_unbounded(it: Iterate) -> Certificate | None:
+    """Divergence test ||x||_inf >= 1/eps_unbd, else None: as a(x) <= mu^0 w
+    all along, diverging x certifies the shifted region is unbounded."""
+    x_norm = inf_norm(it.x)
+    return Certificate({"x_norm": x_norm}) if x_norm >= 1.0 / EPS_UNBD else None
 
 
 def aggressive_criterion(it: Iterate) -> bool:
@@ -261,35 +279,3 @@ def merit_kkt(it: Iterate) -> float:
         inf_norm(it.lagrangian_grad(it.mu)),
         inf_norm(it.s * it.y - it.mu),
     )
-
-
-@dataclass
-class Certificate:
-    """Measured quantities backing a terminal status."""
-
-    values: dict = field(default_factory=dict)
-
-    def __str__(self) -> str:
-        return ", ".join(f"{k}={v:.3e}" for k, v in self.values.items())
-
-
-def optimality_certificate(it: Iterate) -> Certificate:
-    sig = sigma(it.y)
-    return Certificate({
-        "scaled_dual_infeasibility": sig * inf_norm(it.lagrangian_grad(0.0)),
-        "scaled_complementarity": sig * inf_norm(it.s * it.y),
-        "primal_residual": inf_norm(it.a + it.s),
-    })
-
-
-def infeasibility_certificate(it: Iterate) -> Certificate:
-    return Certificate({
-        "a_dot_y": float(it.a @ it.y),
-        "gamma_far": gamma_far(it),
-        "gamma_inf": gamma_inf(it),
-        "dual_norm": inf_norm(it.y),
-    })
-
-
-def unboundedness_certificate(it: Iterate) -> Certificate:
-    return Certificate({"x_norm": inf_norm(it.x)})

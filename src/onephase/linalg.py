@@ -4,8 +4,12 @@ The solver reduces every direction computation to one symmetric positive
 definite system ``(M + delta*I) d = rhs`` where
 ``M = hess_lag + J^T Y S^{-1} J``.  ``delta`` is found by trial
 factorization: attempt ``delta = 0`` when the diagonal allows it, otherwise
-restart from the previous shift and multiply by ``delta_inc`` until the
-factorization succeeds or the shift cap is hit.
+restart from the previous shift over ``delta_dec`` and multiply by
+``delta_inc`` until the factorization succeeds or the shift cap is hit.
+A failed direction escalates the shift to ``max(delta_inc*delta,
+grad_norm/dx_norm)``.  The caller passes the shift of its live
+factorization, the only one remembered.  It is also the last successful
+shift, so a third term, that shift over ``delta_dec``, could never win.
 
 Factorizations use numpy's LAPACK (``np.linalg.cholesky``), the same
 OpenBLAS build that assembles ``M``.  numpy and scipy each ship their own
@@ -40,13 +44,6 @@ class MaxDeltaError(RuntimeError):
     def __init__(self, delta: float, reason: str = ""):
         self.delta = delta
         super().__init__(reason or f"shift {delta:.3e} reached cap {DELTA_MAX:.3e}")
-
-
-@dataclass
-class DeltaState:
-    """The last successful shift."""
-
-    delta_prev: float = 0.0
 
 
 @dataclass
@@ -100,11 +97,7 @@ def _try_cholesky(A: np.ndarray) -> np.ndarray | None:
         return None
 
 
-def factorize_with_shift(
-    schur: SchurMatrix,
-    delta_in: float,
-    state: DeltaState,
-) -> FactorizedSystem:
+def factorize_with_shift(schur: SchurMatrix, delta_in: float) -> FactorizedSystem:
     """Factor ``M + delta*I`` choosing delta by trial Cholesky.
 
     ``delta_in`` is the caller's previous shift (0 on the first outer
@@ -124,27 +117,21 @@ def factorize_with_shift(
         attempts += 1
         L = _try_cholesky(M)
         if L is not None:
-            state.delta_prev = 0.0
             return FactorizedSystem(schur, 0.0, M, L, attempts)
         tau = 0.0
 
     delta = max(delta_in / DELTA_DEC, DELTA_MIN - tau)
-    return factorize_growing_shift(schur, delta, state, attempts)
+    return factorize_growing_shift(schur, delta, attempts)
 
 
-def factorize_growing_shift(
-    schur: SchurMatrix,
-    delta: float,
-    state: DeltaState,
-    attempts: int = 0,
-) -> FactorizedSystem:
+def factorize_growing_shift(schur: SchurMatrix, delta: float,
+                            attempts: int = 0) -> FactorizedSystem:
     """Factor ``M + delta*I``, multiplying delta by ``delta_inc`` after
     every failed trial Cholesky.
 
     ``attempts`` counts trials already spent on this matrix, whose
     finiteness :func:`factorize_with_shift` has checked.  Raises
-    :class:`MaxDeltaError` once ``delta >= delta_max``; on success
-    ``state.delta_prev`` is set to the returned shift.
+    :class:`MaxDeltaError` once ``delta >= delta_max``.
     """
     eye = np.eye(schur.M.shape[0])
     while True:
@@ -154,7 +141,6 @@ def factorize_growing_shift(
         shifted = schur.M + delta * eye
         L = _try_cholesky(shifted)
         if L is not None:
-            state.delta_prev = delta
             return FactorizedSystem(schur, delta, shifted, L, attempts)
         delta = DELTA_INC * delta
 
@@ -175,31 +161,20 @@ def solve_shifted(fs: FactorizedSystem, rhs: np.ndarray) -> np.ndarray:
     return d
 
 
-def escalate_delta(
-    state: DeltaState,
-    delta: float,
-    grad_norm: float,
-    dx_norm: float,
-) -> float:
+def escalate_delta(delta: float, grad_norm: float, dx_norm: float) -> float:
     """Shift increase after a failed first inner iteration.
 
-    Returns ``max(delta_inc*delta, delta_prev/delta_dec,
-    grad_norm/dx_norm)`` with ``delta_min`` substituted only when all
-    three terms vanish.  Keeping ``delta_min`` out of the max preserves
-    scale invariance: diverging problems need shifts far below it (the
-    right shift is about gradient over step length), and flooring there
-    would cap the step length and stall the divergence certificate.
-    Raises :class:`MaxDeltaError` when the result exceeds the cap.
+    Returns ``max(delta_inc*delta, grad_norm/dx_norm)``, with ``delta_min``
+    substituted only when both terms vanish.  ``delta`` is the live
+    factorization's shift, which is also the last successful one, so a
+    third term, that shift over ``delta_dec``, never beats the first and
+    is left out.  Keeping ``delta_min`` out of the max preserves scale
+    invariance: diverging problems need shifts far below it (the right
+    shift is about gradient over step length), and flooring there would
+    cap the step length and stall the divergence certificate.  A result at
+    or above the cap raises :class:`MaxDeltaError` when it is factored.
     ``dx_norm`` must be positive (a direction exists).
     """
     assert dx_norm > 0, "escalate_delta needs a nonzero direction"
-    new = max(
-        DELTA_INC * delta,
-        state.delta_prev / DELTA_DEC,
-        grad_norm / dx_norm,
-    )
-    if new == 0.0:
-        new = DELTA_MIN
-    if new > DELTA_MAX:
-        raise MaxDeltaError(new)
-    return new
+    new = max(DELTA_INC * delta, grad_norm / dx_norm)
+    return DELTA_MIN if new == 0.0 else new

@@ -175,8 +175,9 @@ def to_inequality_form(source: SourceProblem) -> tuple[NlpProblem, ProblemTransf
     ``b-c(x) <= 0``.  A fixed variable (``l_j = u_j``) has no interior, so
     it becomes the same opposing pair of shifted rows, placed after the
     source constraints.  Other box bounds become single-coefficient rows
-    declared in ``bounds``.  Rejects a NaN bound and inconsistent bound
-    pairs (l > u), naming the variable.
+    declared in ``bounds``.  Rejects a NaN bound, an infinite bound on
+    the wrong side (l = +inf or u = -inf) and inconsistent bound pairs
+    (l > u), naming the variable.
     """
     n = source.n
     lower = np.full(n, -np.inf) if source.lower is None else np.asarray(source.lower, float)
@@ -186,6 +187,9 @@ def to_inequality_form(source: SourceProblem) -> tuple[NlpProblem, ProblemTransf
     for j in range(n):
         if np.isnan(lower[j]) or np.isnan(upper[j]):
             raise ValueError(f"NaN bound for variable {j}: "
+                             f"lower {lower[j]}, upper {upper[j]}")
+        if lower[j] == np.inf or upper[j] == -np.inf:
+            raise ValueError(f"infinite bound on the wrong side for variable {j}: "
                              f"lower {lower[j]}, upper {upper[j]}")
         if lower[j] > upper[j]:
             raise ValueError(f"inconsistent bounds for variable {j}: "

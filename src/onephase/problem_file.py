@@ -147,6 +147,8 @@ def parse_problem_file(text: str) -> ProblemFile:
         if head == "vars":
             if len(tokens) != 2:
                 raise ProblemFileError("expected: vars N", lineno, head_col)
+            if n is not None:
+                raise ProblemFileError("duplicate vars line", lineno, head_col)
             n = _parse_int(tokens[1][0], lineno, tokens[1][1])
             if n < 1:
                 raise ProblemFileError("vars must be positive", lineno, tokens[1][1])

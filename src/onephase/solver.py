@@ -26,19 +26,15 @@ from .iterate import (
     aggressive_criterion,
     check_interior,
     inf_norm,
-    infeasibility_certificate,
     make_iterate,
     merit_kkt,
     merit_phi,
-    optimality_certificate,
     sigma,
     terminate_infeasible,
     terminate_optimal,
     terminate_unbounded,
-    unboundedness_certificate,
 )
 from .linalg import (
-    DeltaState,
     FactorizedSystem,
     MaxDeltaError,
     SchurMatrix,
@@ -286,7 +282,7 @@ def initialize(problem: NlpProblem, x_start: np.ndarray,
     probe_w = a0 + s_tilde
     probe = make_iterate(problem, 1.0, x0, s_tilde, y_tilde, probe_w, a=a0)
     schur = assemble_schur(problem, probe)
-    fs = factorize_with_shift(schur, 0.0, DeltaState())
+    fs = factorize_with_shift(schur, 0.0)
     if work is not None:
         work.supersede(fs)
     direction = compute_direction(fs, probe, 0.0)
@@ -322,11 +318,11 @@ def initialize(problem: NlpProblem, x_start: np.ndarray,
     return start
 
 
-def _refactorize(schur: SchurMatrix, delta: float, state: DeltaState) -> FactorizedSystem:
+def _refactorize(schur: SchurMatrix, delta: float) -> FactorizedSystem:
     """Factor M + delta*I at an escalated shift, growing delta on numerical
     failure (the escalation formula does not guarantee positive
     definiteness by itself)."""
-    return factorize_growing_shift(schur, delta, state)
+    return factorize_growing_shift(schur, delta)
 
 
 def solve(
@@ -377,12 +373,12 @@ def solve(
         return text
 
     def check_termination(it: Iterate):
-        if terminate_optimal(it, opts.eps_opt):
-            return SolveStatus.OPTIMAL, optimality_certificate(it)
-        if terminate_infeasible(it):
-            return SolveStatus.PRIMAL_INFEASIBLE, infeasibility_certificate(it)
-        if terminate_unbounded(it):
-            return SolveStatus.UNBOUNDED, unboundedness_certificate(it)
+        if cert := terminate_optimal(it, opts.eps_opt):
+            return SolveStatus.OPTIMAL, cert
+        if cert := terminate_infeasible(it):
+            return SolveStatus.PRIMAL_INFEASIBLE, cert
+        if cert := terminate_unbounded(it):
+            return SolveStatus.UNBOUNDED, cert
         if inner_count >= opts.max_iter:
             return (SolveStatus.ITERATION_LIMIT,
                     Certificate({"inner_iterations": inner_count}), stall_detail())
@@ -396,22 +392,20 @@ def solve(
     cur: Optional[Iterate] = None
     try:
         cur = initialize(counted, x_start, opts, work)
-        state = DeltaState()
+        phi, kkt = merit_phi(cur), merit_kkt(cur)   # cur's, for the filter and trace
         filt = Filter()
-        filt.reset(merit_phi(cur), merit_kkt(cur))
-        delta = 0.0
+        filt.reset(phi, kkt)
+        fs = None
 
         while True:
             # New outer iteration: snapshot, assemble, factorize.
             schur = assemble_schur(counted, cur)
             outer_count += 1
-            fs = work.supersede(factorize_with_shift(schur, delta, state))
-            delta = fs.delta
+            fs = work.supersede(factorize_with_shift(schur, fs.delta if fs else 0.0))
 
             j = 1
             while j <= J_MAX:
-                hit = check_termination(cur)
-                if hit is not None:
+                if (hit := check_termination(cur)) is not None:
                     return result(hit[0], cur, *hit[1:])
                 inner_count += 1
 
@@ -430,10 +424,11 @@ def solve(
                 else:
                     prev = cur
                     cur = outcome.iterate
+                    phi, kkt = merit_phi(cur), merit_kkt(cur)
                     if take_aggressive:
-                        filt.reset(merit_phi(cur), merit_kkt(cur))
+                        filt.reset(phi, kkt)
                     else:
-                        filt.add(merit_phi(cur), merit_kkt(cur))
+                        filt.add(phi, kkt)
                     if step_observer is not None:
                         step_observer(prev, outcome.direction, outcome.alpha_p,
                                       outcome.alpha_d, cur, kind)
@@ -442,14 +437,14 @@ def solve(
                 record = TraceRecord(
                     iter=inner_count, outer=outer_count, inner=j, kind=kind,
                     accepted=outcome.success,
-                    gamma=outcome.direction.gamma if outcome.direction else float("nan"),
+                    gamma=outcome.direction.gamma,
                     delta=fs.delta, alpha_p=outcome.alpha_p, alpha_d=outcome.alpha_d,
                     mu=cur.mu, mu_pre=mu_pre,
                     primal_resid=inf_norm(cur.primal_residual()),
                     opt_dual=sig * inf_norm(cur.lagrangian_grad(0.0)),
                     opt_comp=sig * inf_norm(cur.s * cur.y),
                     switch_dual=switch_dual,
-                    phi=merit_phi(cur), kkt=merit_kkt(cur),
+                    phi=phi, kkt=kkt,
                     filter_size=len(filt.entries),
                     f_evals=counters["f"], grad_evals=counters["grad"],
                     cons_evals=counters["cons"], jac_evals=counters["jac"],
@@ -465,13 +460,10 @@ def solve(
                     continue
                 if j == 1:
                     # Escalate the shift and retry the inner loop with the same M.
-                    dx_norm = inf_norm(outcome.direction.dx) if outcome.direction else 0.0
+                    dx_norm = inf_norm(outcome.direction.dx)
                     grad_norm = inf_norm(cur.lagrangian_grad(cur.mu))
-                    delta = escalate_delta(state, delta, grad_norm,
-                                           dx_norm if dx_norm > 0 else 1.0)
-                    fs = work.supersede(_refactorize(schur, delta, state))
-                    delta = fs.delta
-                    j = 1
+                    delta = escalate_delta(fs.delta, grad_norm, dx_norm if dx_norm > 0 else 1.0)
+                    fs = work.supersede(_refactorize(schur, delta))
                     continue
                 break  # failure with j > 1: new outer iteration
     except MaxDeltaError as exc:

@@ -212,7 +212,7 @@ def dual_step_size(s_plus: np.ndarray, mu_plus: float,
 class StepOutcome:
     success: bool
     iterate: Iterate | None
-    direction: Direction | None
+    direction: Direction
     alpha_p: float = 0.0
     alpha_d: float = 0.0
     reason: str = ""

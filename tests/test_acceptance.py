@@ -23,7 +23,6 @@ from onephase import (
 from onephase import linalg
 from onephase.iterate import BETA2, inf_norm, one_norm
 from onephase.linalg import (
-    DeltaState,
     MaxDeltaError,
     SchurMatrix,
     assemble_schur,
@@ -182,9 +181,8 @@ def test_07_descent_property_of_stabilization_directions():
         checked = 0
         while checked < 100:
             problem, it = random_interior_setup(rng)
-            schur_state = DeltaState()
             schur = assemble_schur(problem, it)
-            fs = factorize_with_shift(schur, 0.0, schur_state)
+            fs = factorize_with_shift(schur, 0.0)
             d = compute_direction(fs, it, 1.0)
             g = it.barrier_grad()
             if inf_norm(g) <= 1e-12:
@@ -207,7 +205,7 @@ def oracle_shift_sequence(matrices, delta_cfg):
     out = []
     for M in matrices:
         M = np.atleast_2d(np.asarray(M, float))
-        delta_prev = delta
+        previous = delta
         tau = min(M[i, i] for i in range(M.shape[0]))
 
         def chol_ok(A):
@@ -223,7 +221,7 @@ def oracle_shift_sequence(matrices, delta_cfg):
             continue
         if tau > 0:
             tau = 0.0
-        delta = max(delta_prev / delta_dec, delta_min - tau)
+        delta = max(previous / delta_dec, delta_min - tau)
         while True:
             if delta >= delta_max:
                 out.append("failure")
@@ -247,13 +245,12 @@ def test_08_factorization_strategy_matches_hand_trace():
         cfg = (linalg.DELTA_MIN, linalg.DELTA_INC, linalg.DELTA_DEC, linalg.DELTA_MAX)
         expected = oracle_shift_sequence(matrices, cfg)
 
-        state = DeltaState()
         delta = 0.0
         produced = []
         for M in matrices:
             schur = SchurMatrix(M=np.atleast_2d(np.asarray(M, float)), at=None)
             try:
-                fs = factorize_with_shift(schur, delta, state)
+                fs = factorize_with_shift(schur, delta)
             except MaxDeltaError:
                 produced.append("failure")
                 break

@@ -147,6 +147,19 @@ def test_nan_bound_is_parse_error(tmp_path, capsys):
     assert (row["status"], row["exit_code"]) == ("parse-error", str(USAGE_ERROR))
 
 
+@pytest.mark.parametrize("bounds", ["0 inf inf", "0 -inf -inf"])
+def test_wrong_side_infinite_bound_is_parse_error(tmp_path, capsys, bounds):
+    f = tmp_path / "wrong-side.nlp"
+    f.write_text(f"problem w\nvars 1\n\nobjective\nlinear 1.0\n\nbounds\n{bounds}\n")
+    assert run_cli(["solve", str(f)]) == USAGE_ERROR
+    assert "wrong side for variable 0" in capsys.readouterr().err
+    summary = tmp_path / "summary.csv"
+    assert run_cli(["batch", str(tmp_path), "--summary", str(summary)]) == 4
+    with open(summary, newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert (row["status"], row["exit_code"]) == ("parse-error", str(USAGE_ERROR))
+
+
 def test_solve_file_with_trace(tmp_path, capsys):
     f = tmp_path / "lp.nlp"
     f.write_text(LP_TEXT)

@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 from onephase import SolveStatus, solve
 from onephase.iterate import make_iterate
 from onephase.linalg import (
-    DeltaState,
     MaxDeltaError,
     SchurMatrix,
     assemble_schur,
@@ -14,8 +13,9 @@ from onephase.linalg import (
     factorize_with_shift,
     solve_shifted,
 )
+from onephase.solver import _refactorize
 
-from helpers import linear_problem, quadratic_problem, run_python
+from helpers import quadratic_problem, run_python
 
 
 def plain_schur(M):
@@ -54,29 +54,26 @@ class TestAssembleSchur:
 
 class TestFactorizeWithShift:
     def test_positive_definite_unshifted(self):
-        fs = factorize_with_shift(plain_schur([[5.0]]), 0.0, DeltaState())
+        fs = factorize_with_shift(plain_schur([[5.0]]), 0.0)
         assert fs.delta == 0.0
         assert_allclose(fs.factor, [[np.sqrt(5.0)]])
 
     def test_negative_scalar_takes_first_shift(self):
         # tau = -1: first trial delta = max(0, 1e-8 + 1) succeeds with a
         # ~1e-8 pivot, factor ~1e-4.
-        state = DeltaState()
-        fs = factorize_with_shift(plain_schur([[-1.0]]), 0.0, state)
+        fs = factorize_with_shift(plain_schur([[-1.0]]), 0.0)
         assert fs.delta == max(0.0, 1e-8 - (-1.0))
         assert_allclose(fs.factor[0, 0], 1e-4, rtol=1e-6)
-        assert state.delta_prev == fs.delta
 
     def test_pathological_scale_hits_cap(self):
         with pytest.raises(MaxDeltaError):
-            factorize_with_shift(plain_schur([[-1e60]]), 0.0, DeltaState())
+            factorize_with_shift(plain_schur([[-1e60]]), 0.0)
 
     def test_overflowed_matrix_terminates_at_cap(self):
         # inf entries can appear from overflowing assembly; no shift can
         # fix them, so the loop must end in the max-delta failure.
         with pytest.raises(MaxDeltaError):
-            factorize_with_shift(plain_schur([[np.inf, 0.0], [0.0, 1.0]]),
-                                 0.0, DeltaState())
+            factorize_with_shift(plain_schur([[np.inf, 0.0], [0.0, 1.0]]), 0.0)
 
     def test_random_spd_never_shifted(self):
         rng = np.random.default_rng(5)
@@ -84,7 +81,7 @@ class TestFactorizeWithShift:
             n = int(rng.integers(1, 7))
             A = rng.standard_normal((n, n))
             M = A @ A.T + 0.1 * np.eye(n)
-            fs = factorize_with_shift(plain_schur(M), float(rng.uniform(0, 2)), DeltaState())
+            fs = factorize_with_shift(plain_schur(M), float(rng.uniform(0, 2)))
             assert fs.delta == 0.0
 
     def test_shifted_system_positive(self):
@@ -94,7 +91,7 @@ class TestFactorizeWithShift:
             n = int(rng.integers(1, 7))
             A = rng.standard_normal((n, n))
             M = 0.5 * (A + A.T)
-            fs = factorize_with_shift(plain_schur(M), 0.0, DeltaState())
+            fs = factorize_with_shift(plain_schur(M), 0.0)
             r = rng.standard_normal(n)
             assert float(r @ solve_shifted(fs, r)) > 0
 
@@ -102,7 +99,7 @@ class TestFactorizeWithShift:
         rng = np.random.default_rng(8)
         A = rng.standard_normal((4, 4))
         M = 0.5 * (A + A.T) - 2.0 * np.eye(4)
-        fs = factorize_with_shift(plain_schur(M), 0.0, DeltaState())
+        fs = factorize_with_shift(plain_schur(M), 0.0)
         recon = fs.factor @ fs.factor.T
         assert_allclose(recon, M + fs.delta * np.eye(4), rtol=1e-8, atol=1e-10)
 
@@ -118,11 +115,10 @@ def no_trial(A):
 linalg._try_cholesky = no_trial
 M = np.array({rows}, float)
 schur = linalg.SchurMatrix(M=M, at=None)
-state = linalg.DeltaState()
 try:
-    linalg.factorize_with_shift(schur, 0.0, state)
+    linalg.factorize_with_shift(schur, 0.0)
 except linalg.MaxDeltaError as exc:
-    print(exc.delta, state.delta_prev, exc)
+    print(exc.delta, exc)
 """
 
 
@@ -136,8 +132,8 @@ class TestNonFiniteSchur:
     def test_fails_at_once_with_max_delta(self, rows):
         out = run_python(_NONFINITE_SCRIPT.format(rows=rows))
         assert out.returncode == 0, out.stderr
-        assert out.stdout.split(maxsplit=2) == [
-            "inf", "0.0", "Schur matrix has non-finite entries; no shift factors it\n"]
+        assert out.stdout.split(maxsplit=1) == [
+            "inf", "Schur matrix has non-finite entries; no shift factors it\n"]
 
 
 class TestSingleBlasFactorization:
@@ -147,7 +143,7 @@ class TestSingleBlasFactorization:
         rng = np.random.default_rng(n)
         A = rng.standard_normal((n, n))
         M = A @ A.T / n + 0.1 * np.eye(n) if kind == "spd" else 0.5 * (A + A.T)
-        fs = factorize_with_shift(plain_schur(M), 0.0, DeltaState())
+        fs = factorize_with_shift(plain_schur(M), 0.0)
         assert (fs.delta == 0.0) == (kind == "spd")
         assert np.all(np.triu(fs.factor, 1) == 0.0)
         assert fs.factor.flags.f_contiguous  # cho_solve copies a C-ordered factor
@@ -172,15 +168,15 @@ class TestSingleBlasFactorization:
 
 class TestSolveShifted:
     def test_scalar(self):
-        fs = factorize_with_shift(plain_schur([[5.0]]), 0.0, DeltaState())
+        fs = factorize_with_shift(plain_schur([[5.0]]), 0.0)
         assert_allclose(solve_shifted(fs, np.array([-10.0])), [-2.0])
 
     def test_zero_rhs(self):
-        fs = factorize_with_shift(plain_schur([[5.0]]), 0.0, DeltaState())
+        fs = factorize_with_shift(plain_schur([[5.0]]), 0.0)
         assert_allclose(solve_shifted(fs, np.zeros(1)), [0.0])
 
     def test_diagonal(self):
-        fs = factorize_with_shift(plain_schur(np.diag([2.0, 8.0])), 0.0, DeltaState())
+        fs = factorize_with_shift(plain_schur(np.diag([2.0, 8.0])), 0.0)
         assert_allclose(solve_shifted(fs, np.array([2.0, 4.0])), [1.0, 0.5])
 
     def test_relative_residual(self):
@@ -189,7 +185,7 @@ class TestSolveShifted:
             n = int(rng.integers(2, 9))
             A = rng.standard_normal((n, n))
             M = 0.5 * (A + A.T)
-            fs = factorize_with_shift(plain_schur(M), 0.0, DeltaState())
+            fs = factorize_with_shift(plain_schur(M), 0.0)
             rhs = rng.standard_normal(n)
             d = solve_shifted(fs, rhs)
             resid = rhs - (M + fs.delta * np.eye(n)) @ d
@@ -198,22 +194,19 @@ class TestSolveShifted:
 
 class TestEscalateDelta:
     def test_gradient_ratio_dominates(self):
-        state = DeltaState(delta_prev=0.0)
-        assert escalate_delta(state, 0.0, grad_norm=1.0, dx_norm=2.0) == 0.5
+        assert escalate_delta(0.0, grad_norm=1.0, dx_norm=2.0) == 0.5
 
     def test_multiplicative_growth_dominates(self):
-        state = DeltaState(delta_prev=0.0)
-        assert escalate_delta(state, 1.0, grad_norm=1e-6, dx_norm=1.0) == 8.0
+        assert escalate_delta(1.0, grad_norm=1e-6, dx_norm=1.0) == 8.0
 
     def test_cap_exceeded(self):
-        state = DeltaState(delta_prev=0.0)
-        with pytest.raises(MaxDeltaError):
-            escalate_delta(state, 2e49, grad_norm=1.0, dx_norm=1.0)
+        # The escalated shift passes the cap; factoring at it raises before
+        # any trial, with the escalated shift and the cap in the message.
+        schur = plain_schur([[1.0]])
+        with pytest.raises(MaxDeltaError) as err:
+            _refactorize(schur, escalate_delta(2e49, grad_norm=1.0, dx_norm=1.0))
+        assert err.value.delta == 1.6e50
+        assert str(err.value) == "shift 1.600e+50 reached cap 1.000e+50"
 
     def test_zero_terms_fall_back_to_minimum(self):
-        state = DeltaState(delta_prev=0.0)
-        assert escalate_delta(state, 0.0, grad_norm=0.0, dx_norm=1.0) == 1e-8
-
-    def test_previous_shift_term(self):
-        state = DeltaState(delta_prev=float(np.pi) * 3.0)
-        assert escalate_delta(state, 0.0, grad_norm=0.0, dx_norm=1.0) == pytest.approx(3.0)
+        assert escalate_delta(0.0, grad_norm=0.0, dx_norm=1.0) == 1e-8

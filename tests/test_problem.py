@@ -135,6 +135,15 @@ class TestToInequalityForm:
         with pytest.raises(ValueError, match="NaN bound for variable 1"):
             to_inequality_form(quadratic_source(2, **bounds))
 
+    @pytest.mark.parametrize("bound", [np.inf, -np.inf], ids=["plus-inf", "minus-inf"])
+    def test_wrong_side_infinite_bound_rejected_with_index(self, bound):
+        # "1 inf inf" (x1 >= inf) and "1 -inf -inf" (x1 <= -inf) have no
+        # feasible point; neither may be read as a free variable.
+        lower, upper = np.zeros(2), np.ones(2)
+        lower[1] = upper[1] = bound
+        with pytest.raises(ValueError, match="wrong side for variable 1"):
+            to_inequality_form(quadratic_source(2, lower=lower, upper=upper))
+
     def test_fixed_variable_becomes_shifted_pair_before_bound_rows(self):
         # x0 + x1 <= 4, x0 fixed at 1, x1 >= 0.5: rows are the constraint,
         # then x0 - 1 <= 0 and 1 - x0 <= 0, then the declared 0.5 - x1 <= 0.

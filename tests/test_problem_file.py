@@ -125,6 +125,13 @@ class TestParseErrors:
         with pytest.raises(ProblemFileError, match="duplicate bounds"):
             parse_problem_file(text)
 
+    def test_second_vars_line(self):
+        # rows parsed before it would keep the first width
+        text = "problem p\nvars 1\nobjective\nlinear 1.0\nconstraints\n1.0 >= 0.0\nvars 2\n"
+        with pytest.raises(ProblemFileError, match="duplicate vars") as err:
+            parse_problem_file(text)
+        assert (err.value.line, err.value.column) == (7, 1)
+
     def test_wrong_start_length(self):
         text = "problem p\nvars 2\n\nstart\n1.0\n"
         with pytest.raises(ProblemFileError, match="start needs 2"):

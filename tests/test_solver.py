@@ -20,7 +20,7 @@ from onephase import (
     to_inequality_form,
 )
 from onephase.iterate import check_interior, inf_norm
-from onephase.linalg import DeltaState, MaxDeltaError, SchurMatrix
+from onephase.linalg import MaxDeltaError, SchurMatrix
 from onephase.solver import (
     TRACE_SCHEMA_VERSION,
     InitializationError,
@@ -385,6 +385,42 @@ class TestFactorizationLifetime:
         assert result.counters["factorizations"] >= len(made)
 
 
+class TestEscalationShift:
+    def test_escalation_receives_live_shift(self, monkeypatch):
+        # escalate_delta reads the shift of the live factorization and
+        # nothing else: the solver keeps no second remembered shift.
+        live = []
+        escalations = []
+
+        def factoring(fn):
+            def wrapper(*args):
+                fs = fn(*args)
+                live.append(fs.delta)
+                return fs
+            return wrapper
+
+        def escalating(delta, grad_norm, dx_norm):
+            escalations.append((delta, live[-1]))
+            return escalate(delta, grad_norm, dx_norm)
+
+        escalate = solver_module.escalate_delta
+        monkeypatch.setattr(solver_module, "escalate_delta", escalating)
+        monkeypatch.setattr(solver_module, "factorize_with_shift",
+                            factoring(solver_module.factorize_with_shift))
+        monkeypatch.setattr(solver_module, "_refactorize",
+                            factoring(solver_module._refactorize))
+        escalated = set()
+        for name, entry in builtin_registry().items():
+            problem, _ = entry.build()
+            before = len(escalations)
+            solve(problem, entry.x_start)
+            if len(escalations) > before:
+                escalated.add(name)
+        assert {"qp-separable10", "unbounded-lp"} <= escalated
+        for delta, live_delta in escalations:
+            assert delta == live_delta
+
+
 def _one_sided_lp(**callbacks):
     """min x s.t. -1 - x <= 0 with some callbacks replaced."""
     evals = {
@@ -507,17 +543,15 @@ class TestInteriorOptimum:
 class TestRefactorize:
     def test_grows_shift_until_definite(self):
         schur = SchurMatrix(M=np.array([[-5.0]]), at=None)
-        state = DeltaState()
-        fs = _refactorize(schur, 1.0, state)
+        fs = _refactorize(schur, 1.0)
         # 1 fails (pivot -4), 8 succeeds (pivot 3)
         assert fs.delta == 8.0
         assert fs.attempts == 2
-        assert state.delta_prev == 8.0
 
     def test_cap_respected(self):
         schur = SchurMatrix(M=np.array([[-1e60]]), at=None)
         with pytest.raises(MaxDeltaError):
-            _refactorize(schur, 1.0, DeltaState())
+            _refactorize(schur, 1.0)
 
 
 class TestNonconvexEscalation:

@@ -12,7 +12,7 @@ from onephase.iterate import (
     merit_psi,
     terminate_infeasible,
 )
-from onephase.linalg import DeltaState, assemble_schur, factorize_with_shift
+from onephase.linalg import assemble_schur, factorize_with_shift
 from onephase.solver import initialize
 from onephase.steps import (
     Direction,
@@ -43,7 +43,7 @@ def direction(dx, ds, dy, gamma=1.0):
 
 
 def factorized_at(problem, it, delta_in=0.0):
-    return factorize_with_shift(assemble_schur(problem, it), delta_in, DeltaState())
+    return factorize_with_shift(assemble_schur(problem, it), delta_in)
 
 
 def _no_rows():
@@ -57,7 +57,7 @@ def _no_rows():
 # (function, value on an m = 0 iterate, the value its deleted m == 0 branch returned)
 NO_ROW_VALUES = [
     ("check_interior", lambda p, it, d: check_interior(it), True),
-    ("terminate_infeasible", lambda p, it, d: terminate_infeasible(it), False),
+    ("terminate_infeasible", lambda p, it, d: terminate_infeasible(it) is not None, False),
     ("merit_psi", lambda p, it, d: merit_psi(it), lambda it: it.f),
     ("max_primal_step", lambda p, it, d: max_primal_step(it, d, 0.0, theta_p_vector(p)), 1.0),
     ("fraction_to_boundary_ok",
