@@ -14,6 +14,7 @@ from .iterate import Certificate, Iterate, SolveStatus, SolverOptions
 from .problem import (
     DerivativeReport,
     EvaluationError,
+    LinearRow,
     NlpProblem,
     ProblemTransform,
     Relation,
@@ -40,6 +41,7 @@ __all__ = [
     "DerivativeReport",
     "EvaluationError",
     "Iterate",
+    "LinearRow",
     "NlpProblem",
     "ProblemFile",
     "ProblemFileError",

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import EvaluationError, NlpProblem
+from .problem import NlpProblem
 
 
 def inf_norm(v: np.ndarray) -> float:
@@ -30,10 +30,6 @@ def inf_norm(v: np.ndarray) -> float:
 
 def one_norm(v: np.ndarray) -> float:
     return float(np.abs(v).sum())
-
-
-class StepRejected(Exception):
-    """A trial point failed (non-finite evaluation or lost interiority)."""
 
 
 class SolveStatus(enum.Enum):
@@ -145,14 +141,11 @@ def primal_trial(cur: Iterate, dx: np.ndarray, gamma: float, alpha_p: float,
     Returns ``(mu+, x+, a(x+), s+)`` with ``s+ = mu+ * w - a(x+)``.  Only
     the constraints are evaluated here; callers check interiority and the
     fraction-to-boundary rule before paying for objective evaluations.
-    Raises :class:`StepRejected` when ``a(x+)`` is non-finite.
+    Raises :class:`EvaluationError` when ``a(x+)`` is non-finite.
     """
     mu_plus = (1.0 - (1.0 - gamma) * alpha_p) * cur.mu
     x_plus = cur.x + alpha_p * dx
-    try:
-        a_plus = problem.a(x_plus)
-    except EvaluationError as exc:
-        raise StepRejected(str(exc)) from exc
+    a_plus = problem.a(x_plus)
     s_plus = mu_plus * cur.w - a_plus
     return mu_plus, x_plus, a_plus, s_plus
 

@@ -117,14 +117,22 @@ class Relation(enum.Enum):
 
 @dataclass
 class SourceConstraint:
-    """One constraint ``func(x) REL rhs`` of a source problem."""
+    """One nonlinear constraint ``func(x) REL rhs`` of a source problem."""
 
     func: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
     relation: Relation
     rhs: float
     hess: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    linear: bool = False
+
+
+@dataclass
+class LinearRow:
+    """One linear constraint ``coeffs @ x REL rhs``, kept as data."""
+
+    coeffs: np.ndarray
+    relation: Relation
+    rhs: float
 
 
 @dataclass
@@ -132,8 +140,8 @@ class SourceProblem:
     """Mixed-form problem before lowering to pure inequalities.
 
     Variable bounds are given as ``lower``/``upper`` arrays with +-inf for
-    absent bounds.  Constraints may be <=, >= or ==; equalities are split
-    into two opposing inequalities by :func:`to_inequality_form`.
+    absent bounds.  Nonlinear ``constraints`` and ``linear_rows`` may be
+    <=, >= or ==; :func:`to_inequality_form` splits an equality in two.
     """
 
     n: int
@@ -141,6 +149,7 @@ class SourceProblem:
     eval_grad_f: Callable[[np.ndarray], np.ndarray]
     eval_hess_f: Callable[[np.ndarray], np.ndarray]
     constraints: Sequence[SourceConstraint] = ()
+    linear_rows: Sequence[LinearRow] = ()
     lower: Optional[np.ndarray] = None
     upper: Optional[np.ndarray] = None
     name: str = "problem"
@@ -151,7 +160,8 @@ class TransformRow:
     """Where inequality row i came from: ``a_i(x) = sign*(func(x) - rhs)``.
 
     ``source_kind`` is "constraint" (index into the source constraint
-    list), "lower" or "upper" (index is then a variable index).
+    list), "linear" (index into ``linear_rows``), "lower" or "upper"
+    (index is then a variable index).
     """
 
     source_kind: str
@@ -168,16 +178,21 @@ class ProblemTransform:
         return len(self.rows)
 
 
+# Row signs per relation: an equality becomes two opposing rows.
+_SIGNS = {Relation.LE: (+1,), Relation.GE: (-1,), Relation.EQ: (+1, -1)}
+
+
 def to_inequality_form(source: SourceProblem) -> tuple[NlpProblem, ProblemTransform]:
     """Lower a mixed-form problem to ``a(x) <= 0`` rows.
 
     Equalities ``c(x) = b`` become the pair ``c(x)-b <= 0`` and
-    ``b-c(x) <= 0``.  A fixed variable (``l_j = u_j``) has no interior, so
-    it becomes the same opposing pair of shifted rows, placed after the
-    source constraints.  Other box bounds become single-coefficient rows
-    declared in ``bounds``.  Rejects a NaN bound, an infinite bound on
-    the wrong side (l = +inf or u = -inf) and inconsistent bound pairs
-    (l > u), naming the variable.
+    ``b-c(x) <= 0``.  Rows come in three blocks: the nonlinear
+    ``constraints``; the ``linear_rows`` and, for each fixed variable
+    (``l_j = u_j``, no interior), the same shifted pair, as one constant
+    block ``A x - b``; the other box bounds, declared in ``bounds``.
+    Rejects a linear row without ``n`` finite coefficients and a finite
+    rhs, a NaN bound, an infinite bound on the wrong side (l = +inf or
+    u = -inf) and inconsistent bounds (l > u), naming the row or variable.
     """
     n = source.n
     lower = np.full(n, -np.inf) if source.lower is None else np.asarray(source.lower, float)
@@ -196,68 +211,70 @@ def to_inequality_form(source: SourceProblem) -> tuple[NlpProblem, ProblemTransf
                              f"lower {lower[j]} > upper {upper[j]}")
 
     transform = ProblemTransform()
-    # Constraint rows come first as (sign, SourceConstraint); bound rows
-    # follow as one (row, var, sign, const) block.
     cons_rows: list[tuple[int, SourceConstraint]] = []
-    bounds: list[tuple[int, int, int, float]] = []
-    linear_idx: set[int] = set()
-
     for k, con in enumerate(source.constraints):
-        if con.relation is Relation.LE:
-            signs = (+1,)
-        elif con.relation is Relation.GE:
-            signs = (-1,)
-        else:
-            signs = (+1, -1)
-        for sign in signs:
-            if con.linear:
-                linear_idx.add(len(cons_rows))
+        for sign in _SIGNS[con.relation]:
             cons_rows.append((sign, con))
             transform.rows.append(TransformRow("constraint", k, sign))
 
+    # The A x - b block as (sign, coefficients, rhs) rows.
+    lin: list[tuple[int, np.ndarray, float]] = []
+    for k, row in enumerate(source.linear_rows):
+        c = np.asarray(row.coeffs, float)
+        if c.shape != (n,):
+            raise ValueError(f"malformed linear row {k}: coefficients of shape "
+                             f"{c.shape}, not ({n},)")
+        for sign in _SIGNS[row.relation]:
+            lin.append((sign, c, float(row.rhs)))
+            transform.rows.append(TransformRow("linear", k, sign))
     fixed = np.isfinite(lower) & (lower == upper)
     for j in np.flatnonzero(fixed):
         e_j = np.zeros(n)
         e_j[j] = 1.0
-        con = SourceConstraint(func=lambda x, j=j: x[j], grad=lambda x, e_j=e_j: e_j,
-                               relation=Relation.EQ, rhs=float(lower[j]), linear=True)
         for kind, sign in (("upper", +1), ("lower", -1)):
-            linear_idx.add(len(cons_rows))
-            cons_rows.append((sign, con))
+            lin.append((sign, e_j, float(lower[j])))
             transform.rows.append(TransformRow(kind, int(j), sign))
+    A = np.array([sign * c for sign, c, _ in lin]).reshape(len(lin), n)
+    b = np.array([sign * r for sign, _, r in lin], dtype=float)
+    bad = np.flatnonzero(~(np.isfinite(A).all(axis=1) & np.isfinite(b)))
+    if bad.size:
+        k = transform.rows[len(cons_rows) + bad[0]].source_index
+        raise ValueError(f"malformed linear row {k}: non-finite coefficient or rhs")
 
+    n_cons = len(cons_rows)
+    n_block = n_cons + len(lin)
+    bounds: list[tuple[int, int, int, float]] = []
     for j in range(n):
         for kind, sign, c in (("lower", -1, lower[j]), ("upper", +1, upper[j])):
             if np.isfinite(c) and not fixed[j]:
-                row = len(cons_rows) + len(bounds)
-                bounds.append((row, j, sign, float(c)))
+                bounds.append((n_block + len(bounds), j, sign, float(c)))
                 transform.rows.append(TransformRow(kind, j, sign))
-                linear_idx.add(row)
 
-    n_cons = len(cons_rows)
-    m = n_cons + len(bounds)
-    b_row = np.array([b[0] for b in bounds], dtype=int)
-    b_var = np.array([b[1] for b in bounds], dtype=int)
-    b_sign = np.array([b[2] for b in bounds], dtype=float)
-    b_c = np.array([b[3] for b in bounds], dtype=float)
+    m = n_block + len(bounds)
+    b_row, b_var, b_sign, b_c = np.array(bounds, dtype=float).reshape(-1, 4).T
+    b_row, b_var = b_row.astype(int), b_var.astype(int)
 
     def eval_a(x: np.ndarray) -> np.ndarray:
         out = np.empty(m)
         for i, (sign, con) in enumerate(cons_rows):
             out[i] = sign * (con.func(x) - con.rhs)
+        out[n_cons:n_block] = np.vecdot(A, x) - b
         # lower: c - x_j <= 0;  upper: x_j - c <= 0
-        out[n_cons:] = b_sign * x[b_var] - b_sign * b_c
+        out[n_block:] = b_sign * x[b_var] - b_sign * b_c
         return out
 
     def eval_jac(x: np.ndarray) -> np.ndarray:
         J = np.zeros((m, n))
         for i, (sign, con) in enumerate(cons_rows):
             J[i] = sign * np.asarray(con.grad(x), float)
+        J[n_cons:n_block] = A
         J[b_row, b_var] = b_sign
         return J
 
+    hess_f = source.eval_hess_f
+
     def eval_hess_lag(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        H = np.asarray(source.eval_hess_f(x), float).copy()
+        H = np.asarray(hess_f(x), float).copy()
         for i, (sign, con) in enumerate(cons_rows):
             if con.hess is not None:
                 H += v[i] * sign * np.asarray(con.hess(x), float)
@@ -272,7 +289,7 @@ def to_inequality_form(source: SourceProblem) -> tuple[NlpProblem, ProblemTransf
         eval_jac=eval_jac,
         eval_hess_lag=eval_hess_lag,
         bounds=tuple(bounds),
-        linear_indices=frozenset(linear_idx),
+        linear_indices=frozenset(range(n_cons, m)),
         name=source.name,
     )
     return problem, transform

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import Relation, SourceConstraint, SourceProblem
+from .problem import LinearRow, Relation, SourceProblem
 
 
 class ProblemFileError(ValueError):
@@ -49,13 +49,6 @@ class QuadTerm:
     i: int
     j: int
     value: float
-
-
-@dataclass
-class LinearRow:
-    coeffs: np.ndarray
-    relation: Relation
-    rhs: float
 
 
 @dataclass
@@ -142,6 +135,8 @@ def parse_problem_file(text: str) -> ProblemFile:
         if head == "problem":
             if len(tokens) != 2:
                 raise ProblemFileError("expected: problem NAME", lineno, head_col)
+            if name is not None:
+                raise ProblemFileError("duplicate problem line", lineno, head_col)
             name = tokens[1][0]
             continue
         if head == "vars":
@@ -239,6 +234,9 @@ def parse_problem_file(text: str) -> ProblemFile:
                 raise ProblemFileError(
                     f"start needs {n} values, got {len(tokens)}", lineno, head_col)
             start = np.array([_parse_float(t, lineno, c) for t, c in tokens])
+            for (t, c), v in zip(tokens, start):
+                if not np.isfinite(v):
+                    raise ProblemFileError(f"non-finite start value {t!r}", lineno, c)
 
     if n is None:
         raise ProblemFileError("missing 'vars N' declaration", 1)
@@ -283,7 +281,7 @@ def serialize_problem_file(pf: ProblemFile) -> str:
 
 
 def build_source(pf: ProblemFile) -> SourceProblem:
-    """Instantiate callbacks for the quadratic objective and linear rows."""
+    """Instantiate callbacks for the quadratic objective; rows stay data."""
     n = pf.n
     Q = np.zeros((n, n))
     for term in pf.quad_terms:
@@ -292,23 +290,12 @@ def build_source(pf: ProblemFile) -> SourceProblem:
     c = np.asarray(pf.linear, float)
     k = float(pf.constant)
 
-    constraints = []
-    for row in pf.rows:
-        coeffs = np.asarray(row.coeffs, float)
-        constraints.append(SourceConstraint(
-            func=(lambda x, a=coeffs: float(a @ x)),
-            grad=(lambda x, a=coeffs: a),
-            relation=row.relation,
-            rhs=float(row.rhs),
-            linear=True,
-        ))
-
     return SourceProblem(
         n=n,
         eval_f=lambda x: k + float(c @ x) + 0.5 * float(x @ (Q @ x)),
         eval_grad_f=lambda x: c + Q @ x,
         eval_hess_f=lambda x: Q,
-        constraints=constraints,
+        linear_rows=pf.rows,
         lower=pf.lower.copy(),
         upper=pf.upper.copy(),
         name=pf.name,

@@ -13,6 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .problem import (
+    LinearRow,
     NlpProblem,
     ProblemTransform,
     Relation,
@@ -20,7 +21,7 @@ from .problem import (
     SourceProblem,
     to_inequality_form,
 )
-from .problem_file import LinearRow, ProblemFile, QuadTerm, build_source
+from .problem_file import ProblemFile, QuadTerm, build_source
 
 
 @dataclass
@@ -53,14 +54,8 @@ def _wachter() -> BuiltinProblem:
                 relation=Relation.EQ,
                 rhs=-1.0,
             ),
-            SourceConstraint(
-                func=lambda x: float(x[0] - x[2]),
-                grad=lambda x: np.array([1.0, 0.0, -1.0]),
-                relation=Relation.EQ,
-                rhs=1.0,
-                linear=True,
-            ),
         ],
+        linear_rows=[LinearRow(np.array([1.0, 0.0, -1.0]), Relation.EQ, 1.0)],
         lower=np.array([-np.inf, 0.0, 0.0]),
         upper=np.array([np.inf, np.inf, np.inf]),
         name="wachter",

@@ -22,7 +22,6 @@ from .iterate import (
     BETA2,
     BETA3,
     Iterate,
-    StepRejected,
     check_interior,
     inf_norm,
     make_iterate,
@@ -280,7 +279,7 @@ def _line_search(fs: FactorizedSystem, it: Iterate, problem: NlpProblem,
         try:
             mu_plus, x_plus, a_plus, s_plus = primal_trial(
                 it, direction.dx, direction.gamma, alpha_p, problem)
-        except StepRejected:
+        except EvaluationError:
             alpha_p *= BETA6
             continue
         # Without rows, a trial that zeroes mu must still reach the

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from onephase import (
+    LinearRow,
     Relation,
     SolveStatus,
-    SourceConstraint,
     SourceProblem,
     builtin_registry,
     solve,
@@ -112,22 +112,18 @@ def random_infeasible_box(seed, n):
     row = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
     mid = rng.standard_normal(n)
     level = float(row @ mid)
-    constraints = [
-        SourceConstraint(func=lambda x, r=row: float(r @ x), grad=lambda x, r=row: r,
-                         relation=Relation.LE, rhs=level - 1.0, linear=True),
-        SourceConstraint(func=lambda x, r=row: float(r @ x), grad=lambda x, r=row: r,
-                         relation=Relation.GE, rhs=level + 1.0, linear=True),
-    ]
     extra = rng.uniform(0.5, 2.0, n)
-    constraints.append(SourceConstraint(
-        func=lambda x, r=extra: float(r @ x), grad=lambda x, r=extra: r,
-        relation=Relation.LE, rhs=float(extra @ mid) + 10.0, linear=True))
+    rows = [
+        LinearRow(row, Relation.LE, level - 1.0),
+        LinearRow(row, Relation.GE, level + 1.0),
+        LinearRow(extra, Relation.LE, float(extra @ mid) + 10.0),
+    ]
     source = SourceProblem(
         n=n,
         eval_f=lambda x: 0.5 * float(x @ x),
         eval_grad_f=lambda x: np.asarray(x, float),
         eval_hess_f=lambda x: np.eye(n),
-        constraints=constraints,
+        linear_rows=rows,
         name=f"random-infeasible-{seed}",
     )
     problem, _ = to_inequality_form(source)

@@ -147,6 +147,19 @@ def test_nan_bound_is_parse_error(tmp_path, capsys):
     assert (row["status"], row["exit_code"]) == ("parse-error", str(USAGE_ERROR))
 
 
+def test_nan_coefficient_is_parse_error(tmp_path, capsys):
+    f = tmp_path / "nan-row.nlp"
+    f.write_text("problem r\nvars 2\n\nobjective\nlinear 1.0 1.0\n\n"
+                 "constraints\n1.0 1.0 >= 0.0\n1.0 nan >= 1.0\n")
+    assert run_cli(["solve", str(f)]) == USAGE_ERROR
+    assert "malformed linear row 1" in capsys.readouterr().err
+    summary = tmp_path / "summary.csv"
+    assert run_cli(["batch", str(tmp_path), "--summary", str(summary)]) == 4
+    with open(summary, newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert (row["status"], row["exit_code"]) == ("parse-error", str(USAGE_ERROR))
+
+
 @pytest.mark.parametrize("bounds", ["0 inf inf", "0 -inf -inf"])
 def test_wrong_side_infinite_bound_is_parse_error(tmp_path, capsys, bounds):
     f = tmp_path / "wrong-side.nlp"
@@ -249,6 +262,17 @@ def test_console_script_entry_point():
     # The script's exit status is run_cli's code, not a bare 0.
     bad = _run_declared_script("--no-such-flag")
     assert bad.returncode == USAGE_ERROR, bad.stderr
+
+
+def test_module_entry_point():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-m", "onephase.cli", "--list"], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    for name in builtin_registry():
+        assert name in out.stdout, out.stderr
 
 
 @pytest.mark.skipif(

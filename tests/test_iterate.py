@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from onephase import SolverOptions, iterate, linalg, solver, steps
+from onephase import EvaluationError, SolverOptions, iterate, linalg, solver, steps
 from onephase.iterate import (
-    StepRejected,
     aggressive_criterion,
     check_interior,
     gamma_far,
@@ -75,8 +74,9 @@ class TestUpdateIterate:
         p = self.problem()
         p.eval_a = lambda x: np.array([np.nan])
         cur = raw_iterate(1.0, [0.0], [1.0], [1.0], [1.0], jac=[[1.0]])
-        with pytest.raises(StepRejected):
+        with pytest.raises(EvaluationError) as err:
             primal_trial(cur, np.array([0.5]), 1.0, 1.0, p)
+        assert err.value.what == "a"
 
 
 class TestSolverOptionDefaults:

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from onephase import (
     EvaluationError,
+    LinearRow,
     NlpProblem,
     Relation,
     SourceConstraint,
@@ -81,13 +82,14 @@ class TestModifiedLagrangianGradient:
         assert err.value.index == 0
 
 
-def quadratic_source(n, lower=None, upper=None, constraints=()):
+def quadratic_source(n, lower=None, upper=None, constraints=(), linear_rows=()):
     return SourceProblem(
         n=n,
         eval_f=lambda x: 0.5 * float(x @ x),
         eval_grad_f=lambda x: np.asarray(x, float),
         eval_hess_f=lambda x: np.eye(n),
         constraints=list(constraints),
+        linear_rows=list(linear_rows),
         lower=lower,
         upper=upper,
     )
@@ -95,9 +97,8 @@ def quadratic_source(n, lower=None, upper=None, constraints=()):
 
 class TestToInequalityForm:
     def test_equality_splits_into_two_rows(self):
-        con = SourceConstraint(func=lambda x: float(x[0]), grad=lambda x: np.array([1.0]),
-                               relation=Relation.EQ, rhs=3.0, linear=True)
-        problem, transform = to_inequality_form(quadratic_source(1, constraints=[con]))
+        row = LinearRow(np.array([1.0]), Relation.EQ, 3.0)
+        problem, transform = to_inequality_form(quadratic_source(1, linear_rows=[row]))
         assert problem.m == 2
         x = np.array([5.0])
         assert_allclose(problem.a(x), [2.0, -2.0])  # x-3 <= 0 and 3-x <= 0
@@ -145,17 +146,16 @@ class TestToInequalityForm:
             to_inequality_form(quadratic_source(2, lower=lower, upper=upper))
 
     def test_fixed_variable_becomes_shifted_pair_before_bound_rows(self):
-        # x0 + x1 <= 4, x0 fixed at 1, x1 >= 0.5: rows are the constraint,
+        # x0 + x1 <= 4, x0 fixed at 1, x1 >= 0.5: rows are the linear row,
         # then x0 - 1 <= 0 and 1 - x0 <= 0, then the declared 0.5 - x1 <= 0.
-        con = SourceConstraint(func=lambda x: float(x.sum()), grad=lambda x: np.ones(2),
-                               relation=Relation.LE, rhs=4.0, linear=True)
+        row = LinearRow(np.ones(2), Relation.LE, 4.0)
         problem, transform = to_inequality_form(quadratic_source(
             2, lower=np.array([1.0, 0.5]), upper=np.array([1.0, np.inf]),
-            constraints=[con]))
+            linear_rows=[row]))
         assert problem.bounds == ((3, 1, -1, 0.5),)
         assert problem.linear_indices == {0, 1, 2, 3}
         assert [(r.source_kind, r.source_index, r.sign) for r in transform.rows] == [
-            ("constraint", 0, 1), ("upper", 0, 1), ("lower", 0, -1), ("lower", 1, -1)]
+            ("linear", 0, 1), ("upper", 0, 1), ("lower", 0, -1), ("lower", 1, -1)]
         x = np.array([3.0, 2.0])
         assert_allclose(problem.a(x), [1.0, 2.0, -2.0, -1.5])
         assert_allclose(problem.jac(x), [[1, 1], [1, 0], [-1, 0], [0, -1]])
@@ -163,18 +163,67 @@ class TestToInequalityForm:
         assert result.status is SolveStatus.OPTIMAL
         assert_allclose(result.x, [1.0, 0.5], atol=1e-5)
 
+    def test_nonlinear_rows_come_before_the_linear_block(self):
+        # x0^2 >= 2 is row 0; x0 + x1 == 1 splits into rows 1 and 2.
+        con = SourceConstraint(func=lambda x: float(x[0] ** 2),
+                               grad=lambda x: np.array([2.0 * x[0], 0.0]),
+                               hess=lambda x: np.diag([2.0, 0.0]), relation=Relation.GE, rhs=2.0)
+        row = LinearRow(np.ones(2), Relation.EQ, 1.0)
+        problem, transform = to_inequality_form(quadratic_source(
+            2, lower=np.array([0.0, -np.inf]), constraints=[con], linear_rows=[row]))
+        assert [(r.source_kind, r.source_index, r.sign) for r in transform.rows] == [
+            ("constraint", 0, -1), ("linear", 0, 1), ("linear", 0, -1), ("lower", 0, -1)]
+        assert problem.linear_indices == {1, 2, 3}
+        assert problem.bounds == ((3, 0, -1, 0.0),)
+        x = np.array([3.0, 0.5])
+        assert_allclose(problem.a(x), [-7.0, 2.5, -2.5, -3.0])
+        assert_allclose(problem.jac(x), [[-6, 0], [1, 1], [-1, -1], [-1, 0]])
+
+    @pytest.mark.parametrize("relation", list(Relation), ids=lambda r: r.name)
+    def test_linear_block_matches_per_row_dots_bit_for_bit(self, relation):
+        # The block evaluates a(x) as np.vecdot(A, x) - b.  Each row of
+        # np.vecdot rounds as the per-row dot coeffs @ x does, so a(x)
+        # is bit-identical to the per-row closures it replaced and the
+        # solver's iterates do not move; A @ x (BLAS gemv) sums in
+        # another order and would change them.
+        rng = np.random.default_rng(12)
+        n = 128
+        rows = [LinearRow(rng.standard_normal(n), relation, float(rng.standard_normal()))
+                for _ in range(6)]
+        problem, transform = to_inequality_form(quadratic_source(n, linear_rows=rows))
+        picked = [(t.sign, rows[t.source_index]) for t in transform.rows]
+        for _ in range(50):
+            x = rng.standard_normal(n)
+            per_row = [sign * (float(r.coeffs @ x) - r.rhs) for sign, r in picked]
+            assert np.array_equal(problem.a(x), per_row)
+        # The Jacobian is a fresh copy of A: a caller may write into it.
+        expected = np.array([sign * r.coeffs for sign, r in picked])
+        J = problem.jac(x)
+        J[:] = 0.0
+        assert np.array_equal(problem.jac(x), expected)
+
+    @pytest.mark.parametrize("coeffs, rhs", [
+        (np.ones(3), 1.0),
+        (np.array([1.0, np.nan]), 1.0),
+        (np.array([np.inf, 1.0]), 1.0),
+        (np.ones(2), np.nan),
+        (np.ones(2), -np.inf),
+    ], ids=["wrong-shape", "nan-coeff", "inf-coeff", "nan-rhs", "inf-rhs"])
+    def test_malformed_linear_row_rejected_with_index(self, coeffs, rhs):
+        rows = [LinearRow(np.ones(2), Relation.LE, 1.0), LinearRow(coeffs, Relation.GE, rhs)]
+        with pytest.raises(ValueError, match="malformed linear row 1"):
+            to_inequality_form(quadratic_source(2, linear_rows=rows))
+
     def test_transform_is_bijection(self):
         for entry in builtin_registry().values():
             problem, transform = entry.build()
             assert transform.m == problem.m
 
     def test_feasible_point_maps_nonpositive(self):
-        con = SourceConstraint(func=lambda x: float(x.sum()), grad=lambda x: np.ones(2),
-                               relation=Relation.LE, rhs=4.0, linear=True)
-        eq = SourceConstraint(func=lambda x: float(x[0] - x[1]), grad=lambda x: np.array([1.0, -1.0]),
-                              relation=Relation.EQ, rhs=0.0, linear=True)
+        rows = [LinearRow(np.ones(2), Relation.LE, 4.0),
+                LinearRow(np.array([1.0, -1.0]), Relation.EQ, 0.0)]
         problem, _ = to_inequality_form(quadratic_source(
-            2, lower=np.zeros(2), upper=np.full(2, 3.0), constraints=[con, eq]))
+            2, lower=np.zeros(2), upper=np.full(2, 3.0), linear_rows=rows))
         feasible = np.array([1.5, 1.5])
         assert np.all(problem.a(feasible) <= 1e-12)
 

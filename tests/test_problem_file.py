@@ -132,6 +132,19 @@ class TestParseErrors:
             parse_problem_file(text)
         assert (err.value.line, err.value.column) == (7, 1)
 
+    def test_second_problem_line(self):
+        text = "problem a\nvars 1\nproblem b\n"
+        with pytest.raises(ProblemFileError, match="duplicate problem") as err:
+            parse_problem_file(text)
+        assert (err.value.line, err.value.column) == (3, 1)
+
+    def test_non_finite_start_entry(self):
+        # the start point is data like the bounds: reject it at its column
+        text = "problem p\nvars 3\n\nstart\n1.0  nan 2.0\n"
+        with pytest.raises(ProblemFileError, match="non-finite start value 'nan'") as err:
+            parse_problem_file(text)
+        assert (err.value.line, err.value.column) == (5, 6)
+
     def test_wrong_start_length(self):
         text = "problem p\nvars 2\n\nstart\n1.0\n"
         with pytest.raises(ProblemFileError, match="start needs 2"):

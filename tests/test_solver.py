@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 import onephase.solver as solver_module
 from onephase import (
     EvaluationError,
+    LinearRow,
     NlpProblem,
     Relation,
     SolveStatus,
@@ -41,9 +42,7 @@ def lp_min_x_ge_1():
         eval_f=lambda x: float(x[0]),
         eval_grad_f=lambda x: np.array([1.0]),
         eval_hess_f=lambda x: np.zeros((1, 1)),
-        constraints=[SourceConstraint(
-            func=lambda x: float(x[0]), grad=lambda x: np.array([1.0]),
-            relation=Relation.GE, rhs=1.0, linear=True)],
+        linear_rows=[LinearRow(np.array([1.0]), Relation.GE, 1.0)],
         name="lp-1d",
     )
     problem, _ = to_inequality_form(source)
