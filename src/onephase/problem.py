@@ -74,17 +74,20 @@ class NlpProblem:
             raise ValueError("problem needs at least one variable")
         if self.m < 0:
             raise ValueError("negative constraint count")
-        rows = set()
-        for row, var, sign, c in self.bounds:
+        row, var, sign, c = np.array(self.bounds, dtype=float).reshape(-1, 4).T
+        repeated = np.ones(row.size, dtype=bool)
+        repeated[np.unique(row, return_index=True)[1]] = False
+        bad = repeated | ~((0 <= row) & (row < self.m) & (0 <= var) & (var < self.n)
+                           & (np.abs(sign) == 1) & np.isfinite(c))
+        for k in np.flatnonzero(bad)[:1]:  # the first faulty entry, in the text of its fault
+            row, var, sign, c = self.bounds[k]
             if not (0 <= row < self.m and 0 <= var < self.n):
                 raise ValueError(f"bound row {row} or variable {var} out of range")
             if sign not in (-1, 1):
                 raise ValueError(f"bound row {row} has sign {sign}, not +-1")
             if not np.isfinite(c):
                 raise ValueError(f"bound row {row} has non-finite constant {c}")
-            if row in rows:
-                raise ValueError(f"bound row {row} declared twice")
-            rows.add(row)
+            raise ValueError(f"bound row {row} declared twice")
         if not self.linear_indices <= set(range(self.m)):
             raise ValueError("linear_indices outside {0..m-1}")
 
@@ -199,16 +202,17 @@ def to_inequality_form(source: SourceProblem) -> tuple[NlpProblem, ProblemTransf
     upper = np.full(n, np.inf) if source.upper is None else np.asarray(source.upper, float)
     if lower.shape != (n,) or upper.shape != (n,):
         raise ValueError("bound arrays must have length n")
-    for j in range(n):
+    bad = (np.isnan(lower) | np.isnan(upper) | (lower == np.inf) | (upper == -np.inf)
+           | (lower > upper))
+    for j in np.flatnonzero(bad)[:1]:  # the first faulty variable, in the text of its fault
         if np.isnan(lower[j]) or np.isnan(upper[j]):
             raise ValueError(f"NaN bound for variable {j}: "
                              f"lower {lower[j]}, upper {upper[j]}")
         if lower[j] == np.inf or upper[j] == -np.inf:
             raise ValueError(f"infinite bound on the wrong side for variable {j}: "
                              f"lower {lower[j]}, upper {upper[j]}")
-        if lower[j] > upper[j]:
-            raise ValueError(f"inconsistent bounds for variable {j}: "
-                             f"lower {lower[j]} > upper {upper[j]}")
+        raise ValueError(f"inconsistent bounds for variable {j}: "
+                         f"lower {lower[j]} > upper {upper[j]}")
 
     transform = ProblemTransform()
     cons_rows: list[tuple[int, SourceConstraint]] = []
@@ -243,16 +247,15 @@ def to_inequality_form(source: SourceProblem) -> tuple[NlpProblem, ProblemTransf
 
     n_cons = len(cons_rows)
     n_block = n_cons + len(lin)
-    bounds: list[tuple[int, int, int, float]] = []
-    for j in range(n):
-        for kind, sign, c in (("lower", -1, lower[j]), ("upper", +1, upper[j])):
-            if np.isfinite(c) and not fixed[j]:
-                bounds.append((n_block + len(bounds), j, sign, float(c)))
-                transform.rows.append(TransformRow(kind, j, sign))
-
-    m = n_block + len(bounds)
-    b_row, b_var, b_sign, b_c = np.array(bounds, dtype=float).reshape(-1, 4).T
-    b_row, b_var = b_row.astype(int), b_var.astype(int)
+    # Box rows, variable-major with lower (sign -1) before upper (sign +1).
+    box = np.column_stack([lower, upper])
+    b_var, b_side = np.divmod(np.flatnonzero(np.isfinite(box) & ~fixed[:, None]), 2)
+    b_sign, b_c = 2.0 * b_side - 1.0, box[b_var, b_side]  # float signs: no casts in eval_a
+    m = n_block + b_var.size
+    b_row = np.arange(n_block, m)
+    bounds = tuple(zip(b_row.tolist(), b_var.tolist(), (2 * b_side - 1).tolist(), b_c.tolist()))
+    transform.rows += [TransformRow("upper" if sign > 0 else "lower", j, sign)
+                       for _, j, sign, _ in bounds]
 
     def eval_a(x: np.ndarray) -> np.ndarray:
         out = np.empty(m)
@@ -288,7 +291,7 @@ def to_inequality_form(source: SourceProblem) -> tuple[NlpProblem, ProblemTransf
         eval_a=eval_a,
         eval_jac=eval_jac,
         eval_hess_lag=eval_hess_lag,
-        bounds=tuple(bounds),
+        bounds=bounds,
         linear_indices=frozenset(range(n_cons, m)),
         name=source.name,
     )

@@ -30,6 +30,7 @@ carries a 1-based line and column.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,21 +78,13 @@ class ProblemFile:
         return serialize_problem_file(self) == serialize_problem_file(other)
 
 
+_TOKEN = re.compile(r"[^\s#]+")  # \s is exactly str.isspace() on every code point
+
+
 def _tokenize(line: str) -> list[tuple[str, int]]:
     """Split a line into (token, 1-based column) pairs; '#' starts a comment."""
-    tokens = []
-    i = 0
-    while i < len(line):
-        if line[i] == "#":
-            break
-        if line[i].isspace():
-            i += 1
-            continue
-        start = i
-        while i < len(line) and not line[i].isspace() and line[i] != "#":
-            i += 1
-        tokens.append((line[start:i], start + 1))
-    return tokens
+    return [(m.group(), m.start() + 1)
+            for m in _TOKEN.finditer(line.partition("#")[0])]
 
 
 def _parse_float(token: str, lineno: int, col: int) -> float:
@@ -99,6 +92,14 @@ def _parse_float(token: str, lineno: int, col: int) -> float:
         return float(token)
     except ValueError:
         raise ProblemFileError(f"malformed number {token!r}", lineno, col) from None
+
+
+def _parse_finite(tokens: list[tuple[str, int]], lineno: int, what: str) -> np.ndarray:
+    """Every token as a number; the first non-finite one is an error at its column."""
+    values = np.array([_parse_float(t, lineno, c) for t, c in tokens])
+    for k in np.flatnonzero(~np.isfinite(values))[:1]:
+        raise ProblemFileError(f"non-finite {what} value {tokens[k][0]!r}", lineno, tokens[k][1])
+    return values
 
 
 def _parse_int(token: str, lineno: int, col: int) -> int:
@@ -162,9 +163,6 @@ def parse_problem_file(text: str) -> ProblemFile:
 
         if section is None:
             raise ProblemFileError(f"unknown directive {head!r}", lineno, head_col)
-        if n is None:
-            raise ProblemFileError("vars must be declared before data lines",
-                                   lineno, head_col)
 
         if section == "objective":
             if head == "constant":
@@ -172,7 +170,7 @@ def parse_problem_file(text: str) -> ProblemFile:
                     raise ProblemFileError("duplicate constant line", lineno, head_col)
                 if len(tokens) != 2:
                     raise ProblemFileError("expected: constant VALUE", lineno, head_col)
-                constant = _parse_float(tokens[1][0], lineno, tokens[1][1])
+                constant = float(_parse_finite(tokens[1:], lineno, "constant")[0])
             elif head == "linear":
                 if linear is not None:
                     raise ProblemFileError("duplicate linear line", lineno, head_col)
@@ -180,13 +178,13 @@ def parse_problem_file(text: str) -> ProblemFile:
                     raise ProblemFileError(
                         f"linear needs {n} coefficients, got {len(tokens) - 1}",
                         lineno, head_col)
-                linear = np.array([_parse_float(t, lineno, c) for t, c in tokens[1:]])
+                linear = _parse_finite(tokens[1:], lineno, "linear")
             elif head == "quad":
                 if len(tokens) != 4:
                     raise ProblemFileError("expected: quad I J VALUE", lineno, head_col)
                 i = _parse_int(tokens[1][0], lineno, tokens[1][1])
                 j = _parse_int(tokens[2][0], lineno, tokens[2][1])
-                v = _parse_float(tokens[3][0], lineno, tokens[3][1])
+                v = float(_parse_finite(tokens[3:], lineno, "quad")[0])
                 if not (0 <= i < n and 0 <= j < n):
                     raise ProblemFileError(
                         f"quad index ({i}, {j}) outside 0..{n - 1}", lineno, head_col)
@@ -233,10 +231,7 @@ def parse_problem_file(text: str) -> ProblemFile:
             if len(tokens) != n:
                 raise ProblemFileError(
                     f"start needs {n} values, got {len(tokens)}", lineno, head_col)
-            start = np.array([_parse_float(t, lineno, c) for t, c in tokens])
-            for (t, c), v in zip(tokens, start):
-                if not np.isfinite(v):
-                    raise ProblemFileError(f"non-finite start value {t!r}", lineno, c)
+            start = _parse_finite(tokens, lineno, "start")
 
     if n is None:
         raise ProblemFileError("missing 'vars N' declaration", 1)
@@ -254,7 +249,10 @@ def parse_problem_file(text: str) -> ProblemFile:
 
 
 def serialize_problem_file(pf: ProblemFile) -> str:
-    """Canonical text form; parsing it reproduces ``pf`` bit-identically."""
+    """Canonical text form; parsing it reproduces ``pf`` bit-identically.
+    A name that is not one token (empty, whitespace, ``#``) is a ``ValueError``."""
+    if _tokenize(pf.name) != [(pf.name, 1)]:
+        raise ValueError(f"problem name {pf.name!r} is not one token")
     out = [f"problem {pf.name}", f"vars {pf.n}", "", "objective",
            f"constant {float(pf.constant)!r}",
            "linear " + " ".join(repr(float(v)) for v in pf.linear)]
@@ -266,9 +264,8 @@ def serialize_problem_file(pf: ProblemFile) -> str:
         for row in pf.rows:
             coeffs = " ".join(repr(float(v)) for v in row.coeffs)
             out.append(f"{coeffs} {row.relation.value} {float(row.rhs)!r}")
-    bounded = [j for j in range(pf.n)
-               if np.isfinite(pf.lower[j]) or np.isfinite(pf.upper[j])]
-    if bounded:
+    bounded = np.flatnonzero(np.isfinite(pf.lower) | np.isfinite(pf.upper))
+    if bounded.size:
         out.append("")
         out.append("bounds")
         for j in bounded:

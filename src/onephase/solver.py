@@ -202,27 +202,24 @@ def _project_onto_bounds(x: np.ndarray, bounds, kappa: float = 1e-2) -> np.ndarr
     side, so one-sided bounds get a fixed push and tight boxes remain
     ordered.
     """
-    n = x.shape[0]
-    lower = np.full(n, -np.inf)
-    upper = np.full(n, np.inf)
-    for _row, j, sign, c in bounds:
-        if sign > 0:   # x_j - c <= 0
-            upper[j] = min(upper[j], c)
-        else:          # c - x_j <= 0
-            lower[j] = max(lower[j], c)
-    out = np.array(x, float)
-    for j in range(n):
-        lo, hi = lower[j], upper[j]
-        if np.isfinite(lo) and np.isfinite(hi):
-            width = hi - lo
-            pad_lo = min(kappa * max(1.0, abs(lo)), kappa * width)
-            pad_hi = min(kappa * max(1.0, abs(hi)), kappa * width)
-            out[j] = min(max(out[j], lo + pad_lo), hi - pad_hi)
-        elif np.isfinite(lo):
-            out[j] = max(out[j], lo + kappa * max(1.0, abs(lo)))
-        elif np.isfinite(hi):
-            out[j] = min(out[j], hi - kappa * max(1.0, abs(hi)))
-    return out
+    lower = np.full(x.shape[0], -np.inf)
+    upper = np.full(x.shape[0], np.inf)
+    _, var, sign, c = np.array(bounds, dtype=float).reshape(-1, 4).T
+    # Each side keeps its tightest bound and, of equal ones, the first (so the
+    # sign of a zero), as min/max do: a stable sort by variable, then tightness.
+    for side, rows, key in ((upper, sign > 0, c), (lower, sign <= 0, -c)):
+        order = np.flatnonzero(rows)[np.lexsort((key[rows], var[rows]))]
+        j, first = np.unique(var[order], return_index=True)
+        side[j.astype(int)] = c[order[first]]
+    # A missing side's pad is inf, so its target inf - inf is NaN, which the
+    # strict comparisons below skip; on a tie they keep x, as max/min do.
+    with np.errstate(invalid="ignore", over="ignore"):
+        width = upper - lower
+        pad_lo = np.minimum(kappa * np.maximum(1.0, np.abs(lower)), kappa * width)
+        pad_hi = np.minimum(kappa * np.maximum(1.0, np.abs(upper)), kappa * width)
+        lo, hi = lower + pad_lo, upper - pad_hi
+    x = np.where(lo > x, lo, x)
+    return np.where(hi < x, hi, x)
 
 
 def initial_slack_shift(s_raw: np.ndarray) -> np.ndarray:

@@ -160,6 +160,20 @@ def test_nan_coefficient_is_parse_error(tmp_path, capsys):
     assert (row["status"], row["exit_code"]) == ("parse-error", str(USAGE_ERROR))
 
 
+@pytest.mark.parametrize("line", ["constant 1e309", "linear nan 1.0", "quad 0 0 inf"])
+def test_non_finite_objective_is_parse_error(tmp_path, capsys, line):
+    # These parsed and then ended evaluation-error (exit 4) after 0 iterations.
+    f = tmp_path / "nan-objective.nlp"
+    f.write_text(f"problem o\nvars 2\n\nobjective\n{line}\n")
+    assert run_cli(["solve", str(f)]) == USAGE_ERROR
+    assert f"non-finite {line.split()[0]} value" in capsys.readouterr().err
+    summary = tmp_path / "summary.csv"
+    assert run_cli(["batch", str(tmp_path), "--summary", str(summary)]) == 4
+    with open(summary, newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert (row["status"], row["exit_code"]) == ("parse-error", str(USAGE_ERROR))
+
+
 @pytest.mark.parametrize("bounds", ["0 inf inf", "0 -inf -inf"])
 def test_wrong_side_infinite_bound_is_parse_error(tmp_path, capsys, bounds):
     f = tmp_path / "wrong-side.nlp"

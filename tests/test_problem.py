@@ -95,6 +95,112 @@ def quadratic_source(n, lower=None, upper=None, constraints=(), linear_rows=()):
     )
 
 
+def _bound_checks_loop(lower, upper):
+    """The per-variable bound checks ``to_inequality_form`` replaced, kept as
+    their reference."""
+    for j in range(len(lower)):
+        if np.isnan(lower[j]) or np.isnan(upper[j]):
+            raise ValueError(f"NaN bound for variable {j}: "
+                             f"lower {lower[j]}, upper {upper[j]}")
+        if lower[j] == np.inf or upper[j] == -np.inf:
+            raise ValueError(f"infinite bound on the wrong side for variable {j}: "
+                             f"lower {lower[j]}, upper {upper[j]}")
+        if lower[j] > upper[j]:
+            raise ValueError(f"inconsistent bounds for variable {j}: "
+                             f"lower {lower[j]} > upper {upper[j]}")
+
+
+def _bound_rows_loop(lower, upper, n_block):
+    """The per-variable loop that made ``to_inequality_form``'s bound rows, kept
+    as its reference: the declared bounds and their (kind, variable, sign)."""
+    fixed = np.isfinite(lower) & (lower == upper)
+    bounds, rows = [], []
+    for j in range(len(lower)):
+        for kind, sign, c in (("lower", -1, lower[j]), ("upper", +1, upper[j])):
+            if np.isfinite(c) and not fixed[j]:
+                bounds.append((n_block + len(bounds), j, sign, float(c)))
+                rows.append((kind, j, sign))
+    return tuple(bounds), rows
+
+
+VALID_BOXES = ("free", "lower", "upper", "box", "tight", "fixed")
+FAULTY_BOXES = ("nan", "wrong-side", "crossed")
+
+
+def _random_bound_arrays(rng):
+    """``lower``/``upper`` arrays mixing free, one-sided, two-sided, tight and
+    fixed variables with signed zeros and magnitudes of 1e300; a share of the
+    variables (none, some or most) carries a NaN, wrong-side infinite or
+    crossed bound, so some inputs have several faults."""
+    n = int(rng.integers(1, 8))
+    fault_share = rng.choice([0.0, 0.1, 0.5])
+    special = [0.0, -0.0, 1.0, -1.0, 1e300, -1e300]
+    lower, upper, kinds = np.full(n, -np.inf), np.full(n, np.inf), []
+    for j in range(n):
+        lo = (float(rng.choice(special)) if rng.random() < 0.3
+              else float(rng.standard_normal() * 10.0 ** rng.uniform(-3, 3)))
+        hi = lo + abs(float(rng.standard_normal())) + 1e-3
+        pool = FAULTY_BOXES if rng.random() < fault_share else VALID_BOXES
+        kind = pool[int(rng.integers(0, len(pool)))]
+        if kind in ("lower", "box", "tight", "fixed", "crossed"):
+            lower[j] = lo
+        if kind in ("upper", "box"):
+            upper[j] = hi
+        upper[j] = {"tight": lo + 1e-12 * max(1.0, abs(lo)), "fixed": lo,
+                    "crossed": lo - 1.0}.get(kind, upper[j])
+        if kind == "nan":
+            (lower if rng.random() < 0.5 else upper)[j] = np.nan
+        if kind == "wrong-side":
+            if rng.random() < 0.5:
+                lower[j] = np.inf
+            else:
+                upper[j] = -np.inf
+        kinds.append(kind)
+    return lower, upper, kinds
+
+
+class TestBoundLoweringMatchesLoop:
+    def test_random_cases_identical(self):
+        rng = np.random.default_rng(41)
+        seen = dict.fromkeys(VALID_BOXES + FAULTY_BOXES, 0) | {"accepted": 0,
+                                                                "multi-fault": 0}
+        for _ in range(3000):
+            lower, upper, kinds = _random_bound_arrays(rng)
+            n = lower.size
+            rows = [LinearRow(np.ones(n), Relation.LE, 1.0)] * int(rng.integers(0, 2))
+            source = quadratic_source(n, lower=lower.copy(), upper=upper.copy(),
+                                      linear_rows=rows)
+            try:
+                _bound_checks_loop(lower, upper)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as err:
+                    to_inequality_form(source)
+                assert str(err.value) == str(exc)
+                seen["multi-fault"] += sum(k in FAULTY_BOXES for k in kinds) > 1
+            else:
+                problem, transform = to_inequality_form(source)
+                n_block = len(rows) + 2 * int(np.sum(np.isfinite(lower) & (lower == upper)))
+                want, want_rows = _bound_rows_loop(lower, upper, n_block)
+                # repr tells 0.0 from -0.0 and a Python int from a numpy one
+                assert repr(problem.bounds) == repr(want)
+                got_rows = [(r.source_kind, r.source_index, r.sign)
+                            for r in transform.rows[n_block:]]
+                assert repr(got_rows) == repr(want_rows)
+                # the closures match the old float-array gather bit for bit
+                b_row, b_var, b_sign, b_c = np.array(want, dtype=float).reshape(-1, 4).T
+                b_var = b_var.astype(int)
+                x = rng.standard_normal(n)
+                assert (problem.a(x)[n_block:].tobytes()
+                        == (b_sign * x[b_var] - b_sign * b_c).tobytes())
+                J = np.zeros((problem.m, n))
+                J[b_row.astype(int), b_var] = b_sign
+                assert problem.jac(x)[n_block:].tobytes() == J[n_block:].tobytes()
+                seen["accepted"] += 1
+            for kind in kinds:
+                seen[kind] += 1
+        assert min(seen.values()) > 100, seen
+
+
 class TestToInequalityForm:
     def test_equality_splits_into_two_rows(self):
         row = LinearRow(np.array([1.0]), Relation.EQ, 3.0)
@@ -280,6 +386,57 @@ class TestDeclaredBounds:
     def test_invalid_bounds_rejected(self, bounds, match):
         with pytest.raises(ValueError, match=match):
             replace(self.box(), bounds=bounds)
+
+
+def _declared_bounds_loop(bounds, m, n):
+    """The per-entry checks ``NlpProblem.__post_init__`` replaced, kept as
+    their reference."""
+    rows = set()
+    for row, var, sign, c in bounds:
+        if not (0 <= row < m and 0 <= var < n):
+            raise ValueError(f"bound row {row} or variable {var} out of range")
+        if sign not in (-1, 1):
+            raise ValueError(f"bound row {row} has sign {sign}, not +-1")
+        if not np.isfinite(c):
+            raise ValueError(f"bound row {row} has non-finite constant {c}")
+        if row in rows:
+            raise ValueError(f"bound row {row} declared twice")
+        rows.add(row)
+
+
+class TestDeclaredBoundsMatchLoop:
+    def test_random_tables_identical(self):
+        # Small m makes repeated rows common; rows, variables, signs and
+        # constants are each out of their range in a share of the entries.
+        rng = np.random.default_rng(43)
+        seen = {"accepted": 0, "out of range": 0, "sign": 0, "non-finite": 0,
+                "declared twice": 0}
+        for _ in range(3000):
+            m, n = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+            bounds = []
+            for _ in range(int(rng.integers(0, 6))):
+                bad = rng.random(4) < 0.06
+                row = int(rng.integers(-2, 0) if bad[0] else rng.integers(0, m + bad[1]))
+                var = int(rng.integers(n, n + 2) if bad[2] else rng.integers(0, n))
+                signs = [0, 2, -2, 0.5] if bad[3] else [-1, 1, -1.0, 1.0]
+                sign = signs[int(rng.integers(0, 4))]
+                c = rng.choice([np.nan, np.inf, -np.inf, 1e300, -0.0, 1.5],
+                               p=[0.04, 0.03, 0.03, 0.2, 0.2, 0.5])
+                bounds.append((row, var, sign, float(c)))
+            bounds = tuple(bounds)
+            try:
+                _declared_bounds_loop(bounds, m, n)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as err:
+                    NlpProblem(n=n, m=m, eval_f=None, eval_grad_f=None, eval_a=None,
+                               eval_jac=None, eval_hess_lag=None, bounds=bounds)
+                assert str(err.value) == str(exc)
+                seen[next(key for key in seen if key in str(exc))] += 1
+            else:
+                NlpProblem(n=n, m=m, eval_f=None, eval_grad_f=None, eval_a=None,
+                           eval_jac=None, eval_hess_lag=None, bounds=bounds)
+                seen["accepted"] += 1
+        assert min(seen.values()) > 100, seen
 
 
 class TestCheckDerivatives:

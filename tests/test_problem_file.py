@@ -13,7 +13,7 @@ from onephase import (
     solve,
     to_inequality_form,
 )
-from onephase.problem_file import default_start
+from onephase.problem_file import _tokenize, default_start
 
 MINIMAL_LP = """\
 problem tiny
@@ -84,6 +84,46 @@ start
         assert len(problem.bounds) == 2
 
 
+def _tokenize_loop(line):
+    """The character loop ``_tokenize`` replaced, kept as its reference."""
+    tokens = []
+    i = 0
+    while i < len(line):
+        if line[i] == "#":
+            break
+        if line[i].isspace():
+            i += 1
+            continue
+        start = i
+        while i < len(line) and not line[i].isspace() and line[i] != "#":
+            i += 1
+        tokens.append((line[start:i], start + 1))
+    return tokens
+
+
+class TestTokenizeMatchesLoop:
+    # ASCII and Unicode whitespace (\x1c is a file separator, \u00a0 a
+    # no-break space, \u200b a zero-width space that is not whitespace),
+    # '#' inside and between tokens, and non-ASCII token characters.
+    ALPHABET = ["a", "1", ".", "-", "e", "\u00e9", "#", " ", "  ", "\t", "\x0b", "\x0c",
+                "\r", "\x1c", "\x1f", "\u00a0", "\u2003", "\u3000", "\u200b", "\x85"]
+
+    def test_random_lines_identical(self):
+        rng = np.random.default_rng(53)
+        seen = dict.fromkeys(self.ALPHABET, 0)
+        for _ in range(3000):
+            picks = rng.integers(0, len(self.ALPHABET), int(rng.integers(0, 30)))
+            line = "".join(self.ALPHABET[k] for k in picks)
+            assert _tokenize(line) == _tokenize_loop(line), repr(line)
+            for k in set(picks.tolist()):
+                seen[self.ALPHABET[k]] += 1
+        assert min(seen.values()) > 1000, seen
+
+    def test_columns_count_code_points(self):
+        assert _tokenize("\u00a0x#y z\tw") == [("x", 2)]
+        assert _tokenize("\x1cab\u2003c#") == [("ab", 2), ("c", 5)]
+
+
 class TestParseErrors:
     def test_malformed_number_carries_location(self):
         text = MINIMAL_LP.replace("1.0 >= 1.0", "1.x >= 1.0")
@@ -145,6 +185,17 @@ class TestParseErrors:
             parse_problem_file(text)
         assert (err.value.line, err.value.column) == (5, 6)
 
+    @pytest.mark.parametrize("line, column", [
+        ("constant 1e309", 10), ("linear 1.0 nan", 12), ("quad 0 1 -inf", 10),
+    ], ids=["constant", "linear", "quad"])
+    def test_non_finite_objective_value(self, line, column):
+        text = f"problem p\nvars 2\n\nobjective\n{line}\n"
+        head, token = line.split()[0], line.split()[-1]
+        with pytest.raises(ProblemFileError,
+                           match=f"non-finite {head} value '{token}'") as err:
+            parse_problem_file(text)
+        assert (err.value.line, err.value.column) == (5, column)
+
     def test_wrong_start_length(self):
         text = "problem p\nvars 2\n\nstart\n1.0\n"
         with pytest.raises(ProblemFileError, match="start needs 2"):
@@ -161,6 +212,19 @@ class TestRoundTrip:
             reparsed = parse_problem_file(text)
             assert reparsed == entry.file_data, entry.name
             assert serialize_problem_file(reparsed) == text, entry.name
+
+    @pytest.mark.parametrize("name", ["", "two words", "a#b", "tab\tname", "nb\u00a0sp"])
+    def test_name_that_is_not_one_token_rejected(self, name):
+        # "a#b" would read back as "a" and "two words" would not parse.
+        pf = parse_problem_file(MINIMAL_LP)
+        pf.name = name
+        with pytest.raises(ValueError, match="is not one token"):
+            serialize_problem_file(pf)
+
+    def test_one_token_name_round_trips(self):
+        pf = parse_problem_file(MINIMAL_LP)
+        pf.name = "caf\u00e9-2.0_x"
+        assert parse_problem_file(serialize_problem_file(pf)).name == pf.name
 
     def test_canonical_text_is_fixed_point(self):
         pf = parse_problem_file(MINIMAL_LP)

@@ -83,6 +83,90 @@ def far_half_line_lp():
         eval_hess_f=lambda x: np.zeros((1, 1)), lower=np.array([0.5]))
 
 
+def _project_onto_bounds_loop(x, bounds, kappa=1e-2):
+    """The per-variable loop ``_project_onto_bounds`` replaced, kept as its reference."""
+    n = x.shape[0]
+    lower = np.full(n, -np.inf)
+    upper = np.full(n, np.inf)
+    for _row, j, sign, c in bounds:
+        if sign > 0:   # x_j - c <= 0
+            upper[j] = min(upper[j], c)
+        else:          # c - x_j <= 0
+            lower[j] = max(lower[j], c)
+    out = np.array(x, float)
+    for j in range(n):
+        lo, hi = lower[j], upper[j]
+        if np.isfinite(lo) and np.isfinite(hi):
+            width = hi - lo
+            pad_lo = min(kappa * max(1.0, abs(lo)), kappa * width)
+            pad_hi = min(kappa * max(1.0, abs(hi)), kappa * width)
+            out[j] = min(max(out[j], lo + pad_lo), hi - pad_hi)
+        elif np.isfinite(lo):
+            out[j] = max(out[j], lo + kappa * max(1.0, abs(lo)))
+        elif np.isfinite(hi):
+            out[j] = min(out[j], hi - kappa * max(1.0, abs(hi)))
+    return out
+
+
+BOX_KINDS = ("free", "lower", "upper", "two-sided", "tight", "fixed", "crossed")
+
+
+def _random_projection_case(rng):
+    """A start point and shuffled bound rows: free, one-sided, two-sided,
+    tight (width 1e-12 relative), fixed and crossed boxes, a repeated bound
+    on one side of a variable (sometimes the same zero with the other
+    sign), and ends and starts of magnitude up to 1e308."""
+    n = int(rng.integers(1, 6))
+    special = np.array([0.0, -0.0, 1.0, -1.0, 1e300, -1e300, 1e308, -1e308])
+
+    def value():
+        if rng.random() < 0.3:
+            return float(rng.choice(special))
+        return float(rng.standard_normal() * 10.0 ** rng.uniform(-3, 3))
+
+    def finite(v):  # declared bound constants are finite
+        return float(np.clip(v, -1.7e308, 1.7e308))
+
+    bounds, kinds = [], []
+    for j in range(n):
+        kind = BOX_KINDS[int(rng.integers(0, len(BOX_KINDS)))]
+        lo = value()
+        hi = {"tight": lo + 1e-12 * max(1.0, abs(lo)), "fixed": lo,
+              "crossed": lo - 1.0 - 0.5 * abs(lo)}.get(kind, lo + abs(value()) + 1e-3)
+        hi = finite(hi)
+        sides = {"free": (), "lower": (-1,), "upper": (1,)}.get(kind, (-1, 1))
+        for sign in sides:
+            c = lo if sign < 0 else hi
+            bounds.append((0, j, sign, c))
+            if rng.random() < 0.25:  # a repeat on the same side
+                again = -c if c == 0.0 else c + sign * float(rng.choice([-0.5, 0, 0.5])) * abs(c)
+                bounds.append((0, j, sign, finite(again)))
+                kind += "+repeat"
+        kinds.append(kind)
+    order = rng.permutation(len(bounds))
+    bounds = tuple((int(k), *bounds[i][1:]) for k, i in enumerate(order))
+    x = np.array([value() for _ in range(n)])
+    return x, bounds, kinds
+
+
+class TestProjectOntoBoundsMatchesLoop:
+    def test_random_cases_identical(self):
+        rng = np.random.default_rng(31)
+        seen = dict.fromkeys(BOX_KINDS, 0) | {"repeat": 0, "huge": 0, "zero": 0}
+        for _ in range(3000):
+            x, bounds, kinds = _random_projection_case(rng)
+            want = _project_onto_bounds_loop(x, bounds)
+            got = solver_module._project_onto_bounds(x, bounds)
+            assert got.tobytes() == want.tobytes(), (x, bounds)
+            for kind in kinds:
+                seen[kind.split("+")[0]] += 1
+                seen["repeat"] += "+repeat" in kind
+            ends = np.array([c for *_, c in bounds] + list(x))
+            seen["huge"] += bool(np.any(np.abs(ends) >= 1e300))
+            seen["zero"] += bool(np.any(ends == 0.0))
+        assert min(seen.values()) > 200, seen
+
+
 class TestInitialize:
     def test_residual_identity_and_interiority(self):
         opts = SolverOptions()
