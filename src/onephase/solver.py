@@ -54,7 +54,7 @@ from .steps import (
 
 
 # The paper's fixed parameters read in this module.
-J_MAX = 2          # inner iterations per factorization
+J_MAX = 1          # inner iterations per factorization
 BETA10 = 1e-4      # minimum initial slack shift
 BETA11 = 1e-2      # minimum initial dual value
 BETA12 = 1e3       # maximum initial dual value

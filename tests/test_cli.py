@@ -43,7 +43,8 @@ def test_solve_builtin_optimal(capsys):
     assert "optimal" in out
     assert "certificate" in out
     # reported optimum x0* ~ 1 (f* ~ 1)
-    assert "objective: 1.0000" in out
+    objective = next(line for line in out.splitlines() if "objective:" in line)
+    assert float(objective.split(":")[1]) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_solve_builtin_infeasible():

@@ -96,7 +96,7 @@ class TestSolverOptionDefaults:
         assert (linalg.DELTA_MIN, linalg.DELTA_INC, linalg.DELTA_MAX) == (1e-8, 8.0, 1e50)
         assert linalg.DELTA_DEC == pytest.approx(np.pi)
         assert (solver.J_MAX, solver.BETA10, solver.BETA11, solver.BETA12) == (
-            2, 1e-4, 1e-2, 1e3)
+            1, 1e-4, 1e-2, 1e3)
 
     def test_constants_lie_in_admissible_intervals(self):
         for value in (iterate.EPS_FAR, iterate.EPS_INF, iterate.EPS_UNBD, iterate.BETA1,

@@ -267,7 +267,8 @@ class TestSolveBasics:
         result = solve(problem, entry.x_start, SolverOptions(max_iter=5))
         assert result.status is SolveStatus.ITERATION_LIMIT
         assert result.inner_iterations == 5
-        assert result.detail == "0 of 5 steps rejected"
+        assert result.detail == ("2 of 5 steps rejected; "
+                                 "most often stabilization: step size below minimum")
 
     def test_time_limit(self):
         result = solve(lp_min_x_ge_1(), np.zeros(1), SolverOptions(max_time=0.0))
