@@ -76,9 +76,9 @@ class SolverOptions:
 class Iterate:
     """Immutable snapshot (mu, x, s, y) with cached evaluations at x.
 
-    Its arrays are never mutated in place, so holding an iterate (as
-    ``SchurMatrix.at`` does) holds a snapshot.  Without rows, s, y, w and
-    a are empty and jac is (0, n): every formula holds as an empty sum.
+    Its arrays are never mutated in place, so holding an iterate holds a
+    snapshot.  Without rows, s, y, w and a are empty and jac is (0, n):
+    every formula holds as an empty sum.
     """
 
     mu: float

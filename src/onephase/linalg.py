@@ -2,7 +2,8 @@
 
 The solver reduces every direction computation to one symmetric positive
 definite system ``(M + delta*I) d = rhs`` where
-``M = hess_lag + J^T Y S^{-1} J``.  ``delta`` is found by trial
+``M = hess_lag + J^T Y S^{-1} J`` at the current iterate (a new ``M``
+after every accepted step).  ``delta`` is found by trial
 factorization: attempt ``delta = 0`` when the diagonal allows it, otherwise
 restart from the previous shift over ``delta_dec`` and multiply by
 ``delta_inc`` until the factorization succeeds or the shift cap is hit.
@@ -47,24 +48,10 @@ class MaxDeltaError(RuntimeError):
 
 
 @dataclass
-class SchurMatrix:
-    """M together with the iterate it was assembled at.
-
-    Inner iterations reuse the factorization of M built here, so the
-    direction formulas read the assembly point's slacks, duals and Jacobian
-    from ``at``.  Iterates are never mutated in place, so holding one is a
-    snapshot.  ``at`` is None for a matrix that is only factored.
-    """
+class FactorizedSystem:
+    """Lower Cholesky factor of ``shifted = M + delta*I`` (``M`` if delta = 0)."""
 
     M: np.ndarray
-    at: Iterate | None
-
-
-@dataclass
-class FactorizedSystem:
-    """Lower Cholesky factor of ``shifted = schur.M + delta*I`` (``schur.M`` if delta = 0)."""
-
-    schur: SchurMatrix
     delta: float
     shifted: np.ndarray
     factor: np.ndarray
@@ -72,7 +59,7 @@ class FactorizedSystem:
     solves: int = field(default=0, compare=False)
 
 
-def assemble_schur(problem: NlpProblem, it: Iterate) -> SchurMatrix:
+def assemble_schur(problem: NlpProblem, it: Iterate) -> np.ndarray:
     """Build ``M = hess_lag(x, y - mu*beta1*e) + J^T Y S^{-1} J`` at ``it``.
 
     One Hessian evaluation; the Jacobian is the iterate's cached one.
@@ -83,8 +70,7 @@ def assemble_schur(problem: NlpProblem, it: Iterate) -> SchurMatrix:
     M = np.array(problem.hess_lag(it.x, y - it.mu * BETA1), dtype=float)
     M = 0.5 * (M + M.T)
     M += (jac.T * (y / s)) @ jac
-    M = 0.5 * (M + M.T)
-    return SchurMatrix(M=M, at=it)
+    return 0.5 * (M + M.T)
 
 
 def _try_cholesky(A: np.ndarray) -> np.ndarray | None:
@@ -97,7 +83,7 @@ def _try_cholesky(A: np.ndarray) -> np.ndarray | None:
         return None
 
 
-def factorize_with_shift(schur: SchurMatrix, delta_in: float) -> FactorizedSystem:
+def factorize_with_shift(M: np.ndarray, delta_in: float) -> FactorizedSystem:
     """Factor ``M + delta*I`` choosing delta by trial Cholesky.
 
     ``delta_in`` is the caller's previous shift (0 on the first outer
@@ -107,7 +93,6 @@ def factorize_with_shift(schur: SchurMatrix, delta_in: float) -> FactorizedSyste
     :func:`factorize_growing_shift`.  A non-finite ``M`` (an overflowed
     assembly) raises :class:`MaxDeltaError` at once: no shift factors it.
     """
-    M = schur.M
     if not np.isfinite(M).all():
         raise MaxDeltaError(math.inf, "Schur matrix has non-finite entries; no shift factors it")
     tau = float(np.min(np.diag(M)))
@@ -117,14 +102,14 @@ def factorize_with_shift(schur: SchurMatrix, delta_in: float) -> FactorizedSyste
         attempts += 1
         L = _try_cholesky(M)
         if L is not None:
-            return FactorizedSystem(schur, 0.0, M, L, attempts)
+            return FactorizedSystem(M, 0.0, M, L, attempts)
         tau = 0.0
 
     delta = max(delta_in / DELTA_DEC, DELTA_MIN - tau)
-    return factorize_growing_shift(schur, delta, attempts)
+    return factorize_growing_shift(M, delta, attempts)
 
 
-def factorize_growing_shift(schur: SchurMatrix, delta: float,
+def factorize_growing_shift(M: np.ndarray, delta: float,
                             attempts: int = 0) -> FactorizedSystem:
     """Factor ``M + delta*I``, multiplying delta by ``delta_inc`` after
     every failed trial Cholesky.
@@ -133,15 +118,15 @@ def factorize_growing_shift(schur: SchurMatrix, delta: float,
     finiteness :func:`factorize_with_shift` has checked.  Raises
     :class:`MaxDeltaError` once ``delta >= delta_max``.
     """
-    eye = np.eye(schur.M.shape[0])
+    eye = np.eye(M.shape[0])
     while True:
         if delta >= DELTA_MAX:
             raise MaxDeltaError(delta)
         attempts += 1
-        shifted = schur.M + delta * eye
+        shifted = M + delta * eye
         L = _try_cholesky(shifted)
         if L is not None:
-            return FactorizedSystem(schur, delta, shifted, L, attempts)
+            return FactorizedSystem(M, delta, shifted, L, attempts)
         delta = DELTA_INC * delta
 
 
@@ -162,7 +147,7 @@ def solve_shifted(fs: FactorizedSystem, rhs: np.ndarray) -> np.ndarray:
 
 
 def escalate_delta(delta: float, grad_norm: float, dx_norm: float) -> float:
-    """Shift increase after a failed first inner iteration.
+    """Shift increase after a failed step.
 
     Returns ``max(delta_inc*delta, grad_norm/dx_norm)``, with ``delta_min``
     substituted only when both terms vanish.  ``delta`` is the live

@@ -1,18 +1,20 @@
-"""Solve driver: initialization, outer/inner iterations, termination.
+"""The solve: initialization, the iteration loop, termination.
 
-Each outer iteration assembles and factorizes the Schur matrix once (one
-Hessian evaluation), then reuses the factorization for up to ``j_max``
-inner steps.  A failed first inner step escalates the regularization
-shift and retries; a failed later step starts a fresh outer iteration.
+Each inner iteration takes one step from a factorization of the Schur
+matrix assembled at the current iterate.  An outer iteration assembles and
+factorizes that matrix (one Hessian evaluation) and lasts until a step is
+accepted: a rejected step escalates the regularization shift and refactors
+the same matrix.  ``outer_iterations`` thus counts the Schur matrices used.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import time
 from collections import Counter
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -37,7 +39,6 @@ from .iterate import (
 from .linalg import (
     FactorizedSystem,
     MaxDeltaError,
-    SchurMatrix,
     assemble_schur,
     escalate_delta,
     factorize_growing_shift,
@@ -54,7 +55,6 @@ from .steps import (
 
 
 # The paper's fixed parameters read in this module.
-J_MAX = 1          # inner iterations per factorization
 BETA10 = 1e-4      # minimum initial slack shift
 BETA11 = 1e-2      # minimum initial dual value
 BETA12 = 1e3       # maximum initial dual value
@@ -69,7 +69,7 @@ class InitializationError(EvaluationError):
         self.index = None
 
 
-TRACE_SCHEMA_VERSION = "onephase-trace-v1"
+TRACE_SCHEMA_VERSION = "onephase-trace-v2"
 
 
 @dataclass
@@ -78,7 +78,6 @@ class TraceRecord:
 
     iter: int
     outer: int
-    inner: int
     kind: str
     accepted: bool
     gamma: float
@@ -129,6 +128,9 @@ class SolveTrace:
 
 @dataclass
 class SolveResult:
+    """``inner_iterations`` counts the steps tried; ``outer_iterations``
+    counts the Schur matrices assembled, each used until a step is accepted."""
+
     status: SolveStatus
     iterate: Optional[Iterate]
     certificate: Certificate
@@ -161,14 +163,11 @@ def _counting_problem(problem: NlpProblem) -> tuple[NlpProblem, dict]:
             return fn(*args)
         return wrapper
 
-    counted = replace(
-        problem,
-        eval_f=tally("f", problem.eval_f),
-        eval_grad_f=tally("grad", problem.eval_grad_f),
-        eval_a=tally("cons", problem.eval_a),
-        eval_jac=tally("jac", problem.eval_jac),
-        eval_hess_lag=tally("hess", problem.eval_hess_lag),
-    )
+    # A shallow copy: ``problem`` was checked when it was built.
+    counted = copy.copy(problem)
+    for key, name in (("f", "eval_f"), ("grad", "eval_grad_f"), ("cons", "eval_a"),
+                      ("jac", "eval_jac"), ("hess", "eval_hess_lag")):
+        setattr(counted, name, tally(key, getattr(problem, name)))
     return counted, counts
 
 
@@ -278,8 +277,7 @@ def initialize(problem: NlpProblem, x_start: np.ndarray,
     s_tilde = initial_slack_shift(s_raw)
     probe_w = a0 + s_tilde
     probe = make_iterate(problem, 1.0, x0, s_tilde, y_tilde, probe_w, a=a0)
-    schur = assemble_schur(problem, probe)
-    fs = factorize_with_shift(schur, 0.0)
+    fs = factorize_with_shift(assemble_schur(problem, probe), 0.0)
     if work is not None:
         work.supersede(fs)
     direction = compute_direction(fs, probe, 0.0)
@@ -315,11 +313,11 @@ def initialize(problem: NlpProblem, x_start: np.ndarray,
     return start
 
 
-def _refactorize(schur: SchurMatrix, delta: float) -> FactorizedSystem:
+def _refactorize(M: np.ndarray, delta: float) -> FactorizedSystem:
     """Factor M + delta*I at an escalated shift, growing delta on numerical
     failure (the escalation formula does not guarantee positive
     definiteness by itself)."""
-    return factorize_growing_shift(schur, delta)
+    return factorize_growing_shift(M, delta)
 
 
 def solve(
@@ -392,77 +390,71 @@ def solve(
         phi, kkt = merit_phi(cur), merit_kkt(cur)   # cur's, for the filter and trace
         filt = Filter()
         filt.reset(phi, kkt)
-        fs = None
+        M = None    # the Schur matrix at cur, until a step leaves cur
+        fs = None   # its live factorization; after a step, the previous one
 
-        while True:
-            # New outer iteration: snapshot, assemble, factorize.
-            schur = assemble_schur(counted, cur)
-            outer_count += 1
-            fs = work.supersede(factorize_with_shift(schur, fs.delta if fs else 0.0))
+        while (hit := check_termination(cur)) is None:
+            if M is None:
+                M = assemble_schur(counted, cur)
+                outer_count += 1
+                fs = work.supersede(factorize_with_shift(M, fs.delta if fs else 0.0))
+            inner_count += 1
 
-            j = 1
-            while j <= J_MAX:
-                if (hit := check_termination(cur)) is not None:
-                    return result(hit[0], cur, *hit[1:])
-                inner_count += 1
+            mu_pre = cur.mu
+            switch_dual = sigma(cur.y) * inf_norm(cur.lagrangian_grad(cur.mu))
+            take_aggressive = aggressive_criterion(cur)
+            if take_aggressive:
+                outcome = aggressive_step(fs, cur, counted)
+                kind = "aggressive"
+            else:
+                outcome = stabilization_step(fs, cur, filt, counted)
+                kind = "stabilization"
 
-                mu_pre = cur.mu
-                switch_dual = sigma(cur.y) * inf_norm(cur.lagrangian_grad(cur.mu))
-                take_aggressive = aggressive_criterion(cur)
+            if not outcome.success:
+                rejected[kind, outcome.reason] += 1
+            else:
+                prev = cur
+                cur = outcome.iterate
+                phi, kkt = merit_phi(cur), merit_kkt(cur)
                 if take_aggressive:
-                    outcome = aggressive_step(fs, cur, counted)
-                    kind = "aggressive"
+                    filt.reset(phi, kkt)
                 else:
-                    outcome = stabilization_step(fs, cur, filt, counted)
-                    kind = "stabilization"
+                    filt.add(phi, kkt)
+                if step_observer is not None:
+                    step_observer(prev, outcome.direction, outcome.alpha_p,
+                                  outcome.alpha_d, cur, kind)
 
-                if not outcome.success:
-                    rejected[kind, outcome.reason] += 1
-                else:
-                    prev = cur
-                    cur = outcome.iterate
-                    phi, kkt = merit_phi(cur), merit_kkt(cur)
-                    if take_aggressive:
-                        filt.reset(phi, kkt)
-                    else:
-                        filt.add(phi, kkt)
-                    if step_observer is not None:
-                        step_observer(prev, outcome.direction, outcome.alpha_p,
-                                      outcome.alpha_d, cur, kind)
+            sig = sigma(cur.y)
+            record = TraceRecord(
+                iter=inner_count, outer=outer_count, kind=kind,
+                accepted=outcome.success,
+                gamma=outcome.direction.gamma,
+                delta=fs.delta, alpha_p=outcome.alpha_p, alpha_d=outcome.alpha_d,
+                mu=cur.mu, mu_pre=mu_pre,
+                primal_resid=inf_norm(cur.primal_residual()),
+                opt_dual=sig * inf_norm(cur.lagrangian_grad(0.0)),
+                opt_comp=sig * inf_norm(cur.s * cur.y),
+                switch_dual=switch_dual,
+                phi=phi, kkt=kkt,
+                filter_size=len(filt.entries),
+                f_evals=counters["f"], grad_evals=counters["grad"],
+                cons_evals=counters["cons"], jac_evals=counters["jac"],
+                hess_evals=counters["hess"],
+                **work.counters(),
+            )
+            trace.append(record)
+            if progress is not None:
+                progress(record)
 
-                sig = sigma(cur.y)
-                record = TraceRecord(
-                    iter=inner_count, outer=outer_count, inner=j, kind=kind,
-                    accepted=outcome.success,
-                    gamma=outcome.direction.gamma,
-                    delta=fs.delta, alpha_p=outcome.alpha_p, alpha_d=outcome.alpha_d,
-                    mu=cur.mu, mu_pre=mu_pre,
-                    primal_resid=inf_norm(cur.primal_residual()),
-                    opt_dual=sig * inf_norm(cur.lagrangian_grad(0.0)),
-                    opt_comp=sig * inf_norm(cur.s * cur.y),
-                    switch_dual=switch_dual,
-                    phi=phi, kkt=kkt,
-                    filter_size=len(filt.entries),
-                    f_evals=counters["f"], grad_evals=counters["grad"],
-                    cons_evals=counters["cons"], jac_evals=counters["jac"],
-                    hess_evals=counters["hess"],
-                    **work.counters(),
-                )
-                trace.append(record)
-                if progress is not None:
-                    progress(record)
-
-                if outcome.success:
-                    j += 1
-                    continue
-                if j == 1:
-                    # Escalate the shift and retry the inner loop with the same M.
-                    dx_norm = inf_norm(outcome.direction.dx)
-                    grad_norm = inf_norm(cur.lagrangian_grad(cur.mu))
-                    delta = escalate_delta(fs.delta, grad_norm, dx_norm if dx_norm > 0 else 1.0)
-                    fs = work.supersede(_refactorize(schur, delta))
-                    continue
-                break  # failure with j > 1: new outer iteration
+            if outcome.success:
+                M = None
+            else:
+                # Escalate the shift and refactor the same M.
+                dx_norm = inf_norm(outcome.direction.dx)
+                grad_norm = inf_norm(cur.lagrangian_grad(cur.mu))
+                delta = escalate_delta(fs.delta, grad_norm, dx_norm if dx_norm > 0 else 1.0)
+                fs = work.supersede(_refactorize(M, delta))
+        return result(hit[0], cur, *hit[1:])
     except MaxDeltaError as exc:
         return result(SolveStatus.MAX_DELTA, cur, Certificate({"delta": exc.delta}), str(exc))
     except EvaluationError as exc:

@@ -4,9 +4,8 @@ Both step kinds solve the same factorized system with different right-hand
 sides.  A direction targets removing the fraction ``1 - gamma`` of the
 current KKT residual: ``gamma = 1`` holds ``mu`` and the primal residual
 fixed (stabilization), ``gamma < 1`` drives everything down together
-(aggressive).  Between refactorizations the matrix data comes from the
-snapshot where M was assembled while the right-hand side tracks the
-current iterate.
+(aggressive).  Every direction is the Newton direction at the iterate the
+factorized Schur matrix was assembled at.
 """
 
 from __future__ import annotations
@@ -93,19 +92,18 @@ def build_rhs(it: Iterate, gamma: float):
 
 
 def compute_direction(fs: FactorizedSystem, it: Iterate, gamma: float) -> Direction:
-    """Directions from the snapshot factorization with a fresh rhs.
+    """Newton direction at ``it`` from ``fs``, a factorization of the
+    Schur matrix assembled at ``it``.
 
-    dx solves (M + delta I) dx = -(b_D + J_hat^T S_hat^{-1} (Y b_P - b_C));
-    ds = -(1-gamma) mu w - J(x) dx uses the current Jacobian;
-    dy = S_hat^{-1} Y_hat (J_hat dx + b_P - Y_hat^{-1} b_C), the sign that
-    solves the Newton rows S dy + Y ds = -b_C, J dx + ds = -b_P at the
-    snapshot.  At the snapshot point this is the exact Newton system.
+    dx solves (M + delta I) dx = -(b_D + J^T S^{-1} (Y b_P - b_C));
+    ds = -(1-gamma) mu w - J dx;
+    dy = S^{-1} Y (J dx + b_P - Y^{-1} b_C), the sign that solves the
+    Newton rows S dy + Y ds = -b_C, J dx + ds = -b_P.
     """
-    hat = fs.schur.at
     b_d, b_p, b_c = build_rhs(it, gamma)
-    rhs = -(b_d + hat.jac.T @ ((it.y * b_p - b_c) / hat.s))
+    rhs = -(b_d + it.jac.T @ ((it.y * b_p - b_c) / it.s))
     dx = solve_shifted(fs, rhs)
-    dy = (hat.y / hat.s) * (hat.jac @ dx + b_p - b_c / hat.y)
+    dy = (it.y / it.s) * (it.jac @ dx + b_p - b_c / it.y)
     ds = -(1.0 - gamma) * it.mu * it.w - it.jac @ dx
     return Direction(dx=dx, ds=ds, dy=dy, gamma=gamma, b_d=b_d, b_p=b_p, b_c=b_c)
 
@@ -240,8 +238,8 @@ def theta_bar(mu: float, s: np.ndarray, w: np.ndarray) -> float:
 def _trial_duals(it: Iterate, gamma: float) -> np.ndarray:
     """Dual estimate mu S^{-1} (gamma e + (1-gamma) Y w) for the aggressive
     descent precheck; chosen so the modified Lagrangian gradient at these
-    duals equals the system right-hand side whenever the iterate is the
-    snapshot point, making the precheck pass there by construction."""
+    duals equals the system right-hand side, making the precheck pass by
+    construction."""
     return it.mu / it.s * (gamma + (1.0 - gamma) * it.y * it.w)
 
 

@@ -24,7 +24,6 @@ from onephase import linalg
 from onephase.iterate import BETA2, inf_norm, one_norm
 from onephase.linalg import (
     MaxDeltaError,
-    SchurMatrix,
     assemble_schur,
     factorize_with_shift,
 )
@@ -177,8 +176,8 @@ def test_07_descent_property_of_stabilization_directions():
         checked = 0
         while checked < 100:
             problem, it = random_interior_setup(rng)
-            schur = assemble_schur(problem, it)
-            fs = factorize_with_shift(schur, 0.0)
+            M = assemble_schur(problem, it)
+            fs = factorize_with_shift(M, 0.0)
             d = compute_direction(fs, it, 1.0)
             g = it.barrier_grad()
             if inf_norm(g) <= 1e-12:
@@ -187,7 +186,7 @@ def test_07_descent_property_of_stabilization_directions():
             slope = float(g @ d.dx)
             # exact-arithmetic oracle: slope must equal the negative
             # quadratic form of the direction in M + delta*I
-            quad = float(d.dx @ ((schur.M + fs.delta * np.eye(problem.n)) @ d.dx))
+            quad = float(d.dx @ ((M + fs.delta * np.eye(problem.n)) @ d.dx))
             assert quad > 0
             assert slope < 0
             assert slope == pytest.approx(-quad, rel=1e-6)
@@ -244,9 +243,8 @@ def test_08_factorization_strategy_matches_hand_trace():
         delta = 0.0
         produced = []
         for M in matrices:
-            schur = SchurMatrix(M=np.atleast_2d(np.asarray(M, float)), at=None)
             try:
-                fs = factorize_with_shift(schur, delta)
+                fs = factorize_with_shift(np.atleast_2d(np.asarray(M, float)), delta)
             except MaxDeltaError:
                 produced.append("failure")
                 break

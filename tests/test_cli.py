@@ -60,9 +60,10 @@ def test_iteration_limit_exit_code():
 
 
 def test_solver_failure_exit_code(tmp_path, capsys):
-    # Negative curvature beyond the shift cap: concave unconstrained QP.
+    # Negative curvature beyond the shift cap: concave unconstrained QP,
+    # started off its stationary point x = 0 (which would certify at once).
     evil = tmp_path / "evil.nlp"
-    evil.write_text("problem evil\nvars 1\n\nobjective\nquad 0 0 -1e60\n")
+    evil.write_text("problem evil\nvars 1\n\nobjective\nquad 0 0 -1e60\n\nstart\n1\n")
     assert run_cli(["solve", str(evil)]) == 4
     out = capsys.readouterr().out
     assert "max-delta" in out
@@ -194,7 +195,7 @@ def test_solve_file_with_trace(tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     assert run_cli(["solve", str(f), "--trace", str(trace)]) == 0
     lines = trace.read_text().splitlines()
-    assert lines[0] == "# onephase-trace-v1"
+    assert lines[0] == "# onephase-trace-v2"
     assert lines[1].startswith("iter,")
     assert len(lines) > 2
 

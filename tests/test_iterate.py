@@ -95,8 +95,7 @@ class TestSolverOptionDefaults:
             0.1, 0.1, 0.25)
         assert (linalg.DELTA_MIN, linalg.DELTA_INC, linalg.DELTA_MAX) == (1e-8, 8.0, 1e50)
         assert linalg.DELTA_DEC == pytest.approx(np.pi)
-        assert (solver.J_MAX, solver.BETA10, solver.BETA11, solver.BETA12) == (
-            1, 1e-4, 1e-2, 1e3)
+        assert (solver.BETA10, solver.BETA11, solver.BETA12) == (1e-4, 1e-2, 1e3)
 
     def test_constants_lie_in_admissible_intervals(self):
         for value in (iterate.EPS_FAR, iterate.EPS_INF, iterate.EPS_UNBD, iterate.BETA1,
@@ -110,7 +109,6 @@ class TestSolverOptionDefaults:
         assert 0 < linalg.DELTA_MIN < linalg.DELTA_MAX < math.inf
         assert linalg.DELTA_INC > 1 and linalg.DELTA_DEC > 1
         assert 0 < solver.BETA11 <= solver.BETA12 < math.inf
-        assert isinstance(solver.J_MAX, int) and solver.J_MAX >= 1
 
     def test_interval_violations_rejected(self):
         for bad in (

@@ -7,7 +7,6 @@ from onephase import SolveStatus, solve
 from onephase.iterate import make_iterate
 from onephase.linalg import (
     MaxDeltaError,
-    SchurMatrix,
     assemble_schur,
     escalate_delta,
     factorize_with_shift,
@@ -18,8 +17,8 @@ from onephase.solver import _refactorize
 from helpers import quadratic_problem, run_python
 
 
-def plain_schur(M):
-    return SchurMatrix(M=np.atleast_2d(np.asarray(M, float)), at=None)
+def matrix(M):
+    return np.atleast_2d(np.asarray(M, float))
 
 
 def point(problem, x, s, y, mu=1.0):
@@ -30,50 +29,54 @@ class TestAssembleSchur:
     def test_one_d_qp(self):
         # f = x^2/2, a = x - 1: M = 1 + 1*(2/0.5)*1 = 5
         p = quadratic_problem([[1.0]], [0.0], [[1.0]], [-1.0])
-        schur = assemble_schur(p, point(p, np.zeros(1), [0.5], [2.0]))
-        assert_allclose(schur.M, [[5.0]])
+        M = assemble_schur(p, point(p, np.zeros(1), [0.5], [2.0]))
+        assert_allclose(M, [[5.0]])
 
     def test_unconstrained_is_hessian(self):
         H = np.array([[2.0, 0.3], [0.3, 1.0]])
         p = quadratic_problem(H, np.zeros(2))
-        schur = assemble_schur(p, point(p, np.zeros(2), [], []))
-        assert_allclose(schur.M, H)
+        M = assemble_schur(p, point(p, np.zeros(2), [], []))
+        assert_allclose(M, H)
 
     def test_unit_ratio_adds_jtj(self):
         # y = s makes Y S^{-1} the identity: M = hess + J^T J
         p = quadratic_problem([[3.0]], [0.0], [[1.0]], [0.0])
         v = np.array([0.7])
-        schur = assemble_schur(p, point(p, np.zeros(1), v, v))
-        assert_allclose(schur.M, [[4.0]])
+        M = assemble_schur(p, point(p, np.zeros(1), v, v))
+        assert_allclose(M, [[4.0]])
 
-    def test_records_assembly_point(self):
-        p = quadratic_problem([[1.0]], [0.0], [[1.0]], [-1.0])
-        it = point(p, np.array([0.2]), [0.8], [1.25], mu=0.5)
-        assert assemble_schur(p, it).at is it
+    def test_returns_exactly_symmetric_array(self):
+        # The factorization reads M itself: a plain array, symmetric to the bit.
+        H = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 4.0]])
+        J = np.array([[1.0, 2.0, -1.0], [0.5, -1.0, 3.0]])
+        p = quadratic_problem(H, np.zeros(3), J, np.zeros(2))
+        M = assemble_schur(p, point(p, np.zeros(3), [0.3, 0.7], [1.9, 0.2]))
+        assert type(M) is np.ndarray
+        assert np.array_equal(M, M.T)
 
 
 class TestFactorizeWithShift:
     def test_positive_definite_unshifted(self):
-        fs = factorize_with_shift(plain_schur([[5.0]]), 0.0)
+        fs = factorize_with_shift(matrix([[5.0]]), 0.0)
         assert fs.delta == 0.0
         assert_allclose(fs.factor, [[np.sqrt(5.0)]])
 
     def test_negative_scalar_takes_first_shift(self):
         # tau = -1: first trial delta = max(0, 1e-8 + 1) succeeds with a
         # ~1e-8 pivot, factor ~1e-4.
-        fs = factorize_with_shift(plain_schur([[-1.0]]), 0.0)
+        fs = factorize_with_shift(matrix([[-1.0]]), 0.0)
         assert fs.delta == max(0.0, 1e-8 - (-1.0))
         assert_allclose(fs.factor[0, 0], 1e-4, rtol=1e-6)
 
     def test_pathological_scale_hits_cap(self):
         with pytest.raises(MaxDeltaError):
-            factorize_with_shift(plain_schur([[-1e60]]), 0.0)
+            factorize_with_shift(matrix([[-1e60]]), 0.0)
 
     def test_overflowed_matrix_terminates_at_cap(self):
         # inf entries can appear from overflowing assembly; no shift can
         # fix them, so the loop must end in the max-delta failure.
         with pytest.raises(MaxDeltaError):
-            factorize_with_shift(plain_schur([[np.inf, 0.0], [0.0, 1.0]]), 0.0)
+            factorize_with_shift(matrix([[np.inf, 0.0], [0.0, 1.0]]), 0.0)
 
     def test_random_spd_never_shifted(self):
         rng = np.random.default_rng(5)
@@ -81,7 +84,7 @@ class TestFactorizeWithShift:
             n = int(rng.integers(1, 7))
             A = rng.standard_normal((n, n))
             M = A @ A.T + 0.1 * np.eye(n)
-            fs = factorize_with_shift(plain_schur(M), float(rng.uniform(0, 2)))
+            fs = factorize_with_shift(matrix(M), float(rng.uniform(0, 2)))
             assert fs.delta == 0.0
 
     def test_shifted_system_positive(self):
@@ -91,7 +94,7 @@ class TestFactorizeWithShift:
             n = int(rng.integers(1, 7))
             A = rng.standard_normal((n, n))
             M = 0.5 * (A + A.T)
-            fs = factorize_with_shift(plain_schur(M), 0.0)
+            fs = factorize_with_shift(matrix(M), 0.0)
             r = rng.standard_normal(n)
             assert float(r @ solve_shifted(fs, r)) > 0
 
@@ -99,7 +102,7 @@ class TestFactorizeWithShift:
         rng = np.random.default_rng(8)
         A = rng.standard_normal((4, 4))
         M = 0.5 * (A + A.T) - 2.0 * np.eye(4)
-        fs = factorize_with_shift(plain_schur(M), 0.0)
+        fs = factorize_with_shift(matrix(M), 0.0)
         recon = fs.factor @ fs.factor.T
         assert_allclose(recon, M + fs.delta * np.eye(4), rtol=1e-8, atol=1e-10)
 
@@ -114,9 +117,8 @@ def no_trial(A):
     raise AssertionError("trial factorization of a non-finite M")
 linalg._try_cholesky = no_trial
 M = np.array({rows}, float)
-schur = linalg.SchurMatrix(M=M, at=None)
 try:
-    linalg.factorize_with_shift(schur, 0.0)
+    linalg.factorize_with_shift(M, 0.0)
 except linalg.MaxDeltaError as exc:
     print(exc.delta, exc)
 """
@@ -143,7 +145,7 @@ class TestSingleBlasFactorization:
         rng = np.random.default_rng(n)
         A = rng.standard_normal((n, n))
         M = A @ A.T / n + 0.1 * np.eye(n) if kind == "spd" else 0.5 * (A + A.T)
-        fs = factorize_with_shift(plain_schur(M), 0.0)
+        fs = factorize_with_shift(matrix(M), 0.0)
         assert (fs.delta == 0.0) == (kind == "spd")
         assert np.all(np.triu(fs.factor, 1) == 0.0)
         assert fs.factor.flags.f_contiguous  # cho_solve copies a C-ordered factor
@@ -168,15 +170,15 @@ class TestSingleBlasFactorization:
 
 class TestSolveShifted:
     def test_scalar(self):
-        fs = factorize_with_shift(plain_schur([[5.0]]), 0.0)
+        fs = factorize_with_shift(matrix([[5.0]]), 0.0)
         assert_allclose(solve_shifted(fs, np.array([-10.0])), [-2.0])
 
     def test_zero_rhs(self):
-        fs = factorize_with_shift(plain_schur([[5.0]]), 0.0)
+        fs = factorize_with_shift(matrix([[5.0]]), 0.0)
         assert_allclose(solve_shifted(fs, np.zeros(1)), [0.0])
 
     def test_diagonal(self):
-        fs = factorize_with_shift(plain_schur(np.diag([2.0, 8.0])), 0.0)
+        fs = factorize_with_shift(matrix(np.diag([2.0, 8.0])), 0.0)
         assert_allclose(solve_shifted(fs, np.array([2.0, 4.0])), [1.0, 0.5])
 
     def test_relative_residual(self):
@@ -185,7 +187,7 @@ class TestSolveShifted:
             n = int(rng.integers(2, 9))
             A = rng.standard_normal((n, n))
             M = 0.5 * (A + A.T)
-            fs = factorize_with_shift(plain_schur(M), 0.0)
+            fs = factorize_with_shift(matrix(M), 0.0)
             rhs = rng.standard_normal(n)
             d = solve_shifted(fs, rhs)
             resid = rhs - (M + fs.delta * np.eye(n)) @ d
@@ -202,9 +204,8 @@ class TestEscalateDelta:
     def test_cap_exceeded(self):
         # The escalated shift passes the cap; factoring at it raises before
         # any trial, with the escalated shift and the cap in the message.
-        schur = plain_schur([[1.0]])
         with pytest.raises(MaxDeltaError) as err:
-            _refactorize(schur, escalate_delta(2e49, grad_norm=1.0, dx_norm=1.0))
+            _refactorize(matrix([[1.0]]), escalate_delta(2e49, grad_norm=1.0, dx_norm=1.0))
         assert err.value.delta == 1.6e50
         assert str(err.value) == "shift 1.600e+50 reached cap 1.000e+50"
 

@@ -21,7 +21,7 @@ from onephase import (
     to_inequality_form,
 )
 from onephase.iterate import check_interior, inf_norm
-from onephase.linalg import MaxDeltaError, SchurMatrix
+from onephase.linalg import MaxDeltaError
 from onephase.solver import (
     TRACE_SCHEMA_VERSION,
     InitializationError,
@@ -382,13 +382,34 @@ class TestSolveTraceInvariants:
         result.trace.write_csv(buf)
         lines = buf.getvalue().splitlines()
         assert lines[0] == f"# {TRACE_SCHEMA_VERSION}"
-        # the onephase-trace-v1 header, pinned column by column
+        # the onephase-trace-v2 header, pinned column by column
         assert lines[1] == (
-            "iter,outer,inner,kind,accepted,gamma,delta,alpha_p,alpha_d,mu,"
+            "iter,outer,kind,accepted,gamma,delta,alpha_p,alpha_d,mu,"
             "mu_pre,primal_resid,opt_dual,opt_comp,switch_dual,phi,kkt,"
             "filter_size,f_evals,grad_evals,cons_evals,jac_evals,hess_evals,"
             "factorizations,backsolves")
         assert len(lines) == 2 + len(result.trace)
+
+
+class TestOneFactorizationPerStep:
+    """Each outer iteration assembles one Schur matrix at the current
+    iterate and lasts until a step from it is accepted."""
+
+    @pytest.mark.parametrize("name", ["wachter", "qp-separable10", "infeasible-box"])
+    def test_outer_iteration_ends_at_each_accepted_step(self, name):
+        entry = builtin_registry()[name]
+        problem, _ = entry.build()
+        result = solve(problem, entry.x_start)
+        assert result.status in (SolveStatus.OPTIMAL, SolveStatus.PRIMAL_INFEASIBLE)
+        # one Hessian per outer iteration plus the initial probe's (an
+        # unconstrained solve has no probe: see test_hessian_once_per_outer)
+        assert result.counters["hess"] == result.outer_iterations + 1
+        assert result.outer_iterations <= result.inner_iterations
+        records = result.trace.records
+        assert records[0].outer == 1
+        for rec, after in zip(records, records[1:]):
+            assert after.outer == rec.outer + rec.accepted, (name, rec.iter)
+        assert records[-1].outer == result.outer_iterations
 
 
 class TestCallbacks:
@@ -626,16 +647,14 @@ class TestInteriorOptimum:
 
 class TestRefactorize:
     def test_grows_shift_until_definite(self):
-        schur = SchurMatrix(M=np.array([[-5.0]]), at=None)
-        fs = _refactorize(schur, 1.0)
+        fs = _refactorize(np.array([[-5.0]]), 1.0)
         # 1 fails (pivot -4), 8 succeeds (pivot 3)
         assert fs.delta == 8.0
         assert fs.attempts == 2
 
     def test_cap_respected(self):
-        schur = SchurMatrix(M=np.array([[-1e60]]), at=None)
         with pytest.raises(MaxDeltaError):
-            _refactorize(schur, 1.0)
+            _refactorize(np.array([[-1e60]]), 1.0)
 
 
 class TestNonconvexEscalation:

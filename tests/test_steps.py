@@ -120,7 +120,7 @@ class TestComputeDirection:
         it = make_iterate(p, 1.0, np.zeros(1), np.ones(1), np.ones(1), np.zeros(1))
         fs = factorized_at(p, it)
         assert fs.delta == 0.0
-        assert_allclose(fs.schur.M, [[2.0]])
+        assert_allclose(fs.M, [[2.0]])
         d = compute_direction(fs, it, 1.0)
         assert_allclose(d.dx, [-(1.0 - BETA1) / 2.0], rtol=1e-12)
 
@@ -137,7 +137,7 @@ class TestComputeDirection:
             assert_allclose(dg.b_p, (1.0 - gamma) * it.mu * it.w, atol=1e-15)
 
     def test_newton_system_rows_at_snapshot(self):
-        # At the snapshot point the reduced solve must satisfy the full
+        # At the assembly point the reduced solve must satisfy the full
         # Newton system: (H+dI)dx + J'dy = -b_D, J dx + ds = -b_P,
         # S dy + Y ds = -b_C.
         rng = np.random.default_rng(22)
@@ -450,7 +450,7 @@ class TestStabilizationStep:
         assert "descent" in out.reason
 
     def test_descent_against_power_iteration_bound(self):
-        # gamma=1 at the snapshot: grad_psi' dx <= -||grad_psi||^2 / lmax.
+        # gamma=1 at the assembly point: grad_psi' dx <= -||grad_psi||^2 / lmax.
         rng = np.random.default_rng(25)
         for _ in range(25):
             problem, it = random_interior_setup(rng)
@@ -460,7 +460,7 @@ class TestStabilizationStep:
             gnorm = float(np.linalg.norm(g))
             if gnorm <= 1e-12:
                 continue
-            A = fs.schur.M + fs.delta * np.eye(problem.n)
+            A = fs.M + fs.delta * np.eye(problem.n)
             v = rng.standard_normal(problem.n)
             v /= np.linalg.norm(v)
             lam = 0.0
