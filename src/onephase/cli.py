@@ -150,7 +150,7 @@ def _solve_file(path: Path, opts: SolverOptions, trace_dir) -> dict:
     row.update(
         status=result.status.value,
         exit_code=EXIT_CODES[result.status],
-        error="",
+        error=result.detail,   # empty on a certificate
         inner_iters=result.inner_iterations,
         outer_iters=result.outer_iterations,
         objective="" if result.f is None else repr(result.f),

@@ -5,12 +5,23 @@ definite system ``(M + delta*I) d = rhs`` where
 ``M = hess_lag + J^T Y S^{-1} J`` at the current iterate (a new ``M``
 after every accepted step).  ``delta`` is found by trial
 factorization: attempt ``delta = 0`` when the diagonal allows it, otherwise
-restart from the previous shift over ``delta_dec`` and multiply by
-``delta_inc`` until the factorization succeeds or the shift cap is hit.
-A failed direction escalates the shift to ``max(delta_inc*delta,
-grad_norm/dx_norm)``.  The caller passes the shift of its live
-factorization, the only one remembered.  It is also the last successful
-shift, so a third term, that shift over ``delta_dec``, could never win.
+restart from the previous shift over ``delta_dec`` (or a floor, if larger)
+and multiply by ``delta_inc`` until the factorization succeeds or the
+shift cap is hit.  A failed direction escalates the shift to
+``max(delta_inc*delta, grad_norm/dx_norm)``.  The caller passes the shift
+of its live factorization, the only one remembered.  It is also the last
+successful shift, so a third term, that shift over ``delta_dec``, could
+never win.
+
+The restart floor is :func:`shift_floor`, ``min(delta_min,
+||grad L_mu||_inf / max(1, ||x||_inf))``.  ``M`` is singular along a
+recession direction; a fixed ``delta_min`` floor there caps each step near
+``||g||/delta_min``, so ``||x||`` grows only additively, while this floor
+lets a step reach about ``||x||``.  It is scale-invariant in ``x`` only
+once ``||x||_inf > 1``.  A fixed tiny floor (IPOPT's 1e-20, Waechter &
+Biegler 2006, section 3.1) instead certifies divergence after one step.
+The paper's own restart rule is not in ``PAPER.md``; its reference
+implementation is github.com/ohinder/OnePhase.
 
 Factorizations use numpy's LAPACK (``np.linalg.cholesky``), the same
 OpenBLAS build that assembles ``M``.  numpy and scipy each ship their own
@@ -83,15 +94,29 @@ def _try_cholesky(A: np.ndarray) -> np.ndarray | None:
         return None
 
 
-def factorize_with_shift(M: np.ndarray, delta_in: float) -> FactorizedSystem:
+def shift_floor(grad_norm: float, x_norm: float) -> float:
+    """Restart floor of the shift: ``min(delta_min, grad_norm / max(1, x_norm))``.
+
+    A zero gradient gives ``delta_min``, as in :func:`escalate_delta`: a
+    restart at 0 would never grow.
+    """
+    floor = min(DELTA_MIN, grad_norm / max(1.0, x_norm))
+    return DELTA_MIN if floor == 0.0 else floor
+
+
+def factorize_with_shift(M: np.ndarray, delta_in: float,
+                         floor: float = DELTA_MIN) -> FactorizedSystem:
     """Factor ``M + delta*I`` choosing delta by trial Cholesky.
 
     ``delta_in`` is the caller's previous shift (0 on the first outer
     iteration).  If ``min diag(M) > 0`` an unshifted factorization is tried
     first; otherwise, or when it fails, the shift starts at
-    ``max(delta_in / delta_dec, delta_min - tau)`` and grows as in
-    :func:`factorize_growing_shift`.  A non-finite ``M`` (an overflowed
-    assembly) raises :class:`MaxDeltaError` at once: no shift factors it.
+    ``max(delta_in / delta_dec, floor - tau)`` and grows as in
+    :func:`factorize_growing_shift`.  ``floor`` must be positive; the
+    solver passes :func:`shift_floor` at the iterate ``M`` was assembled
+    at, and the default is ``delta_min``.  A non-finite ``M`` (an
+    overflowed assembly) raises :class:`MaxDeltaError` at once: no shift
+    factors it.
     """
     if not np.isfinite(M).all():
         raise MaxDeltaError(math.inf, "Schur matrix has non-finite entries; no shift factors it")
@@ -105,7 +130,7 @@ def factorize_with_shift(M: np.ndarray, delta_in: float) -> FactorizedSystem:
             return FactorizedSystem(M, 0.0, M, L, attempts)
         tau = 0.0
 
-    delta = max(delta_in / DELTA_DEC, DELTA_MIN - tau)
+    delta = max(delta_in / DELTA_DEC, floor - tau)
     return factorize_growing_shift(M, delta, attempts)
 
 
@@ -156,8 +181,12 @@ def escalate_delta(delta: float, grad_norm: float, dx_norm: float) -> float:
     is left out.  Keeping ``delta_min`` out of the max preserves scale
     invariance: diverging problems need shifts far below it (the right
     shift is about gradient over step length), and flooring there would
-    cap the step length and stall the divergence certificate.  A result at
-    or above the cap raises :class:`MaxDeltaError` when it is factored.
+    cap the step length and stall the divergence certificate.  The
+    ``delta_min`` fallback needs no :func:`shift_floor` of its own: the
+    ``grad_norm/dx_norm`` term is already scale-aware, and the fallback
+    is reached only when the gradient and the live shift are both 0.  A
+    result at or above the cap raises :class:`MaxDeltaError` when it is
+    factored.
     ``dx_norm`` must be positive (a direction exists).
     """
     assert dx_norm > 0, "escalate_delta needs a nonzero direction"

@@ -43,6 +43,7 @@ from .linalg import (
     escalate_delta,
     factorize_growing_shift,
     factorize_with_shift,
+    shift_floor,
 )
 from .problem import EvaluationError, NlpProblem
 from .steps import (
@@ -394,14 +395,16 @@ def solve(
         fs = None   # its live factorization; after a step, the previous one
 
         while (hit := check_termination(cur)) is None:
+            grad_norm = inf_norm(cur.lagrangian_grad(cur.mu))
             if M is None:
                 M = assemble_schur(counted, cur)
                 outer_count += 1
-                fs = work.supersede(factorize_with_shift(M, fs.delta if fs else 0.0))
+                floor = shift_floor(grad_norm, inf_norm(cur.x))
+                fs = work.supersede(factorize_with_shift(M, fs.delta if fs else 0.0, floor))
             inner_count += 1
 
             mu_pre = cur.mu
-            switch_dual = sigma(cur.y) * inf_norm(cur.lagrangian_grad(cur.mu))
+            switch_dual = sigma(cur.y) * grad_norm
             take_aggressive = aggressive_criterion(cur)
             if take_aggressive:
                 outcome = aggressive_step(fs, cur, counted)
@@ -449,9 +452,9 @@ def solve(
             if outcome.success:
                 M = None
             else:
-                # Escalate the shift and refactor the same M.
+                # Escalate the shift and refactor the same M; cur has not
+                # moved, so grad_norm is still its gradient's.
                 dx_norm = inf_norm(outcome.direction.dx)
-                grad_norm = inf_norm(cur.lagrangian_grad(cur.mu))
                 delta = escalate_delta(fs.delta, grad_norm, dx_norm if dx_norm > 0 else 1.0)
                 fs = work.supersede(_refactorize(M, delta))
         return result(hit[0], cur, *hit[1:])

@@ -59,6 +59,19 @@ def test_iteration_limit_exit_code():
     assert run_cli(["solve", "builtin:unbounded-lp", "--max-iter", "3"]) == 3
 
 
+def test_batch_row_carries_the_stall_detail(tmp_path):
+    (tmp_path / "lp.nlp").write_text(LP_TEXT)
+    summary = tmp_path / "summary.csv"
+    assert run_cli(["batch", str(tmp_path), "--max-iter", "1", "--summary", str(summary)]) == 4
+    with open(summary, newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert (row["status"], row["error"]) == ("iteration-limit", "0 of 1 steps rejected")
+    assert run_cli(["batch", str(tmp_path), "--summary", str(summary)]) == 0
+    with open(summary, newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert (row["status"], row["error"]) == ("optimal", "")
+
+
 def test_solver_failure_exit_code(tmp_path, capsys):
     # Negative curvature beyond the shift cap: concave unconstrained QP,
     # started off its stationary point x = 0 (which would certify at once).

@@ -6,10 +6,13 @@ from numpy.testing import assert_allclose
 from onephase import SolveStatus, solve
 from onephase.iterate import make_iterate
 from onephase.linalg import (
+    DELTA_INC,
+    DELTA_MIN,
     MaxDeltaError,
     assemble_schur,
     escalate_delta,
     factorize_with_shift,
+    shift_floor,
     solve_shifted,
 )
 from onephase.solver import _refactorize
@@ -211,3 +214,33 @@ class TestEscalateDelta:
 
     def test_zero_terms_fall_back_to_minimum(self):
         assert escalate_delta(0.0, grad_norm=0.0, dx_norm=1.0) == 1e-8
+
+
+class TestShiftFloor:
+    def test_zero_gradient_falls_back_to_minimum(self):
+        assert shift_floor(0.0, 5.0) == DELTA_MIN
+
+    def test_gradient_over_position_beyond_unit_norm(self):
+        assert shift_floor(1e-4, 1e6) == 1e-10
+
+    def test_position_below_one_does_not_scale(self):
+        assert shift_floor(1e-12, 0.5) == 1e-12
+
+    def test_capped_at_minimum(self):
+        assert shift_floor(1.0, 10.0) == DELTA_MIN
+
+    def test_restart_starts_at_the_floor(self):
+        # Singular PSD with a positive diagonal: the unshifted trial fails
+        # and the restart takes the floor itself.
+        fs = factorize_with_shift(matrix([[1.0, 1.0], [1.0, 1.0]]), 0.0, 1e-12)
+        assert fs.delta == 1e-12
+        assert fs.attempts == 2
+
+    def test_zero_gradient_floor_terminates(self):
+        # Indefinite with a positive diagonal: a floor of 0 would restart at
+        # delta = 0 and never grow.  From DELTA_MIN, nine growths by DELTA_INC
+        # pass the eigenvalue -1.
+        fs = factorize_with_shift(matrix([[1.0, 2.0], [2.0, 1.0]]), 0.0, shift_floor(0.0, 5.0))
+        assert fs.delta == DELTA_MIN * DELTA_INC**9
+        assert fs.delta == pytest.approx(1.342, abs=1e-3)
+        assert fs.attempts == 11

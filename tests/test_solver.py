@@ -668,3 +668,56 @@ class TestNonconvexEscalation:
         assert any(rec.delta > 0 for rec in result.trace.records)
         # and the endgame should be unshifted Newton
         assert result.trace.records[-1].delta == 0.0
+
+
+def _free_lp(c, G, h, name):
+    """min c'x s.t. G x >= h with every variable free."""
+    c = np.array(c, float)
+    source = SourceProblem(
+        n=c.size,
+        eval_f=lambda x: float(c @ x),
+        eval_grad_f=lambda x: c,
+        eval_hess_f=lambda x: np.zeros((c.size, c.size)),
+        linear_rows=[LinearRow(np.array(g, float), Relation.GE, float(b))
+                     for g, b in zip(G, h)],
+        name=name,
+    )
+    problem, _ = to_inequality_form(source)
+    return problem
+
+
+# The perfbench generators' all-free LPs at n = 8, m = 4: _recession_lp with
+# default_rng(1) and free=8 (recession direction d = [1,1,2,1,1,2,1,1], c'd < 0)
+# and _farkas_lp with default_rng(2) and no box (Farkas y = [3,1,1,1]).
+RECESSION_LP = (
+    [-5, 0, 3, -2, 2, -2, -1, 3],
+    [[2, 1, -5, -5, 4, 3, 4, 0], [-3, 2, 1, -3, 4, 2, 4, 1],
+     [-5, 4, 1, 1, -4, 3, 0, 3], [5, -3, 5, 2, 0, 0, 4, -5]],
+    [-23, -10, 11, 5],
+)
+FARKAS_LP = (
+    [-1, -1, 1, 0, 1, 3, 3, 2],
+    [[-1, 3, -1, -4, -2, 1, 3, 3], [5, -3, 4, -5, 1, -2, -3, 2],
+     [-2, 1, -3, -4, 3, -1, 2, 2], [0, -7, 2, 21, 2, 0, -8, -13]],
+    [-1, -1, -3, 8],
+)
+
+
+class TestFreeLpShiftFloor:
+    """M = J^T D J is singular along a recession direction of an all-free
+    LP.  With the shift restarting at DELTA_MIN each step is capped near
+    ||g||/DELTA_MIN, ||x|| grows additively and neither LP certifies in
+    1000 iterations; the floor relative to gradient over position lets
+    ||x|| grow geometrically."""
+
+    def test_recession_lp_ends_unbounded(self):
+        result = solve(_free_lp(*RECESSION_LP, "recession-free8"), np.zeros(8),
+                       SolverOptions(max_iter=200))
+        assert result.status is SolveStatus.UNBOUNDED
+        assert result.f < 0
+
+    def test_farkas_lp_ends_with_a_certificate(self):
+        result = solve(_free_lp(*FARKAS_LP, "farkas-free8"), np.zeros(8),
+                       SolverOptions(max_iter=200))
+        # Its relaxed region a(x) <= mu*w is unbounded, so either is valid.
+        assert result.status in (SolveStatus.PRIMAL_INFEASIBLE, SolveStatus.UNBOUNDED)
