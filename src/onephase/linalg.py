@@ -3,7 +3,16 @@
 The solver reduces every direction computation to one symmetric positive
 definite system ``(M + delta*I) d = rhs`` where
 ``M = hess_lag + J^T Y S^{-1} J`` at the current iterate (a new ``M``
-after every accepted step).  ``delta`` is found by trial
+after every accepted step).  ``M`` is assembled from the row blocks the
+problem declares: ``M = sym(H) + J_G^T D_G J_G + diag(sum_{i in B, var_i
+= j} d_i)`` with ``d = y/s``, ``B`` the rows declared in
+``NlpProblem.bounds`` and ``G`` the others.  A bound row is
+``sign*x_var - sign*c``, so its Jacobian row is ``sign*e_var`` and, as
+``sign^2 = 1``, it adds ``d_i`` to one diagonal entry: one ``bincount``
+replaces those rows of the dense product (three quarters of the rows on
+a box QP with 256 bound rows and 64 general rows), as IPOPT keeps bounds
+apart from general constraints.  The general rows, linear ones included, stay
+one dense product.  ``delta`` is found by trial
 factorization: attempt ``delta = 0`` when the diagonal allows it, otherwise
 restart from the previous shift over ``delta_dec`` (or a floor, if larger)
 and multiply by ``delta_inc`` until the factorization succeeds or the
@@ -74,13 +83,21 @@ def assemble_schur(problem: NlpProblem, it: Iterate) -> np.ndarray:
     """Build ``M = hess_lag(x, y - mu*beta1*e) + J^T Y S^{-1} J`` at ``it``.
 
     One Hessian evaluation; the Jacobian is the iterate's cached one.
-    Slacks and duals must be strictly positive.
+    Slacks and duals must be strictly positive.  The rows declared in
+    ``problem.bounds`` enter as the diagonal ``bincount(var, y/s)``, the
+    other rows as the product ``J_G^T D_G J_G``; the result matches the
+    dense product to rounding, and is that product to the bit when the
+    problem declares no bounds.
     """
     s, y, jac = it.s, it.y, it.jac
     assert np.all(s > 0) and np.all(y > 0), "assemble_schur needs s, y > 0"
     M = np.array(problem.hess_lag(it.x, y - it.mu * BETA1), dtype=float)
     M = 0.5 * (M + M.T)
-    M += (jac.T * (y / s)) @ jac
+    d = y / s
+    general, rows = problem._general_rows, problem._bound_row
+    jac_g = jac[general]
+    M += (jac_g.T * d[general]) @ jac_g
+    M.ravel()[:: problem.n + 1] += np.bincount(problem._bound_var, d[rows], minlength=problem.n)
     return 0.5 * (M + M.T)
 
 

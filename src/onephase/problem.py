@@ -55,7 +55,14 @@ class NlpProblem:
     ``bounds`` declares variable-bound rows as ``(row, var, sign, c)``
     entries meaning ``a_row(x) = sign*x_var - sign*c``: a lower bound
     ``x_var >= c`` has ``sign = -1`` and an upper bound ``x_var <= c`` has
-    ``sign = +1``.  The solver pins these rows exactly (``w_row = 0``).
+    ``sign = +1``.  The solver pins these rows exactly (``w_row = 0``), and
+    the Schur assembly trusts the declaration: it adds ``y_row/s_row`` to
+    the diagonal entry ``var`` instead of reading the row of ``jac``, so a
+    declared row's Jacobian row must be ``sign*e_var`` exactly (checked
+    once per solve, at the start point).  ``bounds`` and
+    ``linear_indices`` are decoded into index arrays when the problem is
+    built; replace them with :func:`dataclasses.replace`, not by
+    assignment.
     """
 
     n: int
@@ -68,6 +75,16 @@ class NlpProblem:
     bounds: tuple = ()
     linear_indices: frozenset = frozenset()
     name: str = "problem"
+    # Decoded by __post_init__: the columns of ``bounds``, the other rows (a
+    # slice when the bound rows are the trailing block, as
+    # to_inequality_form lays them out, so ``jac[_general_rows]`` is a view)
+    # and ``linear_indices`` as an array.
+    _bound_row: np.ndarray = field(init=False, compare=False, repr=False)
+    _bound_var: np.ndarray = field(init=False, compare=False, repr=False)
+    _bound_sign: np.ndarray = field(init=False, compare=False, repr=False)
+    _bound_c: np.ndarray = field(init=False, compare=False, repr=False)
+    _general_rows: slice | np.ndarray = field(init=False, compare=False, repr=False)
+    _linear_rows: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -90,6 +107,14 @@ class NlpProblem:
             raise ValueError(f"bound row {row} declared twice")
         if not self.linear_indices <= set(range(self.m)):
             raise ValueError("linear_indices outside {0..m-1}")
+        self._bound_row, self._bound_var = row.astype(np.intp), var.astype(np.intp)
+        self._bound_sign, self._bound_c = sign, c
+        general = np.ones(self.m, dtype=bool)
+        general[self._bound_row] = False
+        n_general = self.m - row.size
+        self._general_rows = (slice(0, n_general) if general[:n_general].all()
+                              else np.flatnonzero(general))
+        self._linear_rows = np.array(sorted(self.linear_indices), dtype=np.intp)
 
     # Validating wrappers; all solver code goes through these.
     def f(self, x: np.ndarray) -> float:

@@ -195,8 +195,10 @@ class WorkTotals:
                 "backsolves": self.backsolves + (live.solves if live else 0)}
 
 
-def _project_onto_bounds(x: np.ndarray, bounds, kappa: float = 1e-2) -> np.ndarray:
-    """Push the start point strictly inside its declared variable bounds.
+def _project_onto_bounds(x: np.ndarray, var: np.ndarray, sign: np.ndarray, c: np.ndarray,
+                         kappa: float = 1e-2) -> np.ndarray:
+    """Push the start point strictly inside its declared variable bounds,
+    given as the ``var``, ``sign`` and ``c`` columns of ``NlpProblem.bounds``.
 
     Uses the relative margin min(kappa*max(1,|bound|), kappa*(u-l)) on each
     side, so one-sided bounds get a fixed push and tight boxes remain
@@ -204,13 +206,12 @@ def _project_onto_bounds(x: np.ndarray, bounds, kappa: float = 1e-2) -> np.ndarr
     """
     lower = np.full(x.shape[0], -np.inf)
     upper = np.full(x.shape[0], np.inf)
-    _, var, sign, c = np.array(bounds, dtype=float).reshape(-1, 4).T
     # Each side keeps its tightest bound and, of equal ones, the first (so the
     # sign of a zero), as min/max do: a stable sort by variable, then tightness.
     for side, rows, key in ((upper, sign > 0, c), (lower, sign <= 0, -c)):
         order = np.flatnonzero(rows)[np.lexsort((key[rows], var[rows]))]
         j, first = np.unique(var[order], return_index=True)
-        side[j.astype(int)] = c[order[first]]
+        side[j] = c[order[first]]
     # A missing side's pad is inf, so its target inf - inf is NaN, which the
     # strict comparisons below skip; on a tie they keep x, as max/min do.
     with np.errstate(invalid="ignore", over="ignore"):
@@ -244,8 +245,9 @@ def initialize(problem: NlpProblem, x_start: np.ndarray,
     The probe factorization becomes ``work``'s live one when given.
 
     Raises :class:`InitializationError` when a bound row is active or
-    violated after projection; evaluation failures at the start point
-    propagate.
+    violated after projection, or when the Jacobian row of a declared bound
+    row is not ``sign*e_var`` (the Schur assembly relies on it); evaluation
+    failures at the start point propagate.
     """
     x0 = np.array(x_start, float)  # a copy: iterates own their arrays
     if x0.shape != (problem.n,):
@@ -261,12 +263,13 @@ def initialize(problem: NlpProblem, x_start: np.ndarray,
         empty = np.zeros(0)
         return make_iterate(problem, mu0, x0, empty, empty, empty)
 
-    x0 = _project_onto_bounds(x0, problem.bounds)
+    rows, var, sign = problem._bound_row, problem._bound_var, problem._bound_sign
+    x0 = _project_onto_bounds(x0, var, sign, problem._bound_c)
     a0 = problem.a(x0)
     s_raw = -a0
 
     bound_mask = np.zeros(m, dtype=bool)
-    bound_mask[[row for row, _j, _sign, _c in problem.bounds]] = True
+    bound_mask[rows] = True
     if np.any(s_raw[bound_mask] <= 0):
         bad = int(np.flatnonzero(bound_mask & (s_raw <= 0))[0])
         raise InitializationError(
@@ -278,6 +281,11 @@ def initialize(problem: NlpProblem, x_start: np.ndarray,
     s_tilde = initial_slack_shift(s_raw)
     probe_w = a0 + s_tilde
     probe = make_iterate(problem, 1.0, x0, s_tilde, y_tilde, probe_w, a=a0)
+    declared = np.zeros((rows.size, problem.n))
+    declared[np.arange(rows.size), var] = sign
+    for k in np.flatnonzero((probe.jac[rows] != declared).any(axis=1))[:1]:
+        raise InitializationError(
+            f"bound row {rows[k]} is declared as {sign[k]:g}*e_{var[k]} but its Jacobian row differs")
     fs = factorize_with_shift(assemble_schur(problem, probe), 0.0)
     if work is not None:
         work.supersede(fs)

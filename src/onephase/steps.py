@@ -112,7 +112,7 @@ def theta_p_vector(problem: NlpProblem) -> np.ndarray:
     """Per-row fraction-to-boundary factor of the maximum step: theta_p
     linear on linear rows, theta_p nonlinear elsewhere."""
     theta_p = np.full(problem.m, THETA_P_NONLINEAR)
-    theta_p[list(problem.linear_indices)] = THETA_P_LINEAR
+    theta_p[problem._linear_rows] = THETA_P_LINEAR
     return theta_p
 
 

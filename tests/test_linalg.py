@@ -3,8 +3,17 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from onephase import SolveStatus, solve
-from onephase.iterate import make_iterate
+from onephase import (
+    LinearRow,
+    NlpProblem,
+    Relation,
+    SolveStatus,
+    SourceConstraint,
+    SourceProblem,
+    solve,
+    to_inequality_form,
+)
+from onephase.iterate import BETA1, make_iterate
 from onephase.linalg import (
     DELTA_INC,
     DELTA_MIN,
@@ -26,6 +35,27 @@ def matrix(M):
 
 def point(problem, x, s, y, mu=1.0):
     return make_iterate(problem, mu, x, s, y, np.zeros(len(s)))
+
+
+def dense_schur(problem, it):
+    """The dense product over every row: ``M`` before bound rows became a diagonal."""
+    H = np.array(problem.hess_lag(it.x, it.y - it.mu * BETA1), dtype=float)
+    Hs = 0.5 * (H + H.T)
+    Hs += (it.jac.T * (it.y / it.s)) @ it.jac
+    return 0.5 * (Hs + Hs.T)
+
+
+def random_point(problem, rng):
+    s, y = rng.uniform(0.1, 3.0, (2, problem.m))
+    return point(problem, rng.standard_normal(problem.n), s, y, mu=0.3)
+
+
+def assert_matches_dense(problem, rng, trials=20):
+    for _ in range(trials):
+        it = random_point(problem, rng)
+        M, want = assemble_schur(problem, it), dense_schur(problem, it)
+        assert np.array_equal(M, M.T)
+        assert np.abs(M - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestAssembleSchur:
@@ -56,6 +86,47 @@ class TestAssembleSchur:
         M = assemble_schur(p, point(p, np.zeros(3), [0.3, 0.7], [1.9, 0.2]))
         assert type(M) is np.ndarray
         assert np.array_equal(M, M.T)
+
+    def test_lowered_box_one_sided_fixed_and_equality_rows(self):
+        # x0 in [-1, 2], x1 >= 0.5, x2 fixed at 1 (an == pair in the A x - b
+        # block), x3 free; a nonlinear equality and a linear >= row.
+        n = 4
+        Q = np.array([[3.0, 1.0, 0.0, 0.5], [1.0, 2.0, 0.3, 0.0],
+                      [0.0, 0.3, 1.5, 0.2], [0.5, 0.0, 0.2, 4.0]])
+        source = SourceProblem(
+            n=n, eval_f=lambda x: 0.5 * float(x @ Q @ x), eval_grad_f=lambda x: Q @ x,
+            eval_hess_f=lambda x: Q,
+            constraints=[SourceConstraint(func=lambda x: float(x @ x), grad=lambda x: 2 * x,
+                                          relation=Relation.EQ, rhs=2.0,
+                                          hess=lambda x: 2 * np.eye(n))],
+            linear_rows=[LinearRow(np.array([1.0, -2.0, 0.5, 3.0]), Relation.GE, -1.0)],
+            lower=np.array([-1.0, 0.5, 1.0, -np.inf]),
+            upper=np.array([2.0, np.inf, 1.0, np.inf]))
+        problem, _ = to_inequality_form(source)
+        assert len(problem.bounds) == 3 and problem.m == 8
+        assert isinstance(problem._general_rows, slice)
+        assert_matches_dense(problem, np.random.default_rng(5))
+
+    def test_bound_rows_first_and_in_the_middle(self):
+        # Rows 0, 2 and 4 are declared bounds, so the other rows are an index array.
+        J = np.array([[-1.0, 0.0, 0.0], [1.0, 2.0, -1.0], [0.0, 0.0, 1.0],
+                      [0.5, -1.0, 3.0], [1.0, 0.0, 0.0]])
+        H = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 4.0]])
+        problem = NlpProblem(
+            n=3, m=5, eval_f=lambda x: 0.5 * float(x @ H @ x), eval_grad_f=lambda x: H @ x,
+            eval_a=lambda x: J @ x, eval_jac=lambda x: J, eval_hess_lag=lambda x, v: H,
+            bounds=((0, 0, -1, 0.0), (2, 2, 1, 0.0), (4, 0, 1, 0.0)))
+        assert problem._general_rows.tolist() == [1, 3]
+        assert_matches_dense(problem, np.random.default_rng(6))
+
+    def test_no_bounds_is_the_dense_product_to_the_bit(self):
+        rng = np.random.default_rng(7)
+        H = rng.standard_normal((5, 5))
+        J = rng.standard_normal((4, 5))
+        problem = quadratic_problem(H + H.T, np.zeros(5), J, np.zeros(4))
+        for _ in range(20):
+            it = random_point(problem, rng)
+            assert assemble_schur(problem, it).tobytes() == dense_schur(problem, it).tobytes()
 
 
 class TestFactorizeWithShift:

@@ -1,6 +1,7 @@
 import io
 import json
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -156,7 +157,8 @@ class TestProjectOntoBoundsMatchesLoop:
         for _ in range(3000):
             x, bounds, kinds = _random_projection_case(rng)
             want = _project_onto_bounds_loop(x, bounds)
-            got = solver_module._project_onto_bounds(x, bounds)
+            _, var, sign, c = np.array(bounds, dtype=float).reshape(-1, 4).T
+            got = solver_module._project_onto_bounds(x, var.astype(np.intp), sign, c)
             assert got.tobytes() == want.tobytes(), (x, bounds)
             for kind in kinds:
                 seen[kind.split("+")[0]] += 1
@@ -219,6 +221,25 @@ class TestInitialize:
         with pytest.raises(InitializationError, match="bound row 0"):
             initialize(problem, np.zeros(1), SolverOptions())
 
+    def test_declared_bound_row_must_match_the_jacobian(self):
+        # Row 0 is declared as x_0 >= 1, whose Jacobian row is -e_0, but
+        # eval_jac returns 2.0 there: the Schur assembly would use -e_0.
+        problem = NlpProblem(
+            n=1, m=1,
+            eval_f=lambda x: float(x[0]),
+            eval_grad_f=lambda x: np.array([1.0]),
+            eval_a=lambda x: np.array([1.0 - x[0]]),
+            eval_jac=lambda x: np.array([[2.0]]),
+            eval_hess_lag=lambda x, v: np.zeros((1, 1)),
+            bounds=((0, 0, -1, 1.0),),
+            linear_indices=frozenset({0}),
+        )
+        with pytest.raises(InitializationError, match="bound row 0"):
+            initialize(problem, np.zeros(1), SolverOptions())
+        result = solve(problem, np.zeros(1))
+        assert result.status is SolveStatus.EVALUATION_ERROR
+        assert result.detail == "bound row 0 is declared as -1*e_0 but its Jacobian row differs"
+
     @pytest.mark.parametrize("source, x0", [
         (far_box_qp, 1e16), (far_box_qp, 1e17), (far_box_qp, -1e17),
         (far_half_line_lp, -1e17),
@@ -277,7 +298,7 @@ class TestSolveBasics:
 
     def test_evaluation_error_at_start(self):
         p = quadratic_problem(np.eye(1), np.zeros(1))
-        bad = p.__class__(**{**p.__dict__, "eval_f": lambda x: float("nan")})
+        bad = replace(p, eval_f=lambda x: float("nan"))
         result = solve(bad, np.ones(1))
         assert result.status is SolveStatus.EVALUATION_ERROR
 
@@ -607,7 +628,7 @@ class TestHostileCallbacks:
 
     def test_max_delta_detail(self):
         p = quadratic_problem(np.eye(1), np.zeros(1))
-        bad = p.__class__(**{**p.__dict__, "eval_hess_lag": lambda x, v: np.array([[-1e60]])})
+        bad = replace(p, eval_hess_lag=lambda x, v: np.array([[-1e60]]))
         result = solve(bad, np.ones(1))
         assert result.status is SolveStatus.MAX_DELTA
         assert result.detail.startswith("shift ")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -352,8 +354,8 @@ class TestThetaBar:
 
 class TestThetaPVector:
     def test_linear_rows_get_the_linear_factor(self):
-        p = linear_problem([0.0], [[1.0], [2.0], [3.0]], [0.0, 0.0, 0.0])
-        p.linear_indices = frozenset({0, 2})
+        p = replace(linear_problem([0.0], [[1.0], [2.0], [3.0]], [0.0, 0.0, 0.0]),
+                    linear_indices=frozenset({0, 2}))
         assert theta_p_vector(p).tolist() == [
             THETA_P_LINEAR, THETA_P_NONLINEAR, THETA_P_LINEAR]
         assert theta_p_vector(quadratic_problem([[1.0]], [0.0])).shape == (0,)
