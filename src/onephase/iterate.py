@@ -99,10 +99,6 @@ class Iterate:
         """grad f + J^T (y - mu_bar*beta1*e) from the caches."""
         return self.grad_f + self.jac.T @ (self.y - mu_bar * BETA1)
 
-    def barrier_grad(self) -> np.ndarray:
-        """Gradient of psi_mu at x: grad f + J^T (mu/s - mu*beta1*e)."""
-        return self.grad_f + self.jac.T @ (self.mu / self.s - self.mu * BETA1)
-
     def primal_residual(self) -> np.ndarray:
         return self.a + self.s - self.mu * self.w
 

@@ -71,7 +71,6 @@ class MaxDeltaError(RuntimeError):
 class FactorizedSystem:
     """Lower Cholesky factor of ``shifted = M + delta*I`` (``M`` if delta = 0)."""
 
-    M: np.ndarray
     delta: float
     shifted: np.ndarray
     factor: np.ndarray
@@ -144,7 +143,7 @@ def factorize_with_shift(M: np.ndarray, delta_in: float,
         attempts += 1
         L = _try_cholesky(M)
         if L is not None:
-            return FactorizedSystem(M, 0.0, M, L, attempts)
+            return FactorizedSystem(0.0, M, L, attempts)
         tau = 0.0
 
     delta = max(delta_in / DELTA_DEC, floor - tau)
@@ -168,7 +167,7 @@ def factorize_growing_shift(M: np.ndarray, delta: float,
         shifted = M + delta * eye
         L = _try_cholesky(shifted)
         if L is not None:
-            return FactorizedSystem(M, delta, shifted, L, attempts)
+            return FactorizedSystem(delta, shifted, L, attempts)
         delta = DELTA_INC * delta
 
 
@@ -177,13 +176,14 @@ def solve_shifted(fs: FactorizedSystem, rhs: np.ndarray) -> np.ndarray:
 
     One round of iterative refinement is applied when the raw residual
     exceeds ``1e-10 * (1 + ||rhs||_inf)``; Cholesky backsolves alone lose
-    accuracy near convergence.
+    accuracy near convergence.  An overflowed solution comes back
+    non-finite, not as an exception: the step it belongs to is rejected.
     """
-    d = scipy.linalg.cho_solve((fs.factor, True), rhs)
+    d = scipy.linalg.cho_solve((fs.factor, True), rhs, check_finite=False)
     fs.solves += 1
     resid = rhs - fs.shifted @ d
     if np.abs(resid).max(initial=0.0) > 1e-10 * (1.0 + np.abs(rhs).max(initial=0.0)):
-        d = d + scipy.linalg.cho_solve((fs.factor, True), resid)
+        d = d + scipy.linalg.cho_solve((fs.factor, True), resid, check_finite=False)
         fs.solves += 1
     return d
 

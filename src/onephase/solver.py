@@ -59,6 +59,7 @@ from .steps import (
 BETA10 = 1e-4      # minimum initial slack shift
 BETA11 = 1e-2      # minimum initial dual value
 BETA12 = 1e3       # maximum initial dual value
+KAPPA = 1e-2       # relative margin of the start point inside its bounds
 
 
 class InitializationError(EvaluationError):
@@ -195,8 +196,8 @@ class WorkTotals:
                 "backsolves": self.backsolves + (live.solves if live else 0)}
 
 
-def _project_onto_bounds(x: np.ndarray, var: np.ndarray, sign: np.ndarray, c: np.ndarray,
-                         kappa: float = 1e-2) -> np.ndarray:
+def _project_onto_bounds(x: np.ndarray, var: np.ndarray, sign: np.ndarray,
+                         c: np.ndarray) -> np.ndarray:
     """Push the start point strictly inside its declared variable bounds,
     given as the ``var``, ``sign`` and ``c`` columns of ``NlpProblem.bounds``.
 
@@ -216,8 +217,8 @@ def _project_onto_bounds(x: np.ndarray, var: np.ndarray, sign: np.ndarray, c: np
     # strict comparisons below skip; on a tie they keep x, as max/min do.
     with np.errstate(invalid="ignore", over="ignore"):
         width = upper - lower
-        pad_lo = np.minimum(kappa * np.maximum(1.0, np.abs(lower)), kappa * width)
-        pad_hi = np.minimum(kappa * np.maximum(1.0, np.abs(upper)), kappa * width)
+        pad_lo = np.minimum(KAPPA * np.maximum(1.0, np.abs(lower)), KAPPA * width)
+        pad_hi = np.minimum(KAPPA * np.maximum(1.0, np.abs(upper)), KAPPA * width)
         lo, hi = lower + pad_lo, upper - pad_hi
     x = np.where(lo > x, lo, x)
     return np.where(hi < x, hi, x)

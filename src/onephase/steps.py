@@ -1,4 +1,4 @@
-"""Direction computation and the aggressive / stabilization line searches.
+"""Direction computation and the line search both step kinds share.
 
 Both step kinds solve the same factorized system with different right-hand
 sides.  A direction targets removing the fraction ``1 - gamma`` of the
@@ -6,6 +6,10 @@ current KKT residual: ``gamma = 1`` holds ``mu`` and the primal residual
 fixed (stabilization), ``gamma < 1`` drives everything down together
 (aggressive).  Every direction is the Newton direction at the iterate the
 factorized Schur matrix was assembled at.
+
+After its direction, a step of either kind takes one path,
+:func:`_line_search`; the kinds differ only in ``gamma``, the minimum step
+size and the acceptance test.
 """
 
 from __future__ import annotations
@@ -103,8 +107,9 @@ def compute_direction(fs: FactorizedSystem, it: Iterate, gamma: float) -> Direct
     b_d, b_p, b_c = build_rhs(it, gamma)
     rhs = -(b_d + it.jac.T @ ((it.y * b_p - b_c) / it.s))
     dx = solve_shifted(fs, rhs)
-    dy = (it.y / it.s) * (it.jac @ dx + b_p - b_c / it.y)
-    ds = -(1.0 - gamma) * it.mu * it.w - it.jac @ dx
+    jdx = it.jac @ dx
+    dy = (it.y / it.s) * (jdx + b_p - b_c / it.y)
+    ds = -(1.0 - gamma) * it.mu * it.w - jdx
     return Direction(dx=dx, ds=ds, dy=dy, gamma=gamma, b_d=b_d, b_p=b_p, b_c=b_c)
 
 
@@ -152,14 +157,14 @@ def dual_interval(s_plus: np.ndarray, mu_plus: float, it: Iterate,
     s+_i (y + alpha dy)_i / mu+ in [beta2, 1/beta2] and
     y + alpha dy >= theta_b * y * min(1, ||dx||_inf).
 
-    Returns None when the intersection is empty (the trial is rejected).
+    Needs s+ > 0 and mu+ > 0 when there are rows (the line search rejects
+    other trials first).  Returns None when the intersection is empty (the
+    trial is rejected).
     """
     if it.m == 0:
-        # s_plus.min() and the argmin below raise on empty arrays; the
-        # argmin is kept over an initial= reduction for a zero hi's sign.
+        # The argmin below raises on an empty array; it is kept over an
+        # initial= reduction for a zero hi's sign.
         return (0.0, 1.0)
-    if s_plus.min() <= 0 or mu_plus <= 0:
-        return None
     lower = np.maximum(
         BETA2 * mu_plus / s_plus,
         THETA_B * it.y * min(1.0, inf_norm(direction.dx)),
@@ -235,12 +240,12 @@ def theta_bar(mu: float, s: np.ndarray, w: np.ndarray) -> float:
     return min(0.5, BETA6 / (4.0 * mu) * corridor * slack_ratio)
 
 
-def _trial_duals(it: Iterate, gamma: float) -> np.ndarray:
-    """Dual estimate mu S^{-1} (gamma e + (1-gamma) Y w) for the aggressive
-    descent precheck; chosen so the modified Lagrangian gradient at these
-    duals equals the system right-hand side, making the precheck pass by
-    construction."""
-    return it.mu / it.s * (gamma + (1.0 - gamma) * it.y * it.w)
+def descent_grad(it: Iterate, gamma: float) -> np.ndarray:
+    """grad f + J^T (mu S^{-1} (gamma e + (1-gamma) Y w) - gamma mu beta1 e),
+    the right-hand side of the gamma system, along which its direction
+    descends by construction; at gamma = 1, grad psi_mu to the bit."""
+    return it.grad_f + it.jac.T @ (
+        it.mu / it.s * (gamma + (1.0 - gamma) * it.y * it.w) - gamma * it.mu * BETA1)
 
 
 def _finite_direction(direction: Direction) -> bool:
@@ -251,115 +256,104 @@ def _finite_direction(direction: Direction) -> bool:
     )
 
 
+_REJECTED = (None, 0.0, math.inf)   # (new, alpha_d, tau) of a rejected trial
+
+
+def _trial(fs: FactorizedSystem, it: Iterate, problem: NlpProblem,
+           direction: Direction, alpha_p: float) -> tuple[Iterate | None, float, float]:
+    """``(new, alpha_d, tau)`` at ``alpha_p``; ``new`` is None on rejection.
+
+    s+ = mu+ w - a(x+) must be positive and pass the fraction-to-boundary
+    rule; the dual step needs a nonempty dual interval and grad f, J at x+.
+    Then the dual-feasibility guard: if mu+ < (1 - beta8) mu, a tau below 1
+    rejects the trial before f is evaluated at x+.
+    """
+    mu_plus, x_plus, a_plus, s_plus = primal_trial(
+        it, direction.dx, direction.gamma, alpha_p, problem)
+    # Without rows, a trial that zeroes mu must still reach the guard,
+    # whose retry jumps to beta8^2 instead of halving (and np.min of an
+    # empty s_plus would raise).
+    if it.m and (mu_plus <= 0 or np.min(s_plus) <= 0):
+        return _REJECTED
+    if not fraction_to_boundary_ok(s_plus, it, direction, fs.delta):
+        return _REJECTED
+    interval = dual_interval(s_plus, mu_plus, it, direction)
+    if interval is None:
+        return _REJECTED
+    grad_f_plus = problem.grad_f(x_plus)
+    jac_plus = problem.jac(x_plus)
+    alpha_d = dual_step_size(s_plus, mu_plus, grad_f_plus, jac_plus,
+                             it, direction, interval, alpha_p)
+    y_plus = it.y + alpha_d * direction.dy
+    if mu_plus / it.mu < 1.0 - BETA8:
+        # mu dropped hard; make sure the dual infeasibility followed.
+        grad_l_plus = grad_f_plus + jac_plus.T @ (y_plus - mu_plus * BETA1)
+        denom = (1.0 - BETA8) * sigma(y_plus) * inf_norm(grad_l_plus)
+        tau = mu_plus / denom if denom > 0 else math.inf
+        if tau < 1.0:
+            return None, 0.0, tau
+    new = make_iterate(problem, mu_plus, x_plus, s_plus, y_plus, it.w,
+                       a=a_plus, jac=jac_plus, grad_f=grad_f_plus)
+    return new, alpha_d, math.inf
+
+
 def _line_search(fs: FactorizedSystem, it: Iterate, problem: NlpProblem,
-                 direction: Direction, alpha_p: float,
+                 direction: Direction,
                  below_minimum: Callable[[float], bool],
-                 accepts: Callable[[Iterate, float], bool]) -> StepOutcome:
+                 accepts: Callable[[Iterate, float, float], bool]) -> StepOutcome:
     """Backtracking search shared by both step kinds.
 
-    From ``alpha_p`` each trial builds mu+, x+ and the nonlinear slack
-    update s+ = mu+ w - a(x+), which must be positive and pass the
-    fraction-to-boundary rule; then the dual step, which needs a nonempty
-    dual interval and grad f, J at x+.  Next comes the dual-feasibility
-    guard, then f at x+, then ``accepts(new, alpha_p)`` and the
-    complementarity corridor.  Every rejection multiplies ``alpha_p`` by
-    beta6, except the guard's, which jumps to max(beta8^2, alpha_p tau^2)
-    at most MAX_GUARD_RETRIES times.  The guard runs before f is
-    evaluated, so its rejections cost no objective evaluation; it only
-    looks at steps with mu+ < (1 - beta8) mu, which a stabilization step
-    (mu+ = mu) never takes.  The search fails once
+    Prelude: a non-finite direction, or one along which
+    ``descent_grad(it, gamma)`` does not decrease, fails at once; trials
+    start from the fraction-to-boundary maximum.  Trial: :func:`_trial`,
+    then ``accepts(new, alpha_p, slope)`` and the complementarity corridor.
+    Halving: any rejection, failed evaluation included, multiplies
+    ``alpha_p`` by beta6.  Guard: its rejection instead jumps to
+    max(beta8^2, alpha_p tau^2), at most MAX_GUARD_RETRIES times (a
+    stabilization step, mu+ = mu, never meets it).  The search fails once
     ``below_minimum(alpha_p)`` holds.
     """
+    if not _finite_direction(direction):
+        return StepOutcome(False, None, direction, reason="non-finite direction")
+    slope = float(descent_grad(it, direction.gamma) @ direction.dx)
+    if slope >= 0:
+        return StepOutcome(False, None, direction, reason="not a descent direction")
+    alpha_p = max_primal_step(it, direction, fs.delta, theta_p_vector(problem))
     guard_retries = 0
-    while True:
-        if below_minimum(alpha_p):
-            return StepOutcome(False, None, direction, reason="step size below minimum")
+    while not below_minimum(alpha_p):
         try:
-            mu_plus, x_plus, a_plus, s_plus = primal_trial(
-                it, direction.dx, direction.gamma, alpha_p, problem)
+            new, alpha_d, tau = _trial(fs, it, problem, direction, alpha_p)
         except EvaluationError:
-            alpha_p *= BETA6
+            new, alpha_d, tau = _REJECTED
+        if tau < 1.0:
+            guard_retries += 1
+            if guard_retries > MAX_GUARD_RETRIES:
+                return StepOutcome(False, None, direction,
+                                   reason="dual-feasibility guard retries exhausted")
+            alpha_p = max(BETA8 ** 2, alpha_p * tau ** 2)
             continue
-        # Without rows, a trial that zeroes mu must still reach the
-        # dual-feasibility guard, whose retry jumps to beta8^2 instead of
-        # halving (and np.min of an empty s_plus would raise).
-        if it.m and (mu_plus <= 0 or np.min(s_plus) <= 0):
-            alpha_p *= BETA6
-            continue
-        if not fraction_to_boundary_ok(s_plus, it, direction, fs.delta):
-            alpha_p *= BETA6
-            continue
-        interval = dual_interval(s_plus, mu_plus, it, direction)
-        if interval is None:
-            alpha_p *= BETA6
-            continue
-        try:
-            grad_f_plus = problem.grad_f(x_plus)
-            jac_plus = problem.jac(x_plus)
-        except EvaluationError:
-            alpha_p *= BETA6
-            continue
-        alpha_d = dual_step_size(s_plus, mu_plus, grad_f_plus, jac_plus,
-                                 it, direction, interval, alpha_p)
-        y_plus = it.y + alpha_d * direction.dy
-
-        if mu_plus / it.mu < 1.0 - BETA8:
-            # mu dropped hard; make sure the dual infeasibility followed.
-            grad_l_plus = grad_f_plus + jac_plus.T @ (y_plus - mu_plus * BETA1)
-            denom = (1.0 - BETA8) * sigma(y_plus) * inf_norm(grad_l_plus)
-            tau = mu_plus / denom if denom > 0 else math.inf
-            if tau < 1.0:
-                guard_retries += 1
-                if guard_retries > MAX_GUARD_RETRIES:
-                    return StepOutcome(False, None, direction,
-                                       reason="dual-feasibility guard retries exhausted")
-                alpha_p = max(BETA8 ** 2, alpha_p * tau ** 2)
-                continue
-
-        try:
-            new = make_iterate(problem, mu_plus, x_plus, s_plus, y_plus, it.w,
-                               a=a_plus, jac=jac_plus, grad_f=grad_f_plus)
-        except EvaluationError:
-            alpha_p *= BETA6
-            continue
-        if not accepts(new, alpha_p) or not check_interior(new):
-            alpha_p *= BETA6
-            continue
-        return StepOutcome(True, new, direction, alpha_p=alpha_p, alpha_d=alpha_d)
+        if new is not None and accepts(new, alpha_p, slope) and check_interior(new):
+            return StepOutcome(True, new, direction, alpha_p=alpha_p, alpha_d=alpha_d)
+        alpha_p *= BETA6
+    return StepOutcome(False, None, direction, reason="step size below minimum")
 
 
 def aggressive_step(fs: FactorizedSystem, it: Iterate, problem: NlpProblem) -> StepOutcome:
     """Mehrotra-style mu-reducing step.
 
     A pure predictor (gamma = 0) direction sets the corrector target
-    gamma = min(0.5, (1 - alpha_max)^2).  The corrector direction is then
-    line searched from the fraction-to-boundary maximum, rejecting early
-    when it is not a descent direction for the modified Lagrangian at the
-    centering duals.  After the dual step is chosen, a guard rejects steps
-    that slash mu while the dual infeasibility stays large.
+    gamma = min(0.5, (1 - alpha_max)^2), and the corrector direction goes
+    through the shared search with any trial above theta_bar accepted.
     """
-    theta_p = theta_p_vector(problem)
-
     predictor = compute_direction(fs, it, 0.0)
     if not _finite_direction(predictor):
         return StepOutcome(False, None, predictor, reason="non-finite direction")
-    alpha_hat = max_primal_step(it, predictor, fs.delta, theta_p)
+    alpha_hat = max_primal_step(it, predictor, fs.delta, theta_p_vector(problem))
     gamma = min(0.5, (1.0 - alpha_hat) ** 2)
-
-    direction = compute_direction(fs, it, gamma)
-    if not _finite_direction(direction):
-        return StepOutcome(False, None, direction, reason="non-finite direction")
-
-    y_tilde = _trial_duals(it, gamma)
-    grad_tilde = it.grad_f + it.jac.T @ (y_tilde - gamma * it.mu * BETA1)
-    if float(grad_tilde @ direction.dx) >= 0:
-        return StepOutcome(False, None, direction, reason="not a descent direction")
-
     alpha_min = theta_bar(it.mu, it.s, it.w)
-    alpha_p = max_primal_step(it, direction, fs.delta, theta_p)
-    return _line_search(fs, it, problem, direction, alpha_p,
+    return _line_search(fs, it, problem, compute_direction(fs, it, gamma),
                         below_minimum=lambda alpha: alpha < alpha_min,
-                        accepts=lambda new, alpha: True)
+                        accepts=lambda new, alpha, slope: True)
 
 
 def stabilization_step(fs: FactorizedSystem, it: Iterate, filt: Filter,
@@ -372,26 +366,17 @@ def stabilization_step(fs: FactorizedSystem, it: Iterate, filt: Filter,
     at this residual level.
     """
     direction = compute_direction(fs, it, 1.0)
-    if not _finite_direction(direction):
-        return StepOutcome(False, None, direction, reason="non-finite direction")
-
-    grad_psi = it.barrier_grad()
-    slope = float(grad_psi @ direction.dx)
-    if slope >= 0:
-        return StepOutcome(False, None, direction, reason="not a descent direction")
-
     phi_cur = merit_phi(it)
     comp_term = inf_norm(it.s * it.y - it.mu) ** 3 / it.mu ** 2
     dx_sq = float(direction.dx @ direction.dx)
 
-    def sufficient(new: Iterate, alpha_p: float) -> bool:
+    def sufficient(new: Iterate, alpha_p: float, slope: float) -> bool:
         phi_plus = merit_phi(new)
         model = 0.5 * (slope - 0.5 * fs.delta * alpha_p * dx_sq) - comp_term
         if phi_plus <= phi_cur + alpha_p * BETA4 * model:
             return True
         return filt.accepts(phi_plus, merit_kkt(new), alpha_p)
 
-    alpha_p = max_primal_step(it, direction, fs.delta, theta_p_vector(problem))
-    return _line_search(fs, it, problem, direction, alpha_p,
+    return _line_search(fs, it, problem, direction,
                         below_minimum=lambda alpha: alpha <= BETA5,
                         accepts=sufficient)

@@ -27,7 +27,7 @@ from onephase.linalg import (
     assemble_schur,
     factorize_with_shift,
 )
-from onephase.steps import compute_direction
+from onephase.steps import compute_direction, descent_grad
 
 from helpers import random_interior_setup
 
@@ -179,7 +179,7 @@ def test_07_descent_property_of_stabilization_directions():
             M = assemble_schur(problem, it)
             fs = factorize_with_shift(M, 0.0)
             d = compute_direction(fs, it, 1.0)
-            g = it.barrier_grad()
+            g = descent_grad(it, 1.0)
             if inf_norm(g) <= 1e-12:
                 continue
             checked += 1

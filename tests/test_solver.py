@@ -643,6 +643,16 @@ class TestHostileCallbacks:
         assert result.detail == (f"{len(kinds)} of 200 steps rejected; "
                                  "most often stabilization: step size below minimum")
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_overflowing_direction_is_a_rejected_step(self):
+        # A curvature of 1e-300 under a gradient of 1e10 overflows the
+        # unshifted Newton step; the refinement backsolve then sees an
+        # infinite residual, which must reject the step, not raise.
+        result = solve(quadratic_problem([[1e-300]], [1e10]), np.zeros(1),
+                       SolverOptions(max_iter=20))
+        assert result.status is SolveStatus.ITERATION_LIMIT
+        assert result.detail.endswith("most often stabilization: non-finite direction")
+
 
 class TestInteriorOptimum:
     def test_inactive_curved_constraint(self):

@@ -22,6 +22,7 @@ from onephase.steps import (
     aggressive_step,
     build_rhs,
     compute_direction,
+    descent_grad,
     dual_interval,
     dual_step_size,
     fraction_to_boundary_ok,
@@ -69,7 +70,7 @@ NO_ROW_VALUES = [
     ("compute_direction.dy", lambda p, it, d: d.dy, np.zeros(0)),
     ("compute_direction.ds", lambda p, it, d: d.ds, np.zeros(0)),
     ("lagrangian_grad", lambda p, it, d: it.lagrangian_grad(0.3), lambda it: it.grad_f),
-    ("barrier_grad", lambda p, it, d: it.barrier_grad(), lambda it: it.grad_f),
+    ("descent_grad", lambda p, it, d: descent_grad(it, 1.0), lambda it: it.grad_f),
     ("check_derivatives.jac_error", lambda p, it, d: check_derivatives(p, it.x).jac_error, 0.0),
 ]
 
@@ -120,9 +121,10 @@ class TestComputeDirection:
         # M = 2, rhs = -(1 - beta1), dx = -(1 - beta1)/2.
         p = quadratic_problem([[1.0]], [0.0], [[1.0]], [-1.0])
         it = make_iterate(p, 1.0, np.zeros(1), np.ones(1), np.ones(1), np.zeros(1))
-        fs = factorized_at(p, it)
+        M = assemble_schur(p, it)
+        assert_allclose(M, [[2.0]])
+        fs = factorize_with_shift(M, 0.0)
         assert fs.delta == 0.0
-        assert_allclose(fs.M, [[2.0]])
         d = compute_direction(fs, it, 1.0)
         assert_allclose(d.dx, [-(1.0 - BETA1) / 2.0], rtol=1e-12)
 
@@ -156,6 +158,45 @@ class TestComputeDirection:
                 assert_allclose(row2, -d.b_p, atol=1e-8 * scale)
                 row3 = it.s * d.dy + it.y * d.ds
                 assert_allclose(row3, -d.b_c, atol=1e-7 * scale)
+
+
+def _barrier_grad(it):
+    """``Iterate.barrier_grad``, deleted for ``descent_grad(it, 1.0)``; kept
+    as its reference."""
+    return it.grad_f + it.jac.T @ (it.mu / it.s - it.mu * BETA1)
+
+
+def _aggressive_descent_grad(it, gamma):
+    """The gradient ``aggressive_step`` formed at the duals of the deleted
+    ``_trial_duals``, mu S^{-1} (gamma e + (1-gamma) Y w); kept as the
+    reference for ``descent_grad(it, gamma)``."""
+    y_tilde = it.mu / it.s * (gamma + (1.0 - gamma) * it.y * it.w)
+    return it.grad_f + it.jac.T @ (y_tilde - gamma * it.mu * BETA1)
+
+
+class TestDescentGrad:
+    def test_equals_the_deleted_formulas_to_the_bit(self):
+        rng = np.random.default_rng(26)
+        for _ in range(200):
+            problem, it = random_interior_setup(rng)
+            np.testing.assert_array_equal(descent_grad(it, 1.0), _barrier_grad(it))
+            for gamma in (0.0, 0.25, 0.5):
+                np.testing.assert_array_equal(descent_grad(it, gamma),
+                                              _aggressive_descent_grad(it, gamma))
+
+    def test_descends_along_the_direction_of_its_gamma(self):
+        # descent_grad is the right-hand side of the gamma system, so
+        # descent_grad . dx = -dx' (M + delta I) dx < 0 at the assembly point.
+        rng = np.random.default_rng(27)
+        for _ in range(50):
+            problem, it = random_interior_setup(rng)
+            fs = factorized_at(problem, it)
+            for gamma in (0.0, 0.25, 1.0):
+                d = compute_direction(fs, it, gamma)
+                if inf_norm(d.dx) <= 1e-12:
+                    continue
+                quad = float(d.dx @ (fs.shifted @ d.dx))
+                assert float(descent_grad(it, gamma) @ d.dx) == pytest.approx(-quad, rel=1e-6)
 
 
 class TestMaxPrimalStep:
@@ -456,13 +497,14 @@ class TestStabilizationStep:
         rng = np.random.default_rng(25)
         for _ in range(25):
             problem, it = random_interior_setup(rng)
-            fs = factorized_at(problem, it)
+            M = assemble_schur(problem, it)
+            fs = factorize_with_shift(M, 0.0)
             d = compute_direction(fs, it, 1.0)
-            g = it.barrier_grad()
+            g = descent_grad(it, 1.0)
             gnorm = float(np.linalg.norm(g))
             if gnorm <= 1e-12:
                 continue
-            A = fs.M + fs.delta * np.eye(problem.n)
+            A = M + fs.delta * np.eye(problem.n)
             v = rng.standard_normal(problem.n)
             v /= np.linalg.norm(v)
             lam = 0.0
@@ -477,3 +519,36 @@ class TestStabilizationStep:
             slope = float(g @ d.dx)
             assert slope < 0
             assert slope <= -(gnorm ** 2) / (lam * (1.0 + 1e-6)) + 1e-12
+
+
+class TestLineSearchExits:
+    """Exits of the shared search that no solve in the other tests reaches."""
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_overflowing_direction_is_non_finite(self):
+        # A curvature of 1e-300 under a gradient of 1e10: the Newton step
+        # overflows to -inf in both coordinates (the refinement residual is
+        # 0 * inf = NaN, so it is skipped).
+        p = quadratic_problem(1e-300 * np.eye(2), [1e10, 1e10])
+        it = make_iterate(p, 1.0, np.zeros(2), np.zeros(0), np.zeros(0), np.zeros(0))
+        fs = factorized_at(p, it)
+        assert fs.delta == 0.0
+        for out in (stabilization_step(fs, it, Filter(), p), aggressive_step(fs, it, p)):
+            assert not out.success
+            assert out.reason == "non-finite direction"
+            assert not np.all(np.isfinite(out.direction.dx))
+
+    def test_guard_retries_exhausted(self):
+        # min 0.5 h x^2 + g x s.t. x <= 1e7 from x = 0 on the central path.
+        # The predictor reaches 0.999 of the way to the fraction-to-boundary
+        # floor, so gamma is about 1e-6 and every trial down to alpha_p = 0.9
+        # cuts mu below (1 - beta8) mu.  The gradient shrinks with mu+ along
+        # the step, so the guard's tau stays near 0.998 and each retry
+        # alpha_p tau^2 lands in that range again.
+        p = quadratic_problem([[1.112e-6]], [-10.02], [[1.0]], [-1e7])
+        it = make_iterate(p, 1.0, np.zeros(1), np.array([1e7]), np.array([1e-7]), np.zeros(1))
+        fs = factorized_at(p, it)
+        out = aggressive_step(fs, it, p)
+        assert not out.success
+        assert out.reason == "dual-feasibility guard retries exhausted"
+        assert 0.0 < out.direction.gamma < 1e-5
