@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -79,6 +80,13 @@ class Iterate:
     Its arrays are never mutated in place, so holding an iterate holds a
     snapshot.  Without rows, s, y, w and a are empty and jac is (0, n):
     every formula holds as an empty sum.
+
+    The measures every consumer of one iterate reads are computed once, on
+    first use: ``grad_lag_mu`` and ``grad_lag_0`` (``lagrangian_grad`` at
+    ``mu`` and at 0), ``grad_norm`` (``||grad L_mu||_inf``), ``comp_norm``
+    (``||Sy - mu e||_inf``) and ``sigma`` (``sigma(y)``).  The caches are
+    sound only because the arrays are never mutated; the cached arrays are
+    shared with every reader and must not be mutated either.
     """
 
     mu: float
@@ -98,6 +106,26 @@ class Iterate:
     def lagrangian_grad(self, mu_bar: float) -> np.ndarray:
         """grad f + J^T (y - mu_bar*beta1*e) from the caches."""
         return self.grad_f + self.jac.T @ (self.y - mu_bar * BETA1)
+
+    @cached_property
+    def grad_lag_mu(self) -> np.ndarray:
+        return self.lagrangian_grad(self.mu)
+
+    @cached_property
+    def grad_lag_0(self) -> np.ndarray:
+        return self.lagrangian_grad(0.0)
+
+    @cached_property
+    def grad_norm(self) -> float:
+        return inf_norm(self.grad_lag_mu)
+
+    @cached_property
+    def comp_norm(self) -> float:
+        return inf_norm(self.s * self.y - self.mu)
+
+    @cached_property
+    def sigma(self) -> float:
+        return sigma(self.y)
 
     def primal_residual(self) -> np.ndarray:
         return self.a + self.s - self.mu * self.w
@@ -151,10 +179,10 @@ def check_interior(it: Iterate) -> bool:
     [beta2, 1/beta2] for every constraint."""
     if not (it.mu > 0):
         return False
-    if np.min(it.s, initial=np.inf) <= 0 or np.min(it.y, initial=np.inf) <= 0:
+    if it.s.min(initial=np.inf) <= 0 or it.y.min(initial=np.inf) <= 0:
         return False
     ratio = it.s * it.y / it.mu
-    return bool(np.all((ratio >= BETA2) & (ratio <= 1.0 / BETA2)))
+    return bool(((ratio >= BETA2) & (ratio <= 1.0 / BETA2)).all())
 
 
 def sigma(y: np.ndarray) -> float:
@@ -176,9 +204,9 @@ def terminate_optimal(it: Iterate, eps_opt: float) -> Certificate | None:
     """Scaled first-order optimality: the certificate of sigma||grad L_0||,
     sigma||Sy|| and the raw primal residual ||a(x)+s|| when all three are
     below ``eps_opt``, else None."""
-    sig = sigma(it.y)
+    sig = it.sigma
     values = {
-        "scaled_dual_infeasibility": sig * inf_norm(it.lagrangian_grad(0.0)),
+        "scaled_dual_infeasibility": sig * inf_norm(it.grad_lag_0),
         "scaled_complementarity": sig * inf_norm(it.s * it.y),
         "primal_residual": inf_norm(it.a + it.s),
     }
@@ -231,14 +259,13 @@ def aggressive_criterion(it: Iterate) -> bool:
     bound (a Farkas-style safeguard), and (c) complementarity sits in the
     tighter [beta3, 1/beta3] corridor so the step has room to move it.
     """
-    grad_l = it.lagrangian_grad(it.mu)
-    if sigma(it.y) * inf_norm(grad_l) > it.mu:
+    if it.sigma * it.grad_norm > it.mu:
         return False
     bound_vec = it.grad_f - BETA1 * it.mu * (it.jac.T @ np.ones(it.m))
-    if one_norm(grad_l) > one_norm(bound_vec) + float(it.s @ it.y):
+    if one_norm(it.grad_lag_mu) > one_norm(bound_vec) + float(it.s @ it.y):
         return False
     ratio = it.s * it.y / it.mu
-    return bool(np.all((ratio >= BETA3) & (ratio <= 1.0 / BETA3)))
+    return bool(((ratio >= BETA3) & (ratio <= 1.0 / BETA3)).all())
 
 
 def merit_psi(it: Iterate) -> float:
@@ -249,7 +276,7 @@ def merit_psi(it: Iterate) -> float:
     treats boundary violations like any other merit increase.
     """
     slack = it.mu * it.w - it.a
-    if np.min(slack, initial=np.inf) <= 0:
+    if slack.min(initial=np.inf) <= 0:
         return math.inf
     return it.f - it.mu * float(BETA1 * it.a.sum() + np.log(slack).sum())
 
@@ -259,12 +286,9 @@ def merit_phi(it: Iterate) -> float:
     psi = merit_psi(it)
     if not math.isfinite(psi):
         return psi
-    return psi + inf_norm(it.s * it.y - it.mu) ** 3 / it.mu ** 2
+    return psi + it.comp_norm ** 3 / it.mu ** 2
 
 
 def merit_kkt(it: Iterate) -> float:
     """Scaled KKT merit sigma(y) * max(||grad L_mu||_inf, ||Sy - mu e||_inf)."""
-    return sigma(it.y) * max(
-        inf_norm(it.lagrangian_grad(it.mu)),
-        inf_norm(it.s * it.y - it.mu),
-    )
+    return it.sigma * max(it.grad_norm, it.comp_norm)

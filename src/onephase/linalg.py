@@ -36,8 +36,10 @@ Factorizations use numpy's LAPACK (``np.linalg.cholesky``), the same
 OpenBLAS build that assembles ``M``.  numpy and scipy each ship their own
 OpenBLAS with its own thread pool; factoring with scipy's while numpy's
 assembles made the two pools contend on every outer iteration (an order of
-magnitude at n = 128 on two cores).  The backsolves stay with
-``scipy.linalg.cho_solve``.  Thread counts are left to the user's
+magnitude at n = 128 on two cores).  The backsolves call scipy's LAPACK
+``dpotrs`` directly, the routine ``scipy.linalg.cho_solve`` ends in: the
+same bits without its batching and validation wrapper, which cost more than
+the solve itself for n <= 10.  Thread counts are left to the user's
 ``OPENBLAS_NUM_THREADS``.
 """
 
@@ -47,7 +49,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .iterate import BETA1, Iterate
 from .problem import NlpProblem
@@ -57,6 +59,8 @@ DELTA_MIN = 1e-8           # smallest nonzero shift
 DELTA_INC = 8.0            # growth factor after a failed trial
 DELTA_DEC = float(np.pi)   # decay of the previous shift at the next restart
 DELTA_MAX = 1e50           # shift cap; reaching it ends the solve
+
+_potrs = get_lapack_funcs("potrs", dtype=np.float64)
 
 
 class MaxDeltaError(RuntimeError):
@@ -89,7 +93,7 @@ def assemble_schur(problem: NlpProblem, it: Iterate) -> np.ndarray:
     problem declares no bounds.
     """
     s, y, jac = it.s, it.y, it.jac
-    assert np.all(s > 0) and np.all(y > 0), "assemble_schur needs s, y > 0"
+    assert (s > 0).all() and (y > 0).all(), "assemble_schur needs s, y > 0"
     M = np.array(problem.hess_lag(it.x, y - it.mu * BETA1), dtype=float)
     M = 0.5 * (M + M.T)
     d = y / s
@@ -103,7 +107,7 @@ def assemble_schur(problem: NlpProblem, it: Iterate) -> np.ndarray:
 def _try_cholesky(A: np.ndarray) -> np.ndarray | None:
     # A must be finite (factorize_with_shift checks): LAPACK factors NaNs
     # into NaNs without reporting a failure.  The factor is stored in
-    # Fortran order once, which spares cho_solve a copy per backsolve.
+    # Fortran order once, which spares potrs a copy per backsolve.
     try:
         return np.asfortranarray(np.linalg.cholesky(A))
     except np.linalg.LinAlgError:
@@ -136,7 +140,7 @@ def factorize_with_shift(M: np.ndarray, delta_in: float,
     """
     if not np.isfinite(M).all():
         raise MaxDeltaError(math.inf, "Schur matrix has non-finite entries; no shift factors it")
-    tau = float(np.min(np.diag(M)))
+    tau = float(M.diagonal().min())
     attempts = 0
 
     if tau > 0:
@@ -177,14 +181,23 @@ def solve_shifted(fs: FactorizedSystem, rhs: np.ndarray) -> np.ndarray:
     One round of iterative refinement is applied when the raw residual
     exceeds ``1e-10 * (1 + ||rhs||_inf)``; Cholesky backsolves alone lose
     accuracy near convergence.  An overflowed solution comes back
-    non-finite, not as an exception: the step it belongs to is rejected.
+    non-finite, without a warning or an exception: the step it belongs to
+    is rejected.
     """
-    d = scipy.linalg.cho_solve((fs.factor, True), rhs, check_finite=False)
-    fs.solves += 1
-    resid = rhs - fs.shifted @ d
-    if np.abs(resid).max(initial=0.0) > 1e-10 * (1.0 + np.abs(rhs).max(initial=0.0)):
-        d = d + scipy.linalg.cho_solve((fs.factor, True), resid, check_finite=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = _backsolve(fs.factor, rhs)
         fs.solves += 1
+        resid = rhs - fs.shifted @ d
+        if np.abs(resid).max(initial=0.0) > 1e-10 * (1.0 + np.abs(rhs).max(initial=0.0)):
+            d = d + _backsolve(fs.factor, resid)
+            fs.solves += 1
+    return d
+
+
+def _backsolve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    d, info = _potrs(factor, rhs, lower=True)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
     return d
 
 

@@ -14,6 +14,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+# The paper's fraction-to-boundary factors of the maximum step, which
+# NlpProblem lays out once per row (the line search in ``steps`` reads them).
+THETA_P_LINEAR = 0.1       # linear rows
+THETA_P_NONLINEAR = 0.25   # nonlinear rows
+
 
 class EvaluationError(RuntimeError):
     """A user callback raised, returned the wrong shape, produced a
@@ -60,9 +65,8 @@ class NlpProblem:
     the diagonal entry ``var`` instead of reading the row of ``jac``, so a
     declared row's Jacobian row must be ``sign*e_var`` exactly (checked
     once per solve, at the start point).  ``bounds`` and
-    ``linear_indices`` are decoded into index arrays when the problem is
-    built; replace them with :func:`dataclasses.replace`, not by
-    assignment.
+    ``linear_indices`` are decoded into arrays when the problem is built;
+    replace them with :func:`dataclasses.replace`, not by assignment.
     """
 
     n: int
@@ -78,13 +82,13 @@ class NlpProblem:
     # Decoded by __post_init__: the columns of ``bounds``, the other rows (a
     # slice when the bound rows are the trailing block, as
     # to_inequality_form lays them out, so ``jac[_general_rows]`` is a view)
-    # and ``linear_indices`` as an array.
+    # and ``linear_indices`` as the read-only per-row factor ``_theta_p``.
     _bound_row: np.ndarray = field(init=False, compare=False, repr=False)
     _bound_var: np.ndarray = field(init=False, compare=False, repr=False)
     _bound_sign: np.ndarray = field(init=False, compare=False, repr=False)
     _bound_c: np.ndarray = field(init=False, compare=False, repr=False)
     _general_rows: slice | np.ndarray = field(init=False, compare=False, repr=False)
-    _linear_rows: np.ndarray = field(init=False, compare=False, repr=False)
+    _theta_p: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -114,7 +118,9 @@ class NlpProblem:
         n_general = self.m - row.size
         self._general_rows = (slice(0, n_general) if general[:n_general].all()
                               else np.flatnonzero(general))
-        self._linear_rows = np.array(sorted(self.linear_indices), dtype=np.intp)
+        self._theta_p = np.full(self.m, THETA_P_NONLINEAR)
+        self._theta_p[list(self.linear_indices)] = THETA_P_LINEAR
+        self._theta_p.flags.writeable = False
 
     # Validating wrappers; all solver code goes through these.
     def f(self, x: np.ndarray) -> float:

@@ -31,7 +31,6 @@ from .iterate import (
     make_iterate,
     merit_kkt,
     merit_phi,
-    sigma,
     terminate_infeasible,
     terminate_optimal,
     terminate_unbounded,
@@ -404,16 +403,15 @@ def solve(
         fs = None   # its live factorization; after a step, the previous one
 
         while (hit := check_termination(cur)) is None:
-            grad_norm = inf_norm(cur.lagrangian_grad(cur.mu))
             if M is None:
                 M = assemble_schur(counted, cur)
                 outer_count += 1
-                floor = shift_floor(grad_norm, inf_norm(cur.x))
+                floor = shift_floor(cur.grad_norm, inf_norm(cur.x))
                 fs = work.supersede(factorize_with_shift(M, fs.delta if fs else 0.0, floor))
             inner_count += 1
 
             mu_pre = cur.mu
-            switch_dual = sigma(cur.y) * grad_norm
+            switch_dual = cur.sigma * cur.grad_norm
             take_aggressive = aggressive_criterion(cur)
             if take_aggressive:
                 outcome = aggressive_step(fs, cur, counted)
@@ -436,7 +434,7 @@ def solve(
                     step_observer(prev, outcome.direction, outcome.alpha_p,
                                   outcome.alpha_d, cur, kind)
 
-            sig = sigma(cur.y)
+            sig = cur.sigma
             record = TraceRecord(
                 iter=inner_count, outer=outer_count, kind=kind,
                 accepted=outcome.success,
@@ -444,7 +442,7 @@ def solve(
                 delta=fs.delta, alpha_p=outcome.alpha_p, alpha_d=outcome.alpha_d,
                 mu=cur.mu, mu_pre=mu_pre,
                 primal_resid=inf_norm(cur.primal_residual()),
-                opt_dual=sig * inf_norm(cur.lagrangian_grad(0.0)),
+                opt_dual=sig * inf_norm(cur.grad_lag_0),
                 opt_comp=sig * inf_norm(cur.s * cur.y),
                 switch_dual=switch_dual,
                 phi=phi, kkt=kkt,
@@ -461,10 +459,9 @@ def solve(
             if outcome.success:
                 M = None
             else:
-                # Escalate the shift and refactor the same M; cur has not
-                # moved, so grad_norm is still its gradient's.
+                # Escalate the shift and refactor the same M; cur has not moved.
                 dx_norm = inf_norm(outcome.direction.dx)
-                delta = escalate_delta(fs.delta, grad_norm, dx_norm if dx_norm > 0 else 1.0)
+                delta = escalate_delta(fs.delta, cur.grad_norm, dx_norm if dx_norm > 0 else 1.0)
                 fs = work.supersede(_refactorize(M, delta))
         return result(hit[0], cur, *hit[1:])
     except MaxDeltaError as exc:

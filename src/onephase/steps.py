@@ -34,7 +34,7 @@ from .iterate import (
     sigma,
 )
 from .linalg import FactorizedSystem, solve_shifted
-from .problem import EvaluationError, NlpProblem
+from .problem import THETA_P_LINEAR, THETA_P_NONLINEAR, EvaluationError, NlpProblem
 
 # The paper's fixed parameters read in this module.
 BETA4 = 0.2                # merit decrease fraction
@@ -44,9 +44,9 @@ BETA_KKT = 0.01            # filter KKT reduction factor
 BETA_EXP = 0.5             # fraction-to-boundary step-size exponent
 BETA8 = 0.9                # dual-feasibility guard threshold
 THETA_B = 0.1              # fraction-to-boundary, acceptance
-THETA_P_LINEAR = 0.1       # fraction-to-boundary, maximum step (linear rows)
-THETA_P_NONLINEAR = 0.25   # idem, nonlinear rows
 MAX_GUARD_RETRIES = 10
+# THETA_P_LINEAR and THETA_P_NONLINEAR, the maximum-step factors, come from
+# ``problem``, which lays them out per row once (``theta_p_vector``).
 
 
 @dataclass
@@ -88,8 +88,16 @@ class Filter:
 
 def build_rhs(it: Iterate, gamma: float):
     """Target KKT-residual change: b_D = grad L_{gamma*mu}(x, y),
-    b_P = (1-gamma)*mu*w,  b_C = S y - gamma*mu*e."""
-    b_d = it.lagrangian_grad(gamma * it.mu)
+    b_P = (1-gamma)*mu*w,  b_C = S y - gamma*mu*e.
+
+    b_D is the iterate's cached gradient at gamma = 0 and 1, the same bits
+    as ``0.0*mu`` and ``1.0*mu`` are exact."""
+    if gamma == 0.0:
+        b_d = it.grad_lag_0
+    elif gamma == 1.0:
+        b_d = it.grad_lag_mu
+    else:
+        b_d = it.lagrangian_grad(gamma * it.mu)
     b_p = (1.0 - gamma) * it.mu * it.w
     b_c = it.s * it.y - gamma * it.mu
     return b_d, b_p, b_c
@@ -115,10 +123,9 @@ def compute_direction(fs: FactorizedSystem, it: Iterate, gamma: float) -> Direct
 
 def theta_p_vector(problem: NlpProblem) -> np.ndarray:
     """Per-row fraction-to-boundary factor of the maximum step: theta_p
-    linear on linear rows, theta_p nonlinear elsewhere."""
-    theta_p = np.full(problem.m, THETA_P_NONLINEAR)
-    theta_p[problem._linear_rows] = THETA_P_LINEAR
-    return theta_p
+    linear on linear rows, theta_p nonlinear elsewhere (read-only; built
+    once, when the problem is)."""
+    return problem._theta_p
 
 
 def _boundary_bound(it: Iterate, direction: Direction, delta: float) -> np.ndarray:
@@ -138,17 +145,17 @@ def max_primal_step(it: Iterate, direction: Direction, delta: float,
     floor = theta_p * _boundary_bound(it, direction, delta)
     room = it.s - floor
     shrinking = direction.ds < 0
-    if not np.any(shrinking):
+    if not shrinking.any():
         return 1.0
     ratios = room[shrinking] / (-direction.ds[shrinking])
-    return float(min(1.0, np.min(ratios)))
+    return float(min(1.0, ratios.min()))
 
 
 def fraction_to_boundary_ok(s_plus: np.ndarray, it: Iterate, direction: Direction,
                             delta: float) -> bool:
     """Acceptance-side rule s+ >= theta_b * min(s, step-size bound)."""
     floor = THETA_B * _boundary_bound(it, direction, delta)
-    return bool(np.all(s_plus >= floor))
+    return bool((s_plus >= floor).all())
 
 
 def dual_interval(s_plus: np.ndarray, mu_plus: float, it: Iterate,
@@ -233,9 +240,9 @@ def theta_bar(mu: float, s: np.ndarray, w: np.ndarray) -> float:
     only viable one when the full gamma=0 step zeroes mu.
     """
     shifted = w > 0
-    if not np.any(shifted):
+    if not shifted.any():
         return 0.5
-    slack_ratio = float(np.min(s[shifted] / w[shifted]))
+    slack_ratio = float((s[shifted] / w[shifted]).min())
     corridor = min((BETA3 - BETA2) / BETA3, 1.0 - THETA_B)
     return min(0.5, BETA6 / (4.0 * mu) * corridor * slack_ratio)
 
@@ -250,9 +257,9 @@ def descent_grad(it: Iterate, gamma: float) -> np.ndarray:
 
 def _finite_direction(direction: Direction) -> bool:
     return bool(
-        np.all(np.isfinite(direction.dx))
-        and np.all(np.isfinite(direction.dy))
-        and np.all(np.isfinite(direction.ds))
+        np.isfinite(direction.dx).all()
+        and np.isfinite(direction.dy).all()
+        and np.isfinite(direction.ds).all()
     )
 
 
@@ -273,7 +280,7 @@ def _trial(fs: FactorizedSystem, it: Iterate, problem: NlpProblem,
     # Without rows, a trial that zeroes mu must still reach the guard,
     # whose retry jumps to beta8^2 instead of halving (and np.min of an
     # empty s_plus would raise).
-    if it.m and (mu_plus <= 0 or np.min(s_plus) <= 0):
+    if it.m and (mu_plus <= 0 or s_plus.min() <= 0):
         return _REJECTED
     if not fraction_to_boundary_ok(s_plus, it, direction, fs.delta):
         return _REJECTED
@@ -367,7 +374,7 @@ def stabilization_step(fs: FactorizedSystem, it: Iterate, filt: Filter,
     """
     direction = compute_direction(fs, it, 1.0)
     phi_cur = merit_phi(it)
-    comp_term = inf_norm(it.s * it.y - it.mu) ** 3 / it.mu ** 2
+    comp_term = it.comp_norm ** 3 / it.mu ** 2
     dx_sq = float(direction.dx @ direction.dx)
 
     def sufficient(new: Iterate, alpha_p: float, slope: float) -> bool:

@@ -4,12 +4,24 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from onephase import EvaluationError, SolverOptions, iterate, linalg, solver, steps
+from onephase import (
+    EvaluationError,
+    SolverOptions,
+    SolveStatus,
+    builtin_registry,
+    iterate,
+    linalg,
+    solve,
+    solver,
+    steps,
+)
 from onephase.iterate import (
+    Iterate,
     aggressive_criterion,
     check_interior,
     gamma_far,
     gamma_inf,
+    inf_norm,
     make_iterate,
     merit_kkt,
     merit_phi,
@@ -21,7 +33,7 @@ from onephase.iterate import (
     terminate_unbounded,
 )
 
-from helpers import linear_problem, raw_iterate
+from helpers import linear_problem, random_interior_setup, raw_iterate
 
 
 def step_to(cur, dx, gamma, alpha_p, problem, dy=0.0, alpha_d=0.0):
@@ -315,3 +327,79 @@ class TestMerits:
                          grad_f=[-197.0 + iterate.BETA1], a=[-0.01], jac=[[1.0]])
         # sigma = 0.5, grad L = -197 + beta1 + (200 - beta1) = 3, Sy - mu = 1
         assert merit_kkt(it) == pytest.approx(1.5)
+
+
+def same_bits(a, b):
+    return np.asarray(a, float).tobytes() == np.asarray(b, float).tobytes()
+
+
+def measured_states():
+    """Random interior states with rows, some with duals above 100 (so
+    sigma < 1), and states without rows."""
+    rng = np.random.default_rng(16)
+    for _ in range(60):
+        yield random_interior_setup(rng)[1]
+    for _ in range(20):
+        n, m = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        s = rng.uniform(0.01, 2.0, m)
+        yield raw_iterate(rng.uniform(0.1, 2.0), rng.standard_normal(n), s,
+                          rng.uniform(1.0, 1e3, m), rng.uniform(0.0, 2.0, m),
+                          grad_f=rng.standard_normal(n), jac=rng.standard_normal((m, n)))
+    for n in (1, 4):
+        yield raw_iterate(rng.uniform(0.1, 2.0), rng.standard_normal(n), [], [], [],
+                          grad_f=rng.standard_normal(n))
+
+
+class TestCachedMeasures:
+    def test_each_measure_is_its_formula_to_the_bit(self):
+        for it in measured_states():
+            grad_mu = it.grad_f + it.jac.T @ (it.y - it.mu * iterate.BETA1)
+            grad_0 = it.grad_f + it.jac.T @ (it.y - 0.0 * iterate.BETA1)
+            comp = inf_norm(it.s * it.y - it.mu)
+            sig = 100.0 / max(100.0, inf_norm(it.y))
+            assert same_bits(it.grad_lag_mu, grad_mu)
+            assert same_bits(it.grad_lag_0, grad_0)
+            assert same_bits(it.grad_norm, inf_norm(grad_mu))
+            assert same_bits(it.comp_norm, comp)
+            assert same_bits(it.sigma, sig)
+            # The readers give the values of the formulas they replaced.
+            assert same_bits(merit_kkt(it), sig * max(inf_norm(grad_mu), comp))
+            psi = merit_psi(it)
+            if math.isfinite(psi):
+                assert same_bits(merit_phi(it), psi + comp ** 3 / it.mu ** 2)
+            cert = terminate_optimal(it, math.inf)
+            assert same_bits(cert.values["scaled_dual_infeasibility"],
+                             sig * inf_norm(grad_0))
+            for gamma in (0.0, 0.5, 1.0):
+                b_d, _, _ = steps.build_rhs(it, gamma)
+                assert same_bits(b_d, it.lagrangian_grad(gamma * it.mu))
+
+    def test_each_measure_is_formed_once(self, monkeypatch):
+        calls = []
+        real = Iterate.lagrangian_grad
+        monkeypatch.setattr(Iterate, "lagrangian_grad",
+                            lambda self, mu_bar: calls.append(mu_bar) or real(self, mu_bar))
+        _, it = random_interior_setup(np.random.default_rng(16))
+        for _ in range(2):
+            merit_kkt(it)
+            aggressive_criterion(it)
+            terminate_optimal(it, 1e-6)
+            steps.build_rhs(it, 0.0)
+            steps.build_rhs(it, 1.0)
+        assert calls == [it.mu, 0.0]
+        assert it.grad_lag_mu is it.grad_lag_mu
+
+
+class TestLagrangianGradCalls:
+    def test_calls_per_inner_iteration_on_wachter(self, monkeypatch):
+        calls = []
+        real = Iterate.lagrangian_grad
+        monkeypatch.setattr(Iterate, "lagrangian_grad",
+                            lambda self, mu_bar: calls.append(mu_bar) or real(self, mu_bar))
+        entry = builtin_registry()["wachter"]
+        problem, _ = entry.build()
+        result = solve(problem, entry.x_start)
+        assert result.status is SolveStatus.OPTIMAL
+        # 33 calls over 10 inner iterations when this bound was set; forming
+        # each measure at each use took 73.
+        assert 10 * len(calls) <= 33 * result.inner_iterations

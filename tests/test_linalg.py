@@ -242,7 +242,37 @@ class TestSingleBlasFactorization:
         assert solve(p, np.zeros(n)).status is SolveStatus.OPTIMAL
 
 
+def cho_solve_shifted(fs, rhs):
+    """``solve_shifted`` as written on ``scipy.linalg.cho_solve``, the
+    reference; also returns whether the refinement round ran."""
+    d = scipy.linalg.cho_solve((fs.factor, True), rhs, check_finite=False)
+    resid = rhs - fs.shifted @ d
+    refined = bool(np.abs(resid).max(initial=0.0) > 1e-10 * (1.0 + np.abs(rhs).max(initial=0.0)))
+    if refined:
+        d = d + scipy.linalg.cho_solve((fs.factor, True), resid, check_finite=False)
+    return d, refined
+
+
 class TestSolveShifted:
+    def test_equals_cho_solve_to_the_bit(self):
+        # Random SPD matrices with condition numbers up to 1e14, so that
+        # both branches, with and without refinement, are taken.
+        rng = np.random.default_rng(16)
+        refined_seen = set()
+        for _ in range(80):
+            n = int(rng.integers(1, 12))
+            Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            M = (Q * np.geomspace(1.0, 10.0 ** -rng.uniform(0, 14), n)) @ Q.T
+            fs = factorize_with_shift(0.5 * (M + M.T), 0.0)
+            rhs = rng.standard_normal(n)
+            want, refined = cho_solve_shifted(fs, rhs)
+            solves = fs.solves
+            got = solve_shifted(fs, rhs)
+            assert got.tobytes() == want.tobytes()
+            assert fs.solves - solves == 1 + refined
+            refined_seen.add(refined)
+        assert refined_seen == {False, True}
+
     def test_scalar(self):
         fs = factorize_with_shift(matrix([[5.0]]), 0.0)
         assert_allclose(solve_shifted(fs, np.array([-10.0])), [-2.0])

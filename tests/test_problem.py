@@ -344,6 +344,17 @@ class TestToInequalityForm:
             for i in problem.linear_indices:
                 assert_allclose(J1[i], J2[i], atol=1e-14)
 
+    def test_jacobian_is_a_fresh_array_each_call(self):
+        # eval_jac copies its prebuilt constant rows: writing into one
+        # result must not reach the next.
+        rng = np.random.default_rng(5)
+        for entry in builtin_registry().values():
+            problem, _ = entry.build()
+            x = rng.standard_normal(problem.n)
+            want = problem.eval_jac(x).copy()
+            problem.eval_jac(x)[:] = np.nan
+            assert problem.eval_jac(x).tobytes() == want.tobytes(), entry.name
+
     def test_bound_rows_have_single_unit_coefficient(self):
         # Each declared bound must agree with the callbacks:
         # J[row] = sign*e_var and a(x)[row] = sign*x[var] - sign*c.

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -524,16 +525,19 @@ class TestStabilizationStep:
 class TestLineSearchExits:
     """Exits of the shared search that no solve in the other tests reaches."""
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_overflowing_direction_is_non_finite(self):
         # A curvature of 1e-300 under a gradient of 1e10: the Newton step
         # overflows to -inf in both coordinates (the refinement residual is
-        # 0 * inf = NaN, so it is skipped).
+        # 0 * inf = NaN, so it is skipped), and no warning reaches the user.
         p = quadratic_problem(1e-300 * np.eye(2), [1e10, 1e10])
         it = make_iterate(p, 1.0, np.zeros(2), np.zeros(0), np.zeros(0), np.zeros(0))
         fs = factorized_at(p, it)
         assert fs.delta == 0.0
-        for out in (stabilization_step(fs, it, Filter(), p), aggressive_step(fs, it, p)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            outcomes = (stabilization_step(fs, it, Filter(), p), aggressive_step(fs, it, p))
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        for out in outcomes:
             assert not out.success
             assert out.reason == "non-finite direction"
             assert not np.all(np.isfinite(out.direction.dx))
