@@ -84,9 +84,11 @@ class Iterate:
     The measures every consumer of one iterate reads are computed once, on
     first use: ``grad_lag_mu`` and ``grad_lag_0`` (``lagrangian_grad`` at
     ``mu`` and at 0), ``grad_norm`` (``||grad L_mu||_inf``), ``comp_norm``
-    (``||Sy - mu e||_inf``) and ``sigma`` (``sigma(y)``).  The caches are
-    sound only because the arrays are never mutated; the cached arrays are
-    shared with every reader and must not be mutated either.
+    (``||Sy - mu e||_inf``), ``sigma`` (``sigma(y)``) and
+    ``scaled_optimality`` (the first two measures of ``terminate_optimal``,
+    which the trace also reads).  The caches are sound only because the
+    arrays are never mutated; the cached arrays are shared with every reader
+    and must not be mutated either.
     """
 
     mu: float
@@ -126,6 +128,12 @@ class Iterate:
     @cached_property
     def sigma(self) -> float:
         return sigma(self.y)
+
+    @cached_property
+    def scaled_optimality(self) -> tuple[float, float]:
+        """(sigma ||grad L_0||_inf, sigma ||Sy||_inf), the scaled dual
+        infeasibility and complementarity of :func:`terminate_optimal`."""
+        return self.sigma * inf_norm(self.grad_lag_0), self.sigma * inf_norm(self.s * self.y)
 
     def primal_residual(self) -> np.ndarray:
         return self.a + self.s - self.mu * self.w
@@ -204,10 +212,10 @@ def terminate_optimal(it: Iterate, eps_opt: float) -> Certificate | None:
     """Scaled first-order optimality: the certificate of sigma||grad L_0||,
     sigma||Sy|| and the raw primal residual ||a(x)+s|| when all three are
     below ``eps_opt``, else None."""
-    sig = it.sigma
+    dual, comp = it.scaled_optimality
     values = {
-        "scaled_dual_infeasibility": sig * inf_norm(it.grad_lag_0),
-        "scaled_complementarity": sig * inf_norm(it.s * it.y),
+        "scaled_dual_infeasibility": dual,
+        "scaled_complementarity": comp,
         "primal_residual": inf_norm(it.a + it.s),
     }
     return Certificate(values) if all(v <= eps_opt for v in values.values()) else None

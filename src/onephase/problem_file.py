@@ -26,10 +26,15 @@ rows, per-variable bounds and an optional start point::
 Indices are 0-based.  ``quad i j v`` sets the symmetric pair (i, j) and
 (j, i).  Bounds use ``-inf``/``inf`` for absent sides.  Every parse error
 carries a 1-based line and column.
+
+The parser splits each line once and converts each numeric run (the
+``linear`` vector, a constraint row's coefficients, ``start``) in one call;
+columns are found only for an error, by tokenizing that one line again.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -82,31 +87,55 @@ _TOKEN = re.compile(r"[^\s#]+")  # \s is exactly str.isspace() on every code poi
 
 
 def _tokenize(line: str) -> list[tuple[str, int]]:
-    """Split a line into (token, 1-based column) pairs; '#' starts a comment."""
+    """Split a line into (token, 1-based column) pairs; '#' starts a comment.
+
+    The parser splits with ``line.partition("#")[0].split()``, which gives
+    the same tokens, and calls this only to locate an error."""
     return [(m.group(), m.start() + 1)
             for m in _TOKEN.finditer(line.partition("#")[0])]
 
 
-def _parse_float(token: str, lineno: int, col: int) -> float:
+def _error(message: str, raw: str, lineno: int, k: int = 0) -> ProblemFileError:
+    """The error ``message`` at the column of token ``k`` of line ``raw``."""
+    return ProblemFileError(message, lineno, _tokenize(raw)[k][1])
+
+
+def _float(tokens: list[str], k: int, raw: str, lineno: int) -> float:
     try:
-        return float(token)
+        return float(tokens[k])
     except ValueError:
-        raise ProblemFileError(f"malformed number {token!r}", lineno, col) from None
+        raise _error(f"malformed number {tokens[k]!r}", raw, lineno, k) from None
 
 
-def _parse_finite(tokens: list[tuple[str, int]], lineno: int, what: str) -> np.ndarray:
-    """Every token as a number; the first non-finite one is an error at its column."""
-    values = np.array([_parse_float(t, lineno, c) for t, c in tokens])
-    for k in np.flatnonzero(~np.isfinite(values))[:1]:
-        raise ProblemFileError(f"non-finite {what} value {tokens[k][0]!r}", lineno, tokens[k][1])
+def _int(tokens: list[str], k: int, raw: str, lineno: int) -> int:
+    try:
+        return int(tokens[k])
+    except ValueError:
+        raise _error(f"malformed integer {tokens[k]!r}", raw, lineno, k) from None
+
+
+def _finite(tokens: list[str], k: int, raw: str, lineno: int, what: str) -> float:
+    value = _float(tokens, k, raw, lineno)
+    if not math.isfinite(value):
+        raise _error(f"non-finite {what} value {tokens[k]!r}", raw, lineno, k)
+    return value
+
+
+def _floats(tokens: list[str], first: int, stop: int, raw: str, lineno: int,
+            what: str | None = None) -> np.ndarray:
+    """Tokens ``first:stop`` as an array, converted in one call.  The first
+    malformed token is an error at its column; then, when ``what`` names
+    the run, so is the first non-finite value."""
+    try:
+        values = np.array(list(map(float, tokens[first:stop])))
+    except ValueError:
+        for k in range(first, stop):
+            _float(tokens, k, raw, lineno)
+        raise
+    if what is not None and not np.isfinite(values).all():
+        k = first + int(np.flatnonzero(~np.isfinite(values))[0])
+        raise _error(f"non-finite {what} value {tokens[k]!r}", raw, lineno, k)
     return values
-
-
-def _parse_int(token: str, lineno: int, col: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ProblemFileError(f"malformed integer {token!r}", lineno, col) from None
 
 
 _SECTIONS = ("objective", "constraints", "bounds", "start")
@@ -128,110 +157,99 @@ def parse_problem_file(text: str) -> ProblemFile:
     section = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize(raw)
+        tokens = raw.partition("#")[0].split()
         if not tokens:
             continue
-        head, head_col = tokens[0]
+        head = tokens[0]
 
         if head == "problem":
             if len(tokens) != 2:
-                raise ProblemFileError("expected: problem NAME", lineno, head_col)
+                raise _error("expected: problem NAME", raw, lineno)
             if name is not None:
-                raise ProblemFileError("duplicate problem line", lineno, head_col)
-            name = tokens[1][0]
+                raise _error("duplicate problem line", raw, lineno)
+            name = tokens[1]
             continue
         if head == "vars":
             if len(tokens) != 2:
-                raise ProblemFileError("expected: vars N", lineno, head_col)
+                raise _error("expected: vars N", raw, lineno)
             if n is not None:
-                raise ProblemFileError("duplicate vars line", lineno, head_col)
-            n = _parse_int(tokens[1][0], lineno, tokens[1][1])
+                raise _error("duplicate vars line", raw, lineno)
+            n = _int(tokens, 1, raw, lineno)
             if n < 1:
-                raise ProblemFileError("vars must be positive", lineno, tokens[1][1])
+                raise _error("vars must be positive", raw, lineno, 1)
             lower = np.full(n, -np.inf)
             upper = np.full(n, np.inf)
             continue
         if head in _SECTIONS:
             if len(tokens) != 1:
-                raise ProblemFileError(f"unexpected tokens after {head!r}",
-                                       lineno, tokens[1][1])
+                raise _error(f"unexpected tokens after {head!r}", raw, lineno, 1)
             if n is None:
-                raise ProblemFileError("vars must be declared before sections",
-                                       lineno, head_col)
+                raise _error("vars must be declared before sections", raw, lineno)
             section = head
             continue
 
         if section is None:
-            raise ProblemFileError(f"unknown directive {head!r}", lineno, head_col)
+            raise _error(f"unknown directive {head!r}", raw, lineno)
 
         if section == "objective":
             if head == "constant":
                 if constant is not None:
-                    raise ProblemFileError("duplicate constant line", lineno, head_col)
+                    raise _error("duplicate constant line", raw, lineno)
                 if len(tokens) != 2:
-                    raise ProblemFileError("expected: constant VALUE", lineno, head_col)
-                constant = float(_parse_finite(tokens[1:], lineno, "constant")[0])
+                    raise _error("expected: constant VALUE", raw, lineno)
+                constant = _finite(tokens, 1, raw, lineno, "constant")
             elif head == "linear":
                 if linear is not None:
-                    raise ProblemFileError("duplicate linear line", lineno, head_col)
+                    raise _error("duplicate linear line", raw, lineno)
                 if len(tokens) != n + 1:
-                    raise ProblemFileError(
-                        f"linear needs {n} coefficients, got {len(tokens) - 1}",
-                        lineno, head_col)
-                linear = _parse_finite(tokens[1:], lineno, "linear")
+                    raise _error(f"linear needs {n} coefficients, got {len(tokens) - 1}",
+                                 raw, lineno)
+                linear = _floats(tokens, 1, n + 1, raw, lineno, "linear")
             elif head == "quad":
                 if len(tokens) != 4:
-                    raise ProblemFileError("expected: quad I J VALUE", lineno, head_col)
-                i = _parse_int(tokens[1][0], lineno, tokens[1][1])
-                j = _parse_int(tokens[2][0], lineno, tokens[2][1])
-                v = float(_parse_finite(tokens[3:], lineno, "quad")[0])
+                    raise _error("expected: quad I J VALUE", raw, lineno)
+                i = _int(tokens, 1, raw, lineno)
+                j = _int(tokens, 2, raw, lineno)
+                v = _finite(tokens, 3, raw, lineno, "quad")
                 if not (0 <= i < n and 0 <= j < n):
-                    raise ProblemFileError(
-                        f"quad index ({i}, {j}) outside 0..{n - 1}", lineno, head_col)
+                    raise _error(f"quad index ({i}, {j}) outside 0..{n - 1}", raw, lineno)
                 key = (min(i, j), max(i, j))
                 if key in quad:
-                    raise ProblemFileError(
-                        f"duplicate quad entry for pair {key}", lineno, head_col)
+                    raise _error(f"duplicate quad entry for pair {key}", raw, lineno)
                 quad[key] = QuadTerm(key[0], key[1], v)
             else:
-                raise ProblemFileError(
-                    f"unknown objective directive {head!r}", lineno, head_col)
+                raise _error(f"unknown objective directive {head!r}", raw, lineno)
 
         elif section == "constraints":
             if len(tokens) != n + 2:
-                raise ProblemFileError(
+                raise _error(
                     f"constraint row {len(rows)} needs {n} coefficients, a relation "
-                    f"and a constant; got {len(tokens)} tokens", lineno, head_col)
-            coeffs = np.array([_parse_float(t, lineno, c) for t, c in tokens[:n]])
-            rel_tok, rel_col = tokens[n]
-            if rel_tok not in _RELATIONS:
-                raise ProblemFileError(
-                    f"unknown relation {rel_tok!r} in row {len(rows)}", lineno, rel_col)
-            rhs = _parse_float(tokens[n + 1][0], lineno, tokens[n + 1][1])
-            rows.append(LinearRow(coeffs, _RELATIONS[rel_tok], rhs))
+                    f"and a constant; got {len(tokens)} tokens", raw, lineno)
+            coeffs = _floats(tokens, 0, n, raw, lineno)
+            if tokens[n] not in _RELATIONS:
+                raise _error(f"unknown relation {tokens[n]!r} in row {len(rows)}",
+                             raw, lineno, n)
+            rhs = _float(tokens, n + 1, raw, lineno)
+            rows.append(LinearRow(coeffs, _RELATIONS[tokens[n]], rhs))
 
         elif section == "bounds":
             if len(tokens) != 3:
-                raise ProblemFileError("expected: bounds line 'J LO HI'",
-                                       lineno, head_col)
-            j = _parse_int(tokens[0][0], lineno, tokens[0][1])
+                raise _error("expected: bounds line 'J LO HI'", raw, lineno)
+            j = _int(tokens, 0, raw, lineno)
             if not (0 <= j < n):
-                raise ProblemFileError(f"bound variable {j} outside 0..{n - 1}",
-                                       lineno, tokens[0][1])
+                raise _error(f"bound variable {j} outside 0..{n - 1}", raw, lineno)
             if j in bounds_seen:
-                raise ProblemFileError(f"duplicate bounds for variable {j}",
-                                       lineno, tokens[0][1])
+                raise _error(f"duplicate bounds for variable {j}", raw, lineno)
             bounds_seen.add(j)
-            lower[j] = _parse_float(tokens[1][0], lineno, tokens[1][1])
-            upper[j] = _parse_float(tokens[2][0], lineno, tokens[2][1])
+            lower[j] = _float(tokens, 1, raw, lineno)
+            upper[j] = _float(tokens, 2, raw, lineno)
 
         elif section == "start":
             if start is not None:
-                raise ProblemFileError("duplicate start line", lineno, head_col)
+                raise _error("duplicate start line", raw, lineno)
             if len(tokens) != n:
-                raise ProblemFileError(
-                    f"start needs {n} values, got {len(tokens)}", lineno, head_col)
-            start = _parse_finite(tokens, lineno, "start")
+                raise _error(f"start needs {n} values, got {len(tokens)}", raw, lineno)
+            start = _floats(tokens, 0, n, raw, lineno, "start")
 
     if n is None:
         raise ProblemFileError("missing 'vars N' declaration", 1)
@@ -248,6 +266,11 @@ def parse_problem_file(text: str) -> ProblemFile:
     )
 
 
+def _numbers(values) -> str:
+    """A numeric run as text: the shortest repr that reads back to each float."""
+    return " ".join(map(repr, np.asarray(values, float).tolist()))
+
+
 def serialize_problem_file(pf: ProblemFile) -> str:
     """Canonical text form; parsing it reproduces ``pf`` bit-identically.
     A name that is not one token (empty, whitespace, ``#``) is a ``ValueError``."""
@@ -255,25 +278,25 @@ def serialize_problem_file(pf: ProblemFile) -> str:
         raise ValueError(f"problem name {pf.name!r} is not one token")
     out = [f"problem {pf.name}", f"vars {pf.n}", "", "objective",
            f"constant {float(pf.constant)!r}",
-           "linear " + " ".join(repr(float(v)) for v in pf.linear)]
+           "linear " + _numbers(pf.linear)]
     for term in sorted(pf.quad_terms, key=lambda t: (t.i, t.j)):
         out.append(f"quad {term.i} {term.j} {float(term.value)!r}")
     if pf.rows:
         out.append("")
         out.append("constraints")
         for row in pf.rows:
-            coeffs = " ".join(repr(float(v)) for v in row.coeffs)
-            out.append(f"{coeffs} {row.relation.value} {float(row.rhs)!r}")
+            out.append(f"{_numbers(row.coeffs)} {row.relation.value} {float(row.rhs)!r}")
     bounded = np.flatnonzero(np.isfinite(pf.lower) | np.isfinite(pf.upper))
     if bounded.size:
         out.append("")
         out.append("bounds")
-        for j in bounded:
-            out.append(f"{j} {float(pf.lower[j])!r} {float(pf.upper[j])!r}")
+        for j, lo, hi in zip(bounded.tolist(), pf.lower[bounded].tolist(),
+                             pf.upper[bounded].tolist()):
+            out.append(f"{j} {lo!r} {hi!r}")
     if pf.start is not None:
         out.append("")
         out.append("start")
-        out.append(" ".join(repr(float(v)) for v in pf.start))
+        out.append(_numbers(pf.start))
     return "\n".join(out) + "\n"
 
 

@@ -417,7 +417,7 @@ def solve(
                 outcome = aggressive_step(fs, cur, counted)
                 kind = "aggressive"
             else:
-                outcome = stabilization_step(fs, cur, filt, counted)
+                outcome = stabilization_step(fs, cur, filt, counted, phi)
                 kind = "stabilization"
 
             if not outcome.success:
@@ -434,7 +434,7 @@ def solve(
                     step_observer(prev, outcome.direction, outcome.alpha_p,
                                   outcome.alpha_d, cur, kind)
 
-            sig = cur.sigma
+            opt_dual, opt_comp = cur.scaled_optimality
             record = TraceRecord(
                 iter=inner_count, outer=outer_count, kind=kind,
                 accepted=outcome.success,
@@ -442,8 +442,7 @@ def solve(
                 delta=fs.delta, alpha_p=outcome.alpha_p, alpha_d=outcome.alpha_d,
                 mu=cur.mu, mu_pre=mu_pre,
                 primal_resid=inf_norm(cur.primal_residual()),
-                opt_dual=sig * inf_norm(cur.grad_lag_0),
-                opt_comp=sig * inf_norm(cur.s * cur.y),
+                opt_dual=opt_dual, opt_comp=opt_comp,
                 switch_dual=switch_dual,
                 phi=phi, kkt=kkt,
                 filter_size=len(filt.entries),
@@ -460,7 +459,7 @@ def solve(
                 M = None
             else:
                 # Escalate the shift and refactor the same M; cur has not moved.
-                dx_norm = inf_norm(outcome.direction.dx)
+                dx_norm = outcome.direction.dx_norm
                 delta = escalate_delta(fs.delta, cur.grad_norm, dx_norm if dx_norm > 0 else 1.0)
                 fs = work.supersede(_refactorize(M, delta))
         return result(hit[0], cur, *hit[1:])

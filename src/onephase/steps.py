@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -51,7 +52,10 @@ MAX_GUARD_RETRIES = 10
 
 @dataclass
 class Direction:
-    """Primal-dual direction with the target reduction and rhs that made it."""
+    """Primal-dual direction with the target reduction and rhs that made it.
+
+    Its arrays are never mutated, so ``dx_norm`` (``||dx||_inf``) is
+    computed once, on first use."""
 
     dx: np.ndarray
     ds: np.ndarray
@@ -60,6 +64,10 @@ class Direction:
     b_d: np.ndarray
     b_p: np.ndarray
     b_c: np.ndarray
+
+    @cached_property
+    def dx_norm(self) -> float:
+        return inf_norm(self.dx)
 
 
 @dataclass
@@ -129,20 +137,22 @@ def theta_p_vector(problem: NlpProblem) -> np.ndarray:
 
 
 def _boundary_bound(it: Iterate, direction: Direction, delta: float) -> np.ndarray:
-    """min(s, ||dx||_inf (delta + ||dy||_inf + ||dx||_inf^beta_exp) e)."""
-    dx_norm = inf_norm(direction.dx)
+    """min(s, ||dx||_inf (delta + ||dy||_inf + ||dx||_inf^beta_exp) e), the
+    bound of both fraction-to-boundary rules; fixed for one direction."""
+    dx_norm = direction.dx_norm
     t = dx_norm * (delta + inf_norm(direction.dy) + dx_norm ** BETA_EXP)
     return np.minimum(it.s, t)
 
 
-def max_primal_step(it: Iterate, direction: Direction, delta: float,
+def max_primal_step(it: Iterate, direction: Direction, bound: np.ndarray,
                     theta_p: np.ndarray) -> float:
-    """Largest alpha in [0,1] with s + alpha*ds >= theta_p * bound.
+    """Largest alpha in [0,1] with s + alpha*ds >= theta_p * bound, where
+    ``bound`` is :func:`_boundary_bound` of ``direction``.
 
     The bound caps at ``theta_p * s``, so alpha = 0 is always feasible and
     the largest alpha follows from a per-component ratio test.
     """
-    floor = theta_p * _boundary_bound(it, direction, delta)
+    floor = theta_p * bound
     room = it.s - floor
     shrinking = direction.ds < 0
     if not shrinking.any():
@@ -151,11 +161,10 @@ def max_primal_step(it: Iterate, direction: Direction, delta: float,
     return float(min(1.0, ratios.min()))
 
 
-def fraction_to_boundary_ok(s_plus: np.ndarray, it: Iterate, direction: Direction,
-                            delta: float) -> bool:
-    """Acceptance-side rule s+ >= theta_b * min(s, step-size bound)."""
-    floor = THETA_B * _boundary_bound(it, direction, delta)
-    return bool((s_plus >= floor).all())
+def fraction_to_boundary_ok(s_plus: np.ndarray, bound: np.ndarray) -> bool:
+    """Acceptance-side rule s+ >= theta_b * bound, where ``bound`` is
+    :func:`_boundary_bound` of the trial's direction."""
+    return bool((s_plus >= THETA_B * bound).all())
 
 
 def dual_interval(s_plus: np.ndarray, mu_plus: float, it: Iterate,
@@ -174,7 +183,7 @@ def dual_interval(s_plus: np.ndarray, mu_plus: float, it: Iterate,
         return (0.0, 1.0)
     lower = np.maximum(
         BETA2 * mu_plus / s_plus,
-        THETA_B * it.y * min(1.0, inf_norm(direction.dx)),
+        THETA_B * it.y * min(1.0, direction.dx_norm),
     )
     upper = mu_plus / (BETA2 * s_plus)
     if np.count_nonzero(lower > upper):
@@ -266,13 +275,13 @@ def _finite_direction(direction: Direction) -> bool:
 _REJECTED = (None, 0.0, math.inf)   # (new, alpha_d, tau) of a rejected trial
 
 
-def _trial(fs: FactorizedSystem, it: Iterate, problem: NlpProblem,
-           direction: Direction, alpha_p: float) -> tuple[Iterate | None, float, float]:
+def _trial(it: Iterate, problem: NlpProblem, direction: Direction,
+           bound: np.ndarray, alpha_p: float) -> tuple[Iterate | None, float, float]:
     """``(new, alpha_d, tau)`` at ``alpha_p``; ``new`` is None on rejection.
 
     s+ = mu+ w - a(x+) must be positive and pass the fraction-to-boundary
-    rule; the dual step needs a nonempty dual interval and grad f, J at x+.
-    Then the dual-feasibility guard: if mu+ < (1 - beta8) mu, a tau below 1
+    rule against ``bound``; the dual step needs a nonempty dual interval and
+    grad f, J at x+.  Then the dual-feasibility guard: if mu+ < (1 - beta8) mu, a tau below 1
     rejects the trial before f is evaluated at x+.
     """
     mu_plus, x_plus, a_plus, s_plus = primal_trial(
@@ -282,7 +291,7 @@ def _trial(fs: FactorizedSystem, it: Iterate, problem: NlpProblem,
     # empty s_plus would raise).
     if it.m and (mu_plus <= 0 or s_plus.min() <= 0):
         return _REJECTED
-    if not fraction_to_boundary_ok(s_plus, it, direction, fs.delta):
+    if not fraction_to_boundary_ok(s_plus, bound):
         return _REJECTED
     interval = dual_interval(s_plus, mu_plus, it, direction)
     if interval is None:
@@ -312,7 +321,8 @@ def _line_search(fs: FactorizedSystem, it: Iterate, problem: NlpProblem,
 
     Prelude: a non-finite direction, or one along which
     ``descent_grad(it, gamma)`` does not decrease, fails at once; trials
-    start from the fraction-to-boundary maximum.  Trial: :func:`_trial`,
+    start from the fraction-to-boundary maximum.  The boundary bound is
+    formed once, for the maximum and every trial.  Trial: :func:`_trial`,
     then ``accepts(new, alpha_p, slope)`` and the complementarity corridor.
     Halving: any rejection, failed evaluation included, multiplies
     ``alpha_p`` by beta6.  Guard: its rejection instead jumps to
@@ -325,11 +335,12 @@ def _line_search(fs: FactorizedSystem, it: Iterate, problem: NlpProblem,
     slope = float(descent_grad(it, direction.gamma) @ direction.dx)
     if slope >= 0:
         return StepOutcome(False, None, direction, reason="not a descent direction")
-    alpha_p = max_primal_step(it, direction, fs.delta, theta_p_vector(problem))
+    bound = _boundary_bound(it, direction, fs.delta)
+    alpha_p = max_primal_step(it, direction, bound, theta_p_vector(problem))
     guard_retries = 0
     while not below_minimum(alpha_p):
         try:
-            new, alpha_d, tau = _trial(fs, it, problem, direction, alpha_p)
+            new, alpha_d, tau = _trial(it, problem, direction, bound, alpha_p)
         except EvaluationError:
             new, alpha_d, tau = _REJECTED
         if tau < 1.0:
@@ -355,7 +366,8 @@ def aggressive_step(fs: FactorizedSystem, it: Iterate, problem: NlpProblem) -> S
     predictor = compute_direction(fs, it, 0.0)
     if not _finite_direction(predictor):
         return StepOutcome(False, None, predictor, reason="non-finite direction")
-    alpha_hat = max_primal_step(it, predictor, fs.delta, theta_p_vector(problem))
+    alpha_hat = max_primal_step(it, predictor, _boundary_bound(it, predictor, fs.delta),
+                                theta_p_vector(problem))
     gamma = min(0.5, (1.0 - alpha_hat) ** 2)
     alpha_min = theta_bar(it.mu, it.s, it.w)
     return _line_search(fs, it, problem, compute_direction(fs, it, gamma),
@@ -364,16 +376,15 @@ def aggressive_step(fs: FactorizedSystem, it: Iterate, problem: NlpProblem) -> S
 
 
 def stabilization_step(fs: FactorizedSystem, it: Iterate, filt: Filter,
-                       problem: NlpProblem) -> StepOutcome:
+                       problem: NlpProblem, phi_cur: float) -> StepOutcome:
     """gamma = 1 step: hold mu and the primal residual, descend the merits.
 
     The trial point must either make sufficient progress on the augmented
-    barrier phi (Armijo-style, with the regularization term folded into
-    the model slope) or pass the KKT filter against every accepted iterate
-    at this residual level.
+    barrier phi from ``phi_cur``, ``merit_phi(it)`` (Armijo-style, with the
+    regularization term folded into the model slope) or pass the KKT
+    filter against every accepted iterate at this residual level.
     """
     direction = compute_direction(fs, it, 1.0)
-    phi_cur = merit_phi(it)
     comp_term = it.comp_norm ** 3 / it.mu ** 2
     dx_sq = float(direction.dx @ direction.dx)
 

@@ -13,6 +13,7 @@ from onephase import (
     solve,
     to_inequality_form,
 )
+from onephase import problem_file
 from onephase.problem_file import _tokenize, default_start
 
 MINIMAL_LP = """\
@@ -115,6 +116,8 @@ class TestTokenizeMatchesLoop:
             picks = rng.integers(0, len(self.ALPHABET), int(rng.integers(0, 30)))
             line = "".join(self.ALPHABET[k] for k in picks)
             assert _tokenize(line) == _tokenize_loop(line), repr(line)
+            # the parser's split gives the same tokens
+            assert line.partition("#")[0].split() == [t for t, _ in _tokenize(line)], repr(line)
             for k in set(picks.tolist()):
                 seen[self.ALPHABET[k]] += 1
         assert min(seen.values()) > 1000, seen
@@ -122,6 +125,119 @@ class TestTokenizeMatchesLoop:
     def test_columns_count_code_points(self):
         assert _tokenize("\u00a0x#y z\tw") == [("x", 2)]
         assert _tokenize("\x1cab\u2003c#") == [("ab", 2), ("c", 5)]
+
+
+HEAD3 = "problem p\nvars 3\n\n"
+
+# (document, message, line, column) of every error kind, as the parser
+# reported them when it located every token with ``_tokenize``.
+PINNED_ERRORS = {
+    "coeff-after-unicode-space": (
+        HEAD3 + "constraints\n1.0\u00a0 2.x 3.0 <= 1.0\n", "malformed number '2.x'", 5, 6),
+    "coeff-after-tab-and-ideographic-space": (
+        HEAD3 + "constraints\n\t1.0\u3000-2.0 0x3 >= 0.0\n", "malformed number '0x3'", 5, 11),
+    "malformed-rhs": (
+        HEAD3 + "constraints\n1.0 2.0 3.0 <= 1.y\n", "malformed number '1.y'", 5, 16),
+    "unknown-relation": (
+        HEAD3 + "constraints\n1.0 2.0 3.0 =< 1.0\n", "unknown relation '=<' in row 0", 5, 13),
+    "coeff-before-relation": (
+        HEAD3 + "constraints\n1.0 z 3.0 =< 1.0\n", "malformed number 'z'", 5, 5),
+    "row-token-count": (
+        HEAD3 + "constraints\n1.0 2.0 <= 1.0\n",
+        "constraint row 0 needs 3 coefficients, a relation and a constant; got 4 tokens", 5, 1),
+    "non-finite-constant": (
+        HEAD3 + "objective\n  constant  -inf\n", "non-finite constant value '-inf'", 5, 13),
+    "malformed-constant": (
+        HEAD3 + "objective\nconstant 1..0\n", "malformed number '1..0'", 5, 10),
+    "constant-token-count": (
+        HEAD3 + "objective\nconstant 1 2\n", "expected: constant VALUE", 5, 1),
+    "non-finite-linear": (
+        HEAD3 + "objective\nlinear 1.0 nan 2.0\n", "non-finite linear value 'nan'", 5, 12),
+    "malformed-linear-after-non-finite": (
+        HEAD3 + "objective\nlinear inf 1.0 x\n", "malformed number 'x'", 5, 16),
+    "linear-token-count": (
+        HEAD3 + "objective\nlinear 1.0 2.0\n", "linear needs 3 coefficients, got 2", 5, 1),
+    "non-finite-quad": (
+        HEAD3 + "objective\nquad 0 1 1e400\n", "non-finite quad value '1e400'", 5, 10),
+    "malformed-quad-value": (
+        HEAD3 + "objective\nquad 0 1 one\n", "malformed number 'one'", 5, 10),
+    "malformed-quad-index": (
+        HEAD3 + "objective\nquad 0 1.0 2.0\n", "malformed integer '1.0'", 5, 8),
+    "quad-index-out-of-range": (
+        HEAD3 + "objective\nquad 0 3 1.0\n", "quad index (0, 3) outside 0..2", 5, 1),
+    "negative-quad-index": (
+        HEAD3 + "objective\n quad -1 0 1.0\n", "quad index (-1, 0) outside 0..2", 5, 2),
+    "duplicate-quad": (
+        HEAD3 + "objective\nquad 0 1 1.0\nquad 1 0 2.0\n",
+        "duplicate quad entry for pair (0, 1)", 6, 1),
+    "quad-token-count": (
+        HEAD3 + "objective\nquad 0 1\n", "expected: quad I J VALUE", 5, 1),
+    "non-finite-start": (
+        HEAD3 + "start\n1.0 2.0 1e999\n", "non-finite start value '1e999'", 5, 9),
+    "malformed-start-after-non-finite": (
+        HEAD3 + "start\nnan 2.0 .\n", "malformed number '.'", 5, 9),
+    "start-token-count": (
+        HEAD3 + "start\n1.0 2.0\n", "start needs 3 values, got 2", 5, 1),
+    "duplicate-start": (
+        HEAD3 + "start\n1 2 3\n1 2 3\n", "duplicate start line", 6, 1),
+    "malformed-vars": ("problem p\nvars 2.0\n", "malformed integer '2.0'", 2, 6),
+    "non-positive-vars": ("problem p\nvars  0\n", "vars must be positive", 2, 7),
+    "vars-token-count": ("problem p\nvars 2 3\n", "expected: vars N", 2, 1),
+    "duplicate-vars": ("problem p\nvars 1\nvars 1\n", "duplicate vars line", 3, 1),
+    "malformed-bounds-index": (
+        HEAD3 + "bounds\n1.5 0 1\n", "malformed integer '1.5'", 5, 1),
+    "bounds-index-out-of-range": (
+        HEAD3 + "bounds\n3 0 1\n", "bound variable 3 outside 0..2", 5, 1),
+    "negative-bounds-index": (
+        HEAD3 + "bounds\n -1 0 1\n", "bound variable -1 outside 0..2", 5, 2),
+    "malformed-lower-bound": (
+        HEAD3 + "bounds\n0 low 1\n", "malformed number 'low'", 5, 3),
+    "malformed-upper-bound": (
+        HEAD3 + "bounds\n0 0 high\n", "malformed number 'high'", 5, 5),
+    "duplicate-bounds": (
+        HEAD3 + "bounds\n0 0 1\n0 0 2\n", "duplicate bounds for variable 0", 6, 1),
+    "bounds-token-count": (
+        HEAD3 + "bounds\n0 0\n", "expected: bounds line 'J LO HI'", 5, 1),
+    "duplicate-problem": ("problem a\nvars 1\nproblem b\n", "duplicate problem line", 3, 1),
+    "problem-token-count": ("problem a b\nvars 1\n", "expected: problem NAME", 1, 1),
+    "duplicate-constant": (
+        HEAD3 + "objective\nconstant 1\nconstant 2\n", "duplicate constant line", 6, 1),
+    "duplicate-linear": (
+        HEAD3 + "objective\nlinear 1 2 3\nlinear 1 2 3\n", "duplicate linear line", 6, 1),
+    "unknown-directive": ("problem p\nvars 1\n  wat 3\n", "unknown directive 'wat'", 3, 3),
+    "unknown-objective-directive": (
+        HEAD3 + "objective\nlinea 1 2 3\n", "unknown objective directive 'linea'", 5, 1),
+    "tokens-after-section": (
+        HEAD3 + "objective # c\nconstraints x\n", "unexpected tokens after 'constraints'", 5, 13),
+    "section-before-vars": (
+        "problem p\n objective\n", "vars must be declared before sections", 2, 2),
+    "missing-vars": ("# nothing\nproblem p\n", "missing 'vars N' declaration", 1, 1),
+}
+
+
+@pytest.mark.parametrize("case", PINNED_ERRORS)
+def test_pinned_error_message_line_and_column(case):
+    text, message, line, column = PINNED_ERRORS[case]
+    with pytest.raises(ProblemFileError) as err:
+        parse_problem_file(text)
+    assert str(err.value) == f"line {line}, column {column}: {message}"
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_valid_document_never_locates_a_column(monkeypatch):
+    # columns are found only for an error
+    def locate(line):
+        raise AssertionError(f"_tokenize called on {line!r}")
+
+    monkeypatch.setattr(problem_file, "_tokenize", locate)
+    text = ("# header\n\u3000problem\u00a0spaced # name\nvars\t2\n\nobjective\n"
+            "constant 1.5\x0b\nlinear -1.0\u2003 2.0  # c\nquad 0 1 0.5\n"
+            "constraints\n1.0\x1f1.0 <= 4.0\n\nbounds\n 1 0.0 inf\nstart\n0.5 0.5#end\n")
+    pf = parse_problem_file(text)
+    assert (pf.name, pf.n, pf.constant) == ("spaced", 2, 1.5)
+    assert pf.linear.tolist() == [-1.0, 2.0]
+    assert pf.rows[0].coeffs.tolist() == [1.0, 1.0]
+    assert (pf.lower[1], pf.upper[1], pf.start.tolist()) == (0.0, np.inf, [0.5, 0.5])
 
 
 class TestParseErrors:

@@ -12,6 +12,7 @@ from onephase.iterate import (
     check_interior,
     inf_norm,
     make_iterate,
+    merit_phi,
     merit_psi,
     terminate_infeasible,
 )
@@ -20,6 +21,7 @@ from onephase.solver import initialize
 from onephase.steps import (
     Direction,
     Filter,
+    _boundary_bound,
     aggressive_step,
     build_rhs,
     compute_direction,
@@ -63,9 +65,10 @@ NO_ROW_VALUES = [
     ("check_interior", lambda p, it, d: check_interior(it), True),
     ("terminate_infeasible", lambda p, it, d: terminate_infeasible(it) is not None, False),
     ("merit_psi", lambda p, it, d: merit_psi(it), lambda it: it.f),
-    ("max_primal_step", lambda p, it, d: max_primal_step(it, d, 0.0, theta_p_vector(p)), 1.0),
-    ("fraction_to_boundary_ok",
-     lambda p, it, d: fraction_to_boundary_ok(np.zeros(0), it, d, 0.0), True),
+    ("max_primal_step", lambda p, it, d: max_primal_step(
+        it, d, _boundary_bound(it, d, 0.0), theta_p_vector(p)), 1.0),
+    ("fraction_to_boundary_ok", lambda p, it, d: fraction_to_boundary_ok(
+        np.zeros(0), _boundary_bound(it, d, 0.0)), True),
     ("dual_step_size", lambda p, it, d: dual_step_size(
         np.zeros(0), 0.25, it.grad_f, it.jac, it, d, (0.2, 0.75), 0.1), 0.75),
     ("compute_direction.dy", lambda p, it, d: d.dy, np.zeros(0)),
@@ -204,35 +207,38 @@ class TestMaxPrimalStep:
     def test_growing_slacks_allow_full_step(self):
         it = raw_iterate(1.0, [0.0], [1.0], [1.0], [0.0])
         d = direction(1.0, 0.5, 0.0)
-        assert max_primal_step(it, d, 0.0, np.array([0.25])) == 1.0
+        bound = _boundary_bound(it, d, 0.0)
+        assert max_primal_step(it, d, bound, np.array([0.25])) == 1.0
 
     def test_ratio_test_hand_value(self):
         # bound term t = 1*(0 + 0 + 1) = 1, floor 0.25: alpha = 0.75.
         it = raw_iterate(1.0, [0.0], [1.0], [1.0], [0.0])
         d = direction(1.0, -1.0, 0.0)
-        assert max_primal_step(it, d, 0.0, np.array([0.25])) == pytest.approx(0.75)
+        bound = _boundary_bound(it, d, 0.0)
+        assert max_primal_step(it, d, bound, np.array([0.25])) == pytest.approx(0.75)
 
     def test_zero_dx_allows_boundary(self):
         it = raw_iterate(1.0, [0.0], [1.0], [1.0], [0.0])
         d = direction(0.0, -1.0, 0.0)
-        assert max_primal_step(it, d, 0.0, np.array([0.25])) == pytest.approx(1.0)
+        bound = _boundary_bound(it, d, 0.0)
+        assert max_primal_step(it, d, bound, np.array([0.25])) == pytest.approx(1.0)
 
 
 class TestFractionToBoundary:
     def test_zero_step_passes(self):
         it = raw_iterate(1.0, [0.0], [1.0], [1.0], [0.0])
         d = direction(1.0, 0.0, 0.0)
-        assert fraction_to_boundary_ok(it.s.copy(), it, d, 0.0)
+        assert fraction_to_boundary_ok(it.s.copy(), _boundary_bound(it, d, 0.0))
 
     def test_zero_dx_relaxes_rule(self):
         it = raw_iterate(1.0, [0.0], [1.0], [1.0], [0.0])
         d = direction(0.0, -1.0, 0.0)
-        assert fraction_to_boundary_ok(np.array([1e-9]), it, d, 0.0)
+        assert fraction_to_boundary_ok(np.array([1e-9]), _boundary_bound(it, d, 0.0))
 
     def test_shrinking_below_floor_fails(self):
         it = raw_iterate(1.0, [0.0], [1.0], [1.0], [0.0])
         d = direction(1.0, -0.95, 0.0)
-        assert not fraction_to_boundary_ok(np.array([0.05]), it, d, 1.0)
+        assert not fraction_to_boundary_ok(np.array([0.05]), _boundary_bound(it, d, 1.0))
 
 
 class TestDualInterval:
@@ -480,7 +486,7 @@ class TestStabilizationStep:
         fs = factorized_at(p, it)
         filt = Filter()
         filt.reset(np.inf, np.inf)
-        out = stabilization_step(fs, it, filt, p)
+        out = stabilization_step(fs, it, filt, p, merit_phi(it))
         assert out.success
         assert out.alpha_p == 1.0
         assert_allclose(out.iterate.x, [0.0], atol=1e-15)
@@ -489,7 +495,7 @@ class TestStabilizationStep:
         p = quadratic_problem([[1.0]], [0.0])
         it = make_iterate(p, 1.0, np.zeros(1), np.zeros(0), np.zeros(0), np.zeros(0))
         fs = factorized_at(p, it)
-        out = stabilization_step(fs, it, Filter(), p)
+        out = stabilization_step(fs, it, Filter(), p, merit_phi(it))
         assert not out.success
         assert "descent" in out.reason
 
@@ -535,7 +541,8 @@ class TestLineSearchExits:
         assert fs.delta == 0.0
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            outcomes = (stabilization_step(fs, it, Filter(), p), aggressive_step(fs, it, p))
+            outcomes = (stabilization_step(fs, it, Filter(), p, merit_phi(it)),
+                        aggressive_step(fs, it, p))
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         for out in outcomes:
             assert not out.success
