@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .iterate import SolveStatus, SolverOptions
-from .problem_file import ProblemFileError, build_source, default_start, parse_problem_file
+from .problem_file import build_source, default_start, parse_problem_file
 from .problem import check_derivatives, to_inequality_form
 from .registry import builtin_registry
 from .solver import SolveResult, solve
@@ -42,6 +42,13 @@ def _log_level() -> str:
     return level if level in ("quiet", "summary", "trace") else "summary"
 
 
+def _load_file(path: Path):
+    """Parse and lower a problem file into (problem, x_start, name)."""
+    pf = parse_problem_file(path.read_text())
+    problem, _transform = to_inequality_form(build_source(pf))
+    return problem, default_start(pf), pf.name
+
+
 def _load_target(target: str):
     """Resolve 'builtin:NAME' or a problem-file path into
     (problem, x_start, name)."""
@@ -54,21 +61,13 @@ def _load_target(target: str):
         entry = registry[name]
         problem, _transform = entry.build()
         return problem, entry.x_start.copy(), entry.name
-    pf = parse_problem_file(Path(target).read_text())
-    problem, _transform = to_inequality_form(build_source(pf))
-    return problem, default_start(pf), pf.name
+    return _load_file(Path(target))
 
 
 def _options_from_args(args) -> SolverOptions:
-    opts = SolverOptions()
-    if args.tol is not None:
-        opts.eps_opt = args.tol
-    if args.mu_scale is not None:
-        opts.mu_scale = args.mu_scale
-    if args.max_iter is not None:
-        opts.max_iter = args.max_iter
-    if args.max_time is not None:
-        opts.max_time = args.max_time
+    flags = {"eps_opt": args.tol, "mu_scale": args.mu_scale,
+             "max_iter": args.max_iter, "max_time": args.max_time}
+    opts = SolverOptions(**{key: value for key, value in flags.items() if value is not None})
     opts.validate()
     return opts
 
@@ -140,13 +139,12 @@ def _cmd_solve(args) -> int:
 def _solve_file(path: Path, opts: SolverOptions, trace_dir) -> dict:
     row = {"name": path.stem, "file": str(path)}
     try:
-        pf = parse_problem_file(path.read_text())
-        problem, _ = to_inequality_form(build_source(pf))
-    except (ProblemFileError, ValueError, OSError) as exc:
+        problem, x_start, _name = _load_file(path)
+    except (ValueError, OSError) as exc:
         row.update(status="parse-error", exit_code=USAGE_ERROR, error=str(exc),
                    inner_iters="", outer_iters="", objective="", wall_time="")
         return row
-    result = solve(problem, default_start(pf), opts)
+    result = solve(problem, x_start, opts)
     row.update(
         status=result.status.value,
         exit_code=EXIT_CODES[result.status],

@@ -64,10 +64,12 @@ _potrs = get_lapack_funcs("potrs", dtype=np.float64)
 
 
 class MaxDeltaError(RuntimeError):
-    """The regularization shift exceeded its cap; the solve is abandoned."""
+    """The regularization shift exceeded its cap; the solve is abandoned.
+    ``attempts`` counts the trial factorizations spent on the way."""
 
-    def __init__(self, delta: float, reason: str = ""):
+    def __init__(self, delta: float, reason: str = "", attempts: int = 0):
         self.delta = delta
+        self.attempts = attempts
         super().__init__(reason or f"shift {delta:.3e} reached cap {DELTA_MAX:.3e}")
 
 
@@ -161,12 +163,12 @@ def factorize_growing_shift(M: np.ndarray, delta: float,
 
     ``attempts`` counts trials already spent on this matrix, whose
     finiteness :func:`factorize_with_shift` has checked.  Raises
-    :class:`MaxDeltaError` once ``delta >= delta_max``.
+    :class:`MaxDeltaError`, carrying the attempts, once ``delta >= delta_max``.
     """
     eye = np.eye(M.shape[0])
     while True:
         if delta >= DELTA_MAX:
-            raise MaxDeltaError(delta)
+            raise MaxDeltaError(delta, attempts=attempts)
         attempts += 1
         shifted = M + delta * eye
         L = _try_cholesky(shifted)

@@ -207,10 +207,6 @@ class TransformRow:
 class ProblemTransform:
     rows: list[TransformRow] = field(default_factory=list)
 
-    @property
-    def m(self) -> int:
-        return len(self.rows)
-
 
 # Row signs per relation: an equality becomes two opposing rows.
 _SIGNS = {Relation.LE: (+1,), Relation.GE: (-1,), Relation.EQ: (+1, -1)}
@@ -336,9 +332,6 @@ class DerivativeReport:
     grad_f_error: float
     jac_error: float
     hess_error: float
-
-    def max_error(self) -> float:
-        return max(self.grad_f_error, self.jac_error, self.hess_error)
 
 
 def _rel_err(analytic: np.ndarray, fd: np.ndarray) -> float:

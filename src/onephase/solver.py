@@ -156,7 +156,10 @@ StepObserver = Callable[[Iterate, Direction, float, float, Iterate, str], None]
 
 
 def _counting_problem(problem: NlpProblem) -> tuple[NlpProblem, dict]:
-    counts = {"f": 0, "grad": 0, "cons": 0, "jac": 0, "hess": 0}
+    """``problem`` with counted callbacks, and the counts: one per callback,
+    then ``factorizations`` and ``backsolves``, which the solve adds."""
+    counts = {"f": 0, "grad": 0, "cons": 0, "jac": 0, "hess": 0,
+              "factorizations": 0, "backsolves": 0}
 
     def tally(key, fn):
         def wrapper(*args):
@@ -170,29 +173,6 @@ def _counting_problem(problem: NlpProblem) -> tuple[NlpProblem, dict]:
                       ("jac", "eval_jac"), ("hess", "eval_hess_lag")):
         setattr(counted, name, tally(key, getattr(problem, name)))
     return counted, counts
-
-
-@dataclass
-class WorkTotals:
-    """The live factorization plus the trial factorizations and backsolves
-    folded in from every factorization it superseded."""
-
-    live: Optional[FactorizedSystem] = None
-    factorizations: int = 0
-    backsolves: int = 0
-
-    def supersede(self, fs: FactorizedSystem) -> FactorizedSystem:
-        """Fold the live factorization into the totals; ``fs`` becomes live."""
-        if self.live is not None:
-            self.factorizations += self.live.attempts
-            self.backsolves += self.live.solves
-        self.live = fs
-        return fs
-
-    def counters(self) -> dict:
-        live = self.live
-        return {"factorizations": self.factorizations + (live.attempts if live else 0),
-                "backsolves": self.backsolves + (live.solves if live else 0)}
 
 
 def _project_onto_bounds(x: np.ndarray, var: np.ndarray, sign: np.ndarray,
@@ -234,7 +214,7 @@ def clip_initial_duals(y: np.ndarray, s0: np.ndarray, mu0: float) -> np.ndarray:
 
 
 def initialize(problem: NlpProblem, x_start: np.ndarray,
-               opts: SolverOptions, work: Optional[WorkTotals] = None) -> Iterate:
+               opts: SolverOptions, counters: Optional[dict] = None) -> Iterate:
     """Build the starting iterate (mu0, x0, s0, y0) and the shift vector w.
 
     The start point is projected strictly inside any variable bounds; bound
@@ -242,7 +222,8 @@ def initialize(problem: NlpProblem, x_start: np.ndarray,
     from one Newton direction on the KKT system at unit duals, followed by
     shifts and clipping that center complementarity.  Finally
     w = (a(x0) + s0)/mu0, which makes the residual identity hold exactly.
-    The probe factorization becomes ``work``'s live one when given.
+    The probe's trial factorizations and backsolves are added to
+    ``counters`` when given.
 
     Raises :class:`InitializationError` when a bound row is active or
     violated after projection, or when the Jacobian row of a declared bound
@@ -287,9 +268,10 @@ def initialize(problem: NlpProblem, x_start: np.ndarray,
         raise InitializationError(
             f"bound row {rows[k]} is declared as {sign[k]:g}*e_{var[k]} but its Jacobian row differs")
     fs = factorize_with_shift(assemble_schur(problem, probe), 0.0)
-    if work is not None:
-        work.supersede(fs)
     direction = compute_direction(fs, probe, 0.0)
+    if counters is not None:
+        counters["factorizations"] += fs.attempts
+        counters["backsolves"] += fs.solves
 
     y_tilde = y_tilde + direction.dy
     s_tilde = s_raw.copy()
@@ -353,7 +335,6 @@ def solve(
     counted, counters = _counting_problem(problem)
     t0 = time.perf_counter()
     trace = SolveTrace()
-    work = WorkTotals()
     rejected: Counter = Counter()   # (step kind, reason) of every rejected step
 
     def result(status, iterate, certificate, detail=""):
@@ -362,7 +343,7 @@ def solve(
             iterate=iterate,
             certificate=certificate,
             trace=trace,
-            counters={**counters, **work.counters()},
+            counters=dict(counters),
             inner_iterations=inner_count,
             outer_iterations=outer_count,
             wall_time=time.perf_counter() - t0,
@@ -395,7 +376,7 @@ def solve(
     outer_count = 0
     cur: Optional[Iterate] = None
     try:
-        cur = initialize(counted, x_start, opts, work)
+        cur = initialize(counted, x_start, opts, counters)
         phi, kkt = merit_phi(cur), merit_kkt(cur)   # cur's, for the filter and trace
         filt = Filter()
         filt.reset(phi, kkt)
@@ -407,7 +388,8 @@ def solve(
                 M = assemble_schur(counted, cur)
                 outer_count += 1
                 floor = shift_floor(cur.grad_norm, inf_norm(cur.x))
-                fs = work.supersede(factorize_with_shift(M, fs.delta if fs else 0.0, floor))
+                fs = factorize_with_shift(M, fs.delta if fs else 0.0, floor)
+                counters["factorizations"] += fs.attempts
             inner_count += 1
 
             mu_pre = cur.mu
@@ -419,6 +401,7 @@ def solve(
             else:
                 outcome = stabilization_step(fs, cur, filt, counted, phi)
                 kind = "stabilization"
+            counters["backsolves"] += fs.solves
 
             if not outcome.success:
                 rejected[kind, outcome.reason] += 1
@@ -449,7 +432,8 @@ def solve(
                 f_evals=counters["f"], grad_evals=counters["grad"],
                 cons_evals=counters["cons"], jac_evals=counters["jac"],
                 hess_evals=counters["hess"],
-                **work.counters(),
+                factorizations=counters["factorizations"],
+                backsolves=counters["backsolves"],
             )
             trace.append(record)
             if progress is not None:
@@ -461,9 +445,11 @@ def solve(
                 # Escalate the shift and refactor the same M; cur has not moved.
                 dx_norm = outcome.direction.dx_norm
                 delta = escalate_delta(fs.delta, cur.grad_norm, dx_norm if dx_norm > 0 else 1.0)
-                fs = work.supersede(_refactorize(M, delta))
+                fs = _refactorize(M, delta)
+                counters["factorizations"] += fs.attempts
         return result(hit[0], cur, *hit[1:])
     except MaxDeltaError as exc:
+        counters["factorizations"] += exc.attempts
         return result(SolveStatus.MAX_DELTA, cur, Certificate({"delta": exc.delta}), str(exc))
     except EvaluationError as exc:
         return result(SolveStatus.EVALUATION_ERROR, cur, Certificate({}), str(exc))

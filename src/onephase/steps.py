@@ -47,12 +47,12 @@ BETA8 = 0.9                # dual-feasibility guard threshold
 THETA_B = 0.1              # fraction-to-boundary, acceptance
 MAX_GUARD_RETRIES = 10
 # THETA_P_LINEAR and THETA_P_NONLINEAR, the maximum-step factors, come from
-# ``problem``, which lays them out per row once (``theta_p_vector``).
+# ``problem``, which lays them out per row once (``problem._theta_p``).
 
 
 @dataclass
 class Direction:
-    """Primal-dual direction with the target reduction and rhs that made it.
+    """Primal-dual direction with the target reduction that made it.
 
     Its arrays are never mutated, so ``dx_norm`` (``||dx||_inf``) is
     computed once, on first use."""
@@ -61,9 +61,6 @@ class Direction:
     ds: np.ndarray
     dy: np.ndarray
     gamma: float
-    b_d: np.ndarray
-    b_p: np.ndarray
-    b_c: np.ndarray
 
     @cached_property
     def dx_norm(self) -> float:
@@ -126,14 +123,7 @@ def compute_direction(fs: FactorizedSystem, it: Iterate, gamma: float) -> Direct
     jdx = it.jac @ dx
     dy = (it.y / it.s) * (jdx + b_p - b_c / it.y)
     ds = -(1.0 - gamma) * it.mu * it.w - jdx
-    return Direction(dx=dx, ds=ds, dy=dy, gamma=gamma, b_d=b_d, b_p=b_p, b_c=b_c)
-
-
-def theta_p_vector(problem: NlpProblem) -> np.ndarray:
-    """Per-row fraction-to-boundary factor of the maximum step: theta_p
-    linear on linear rows, theta_p nonlinear elsewhere (read-only; built
-    once, when the problem is)."""
-    return problem._theta_p
+    return Direction(dx=dx, ds=ds, dy=dy, gamma=gamma)
 
 
 def _boundary_bound(it: Iterate, direction: Direction, delta: float) -> np.ndarray:
@@ -336,7 +326,7 @@ def _line_search(fs: FactorizedSystem, it: Iterate, problem: NlpProblem,
     if slope >= 0:
         return StepOutcome(False, None, direction, reason="not a descent direction")
     bound = _boundary_bound(it, direction, fs.delta)
-    alpha_p = max_primal_step(it, direction, bound, theta_p_vector(problem))
+    alpha_p = max_primal_step(it, direction, bound, problem._theta_p)
     guard_retries = 0
     while not below_minimum(alpha_p):
         try:
@@ -367,7 +357,7 @@ def aggressive_step(fs: FactorizedSystem, it: Iterate, problem: NlpProblem) -> S
     if not _finite_direction(predictor):
         return StepOutcome(False, None, predictor, reason="non-finite direction")
     alpha_hat = max_primal_step(it, predictor, _boundary_bound(it, predictor, fs.delta),
-                                theta_p_vector(problem))
+                                problem._theta_p)
     gamma = min(0.5, (1.0 - alpha_hat) ** 2)
     alpha_min = theta_bar(it.mu, it.s, it.w)
     return _line_search(fs, it, problem, compute_direction(fs, it, gamma),

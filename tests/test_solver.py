@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import onephase.linalg as linalg_module
 import onephase.solver as solver_module
 from onephase import (
     EvaluationError,
@@ -481,7 +482,7 @@ class TestCallbacks:
 class TestFactorizationLifetime:
     def test_superseded_factorizations_are_freed(self, monkeypatch):
         # solve() keeps only the live factorization; every superseded one
-        # is folded into the work totals and released.
+        # is released once its counts are in result.counters.
         made = []
 
         def recording(fn):
@@ -510,6 +511,62 @@ class TestFactorizationLifetime:
         assert len(made) >= result.outer_iterations
         assert max(alive) <= 1
         assert result.counters["factorizations"] >= len(made)
+
+
+def _max_delta_example():
+    """Unconstrained n = 2 quadratic whose Hessian needs a shift near 1e55,
+    past the cap, from x0 = (1, 0)."""
+    return quadratic_problem([[1.0, 1e55], [1e55, 1.0]], [0.0, 0.0]), np.array([1.0, 0.0]), None
+
+
+def _wachter_far_start():
+    entry = builtin_registry()["wachter"]
+    x0 = entry.x_start.copy()
+    x0[0] = -100.0
+    return entry.build()[0], x0, None
+
+
+class TestWorkCounters:
+    """``factorizations`` counts every trial Cholesky, failed ones included,
+    and is the sum of ``attempts`` over the factorizations the solve makes;
+    ``backsolves`` is the sum of their ``solves``."""
+
+    @pytest.mark.parametrize("make, status, trial_count", [
+        (_wachter_far_start, SolveStatus.OPTIMAL, None),
+        (lambda: (_nan_region_problem("eval_a"), np.array([0.0]), SolverOptions(max_iter=200)),
+         SolveStatus.ITERATION_LIMIT, None),
+        (_max_delta_example, SolveStatus.MAX_DELTA, 66),
+    ], ids=["wachter", "nan-eval_a", "max-delta"])
+    def test_counts_add_up(self, monkeypatch, make, status, trial_count):
+        made = []     # every FactorizedSystem, the probe's included
+        trials = []   # every trial Cholesky
+
+        def recording(fn, log):
+            def wrapper(*args):
+                out = fn(*args)
+                log.append(out)
+                return out
+            return wrapper
+
+        for name in ("factorize_with_shift", "_refactorize"):
+            monkeypatch.setattr(solver_module, name, recording(getattr(solver_module, name), made))
+        monkeypatch.setattr(linalg_module, "_try_cholesky",
+                            recording(linalg_module._try_cholesky, trials))
+
+        def sums():
+            return sum(fs.attempts for fs in made), sum(fs.solves for fs in made)
+
+        def progress(record):
+            assert (record.factorizations, record.backsolves) == sums(), record.iter
+            assert record.factorizations == len(trials), record.iter
+
+        problem, x0, opts = make()
+        result = solve(problem, x0, opts, progress=progress)
+        assert result.status is status
+        assert result.counters["factorizations"] == len(trials) > 0
+        assert result.counters["backsolves"] == sums()[1]
+        if trial_count is not None:
+            assert len(trials) == trial_count
 
 
 class TestEscalationShift:

@@ -32,7 +32,6 @@ from onephase.steps import (
     max_primal_step,
     stabilization_step,
     theta_bar,
-    theta_p_vector,
 )
 from onephase.steps import BETA8, THETA_B, THETA_P_LINEAR, THETA_P_NONLINEAR
 
@@ -43,9 +42,7 @@ def direction(dx, ds, dy, gamma=1.0):
     dx = np.atleast_1d(np.asarray(dx, float))
     ds = np.atleast_1d(np.asarray(ds, float))
     dy = np.atleast_1d(np.asarray(dy, float))
-    return Direction(dx=dx, ds=ds, dy=dy, gamma=gamma,
-                     b_d=np.zeros_like(dx), b_p=np.zeros_like(ds),
-                     b_c=np.zeros_like(ds))
+    return Direction(dx=dx, ds=ds, dy=dy, gamma=gamma)
 
 
 def factorized_at(problem, it, delta_in=0.0):
@@ -66,7 +63,7 @@ NO_ROW_VALUES = [
     ("terminate_infeasible", lambda p, it, d: terminate_infeasible(it) is not None, False),
     ("merit_psi", lambda p, it, d: merit_psi(it), lambda it: it.f),
     ("max_primal_step", lambda p, it, d: max_primal_step(
-        it, d, _boundary_bound(it, d, 0.0), theta_p_vector(p)), 1.0),
+        it, d, _boundary_bound(it, d, 0.0), p._theta_p), 1.0),
     ("fraction_to_boundary_ok", lambda p, it, d: fraction_to_boundary_ok(
         np.zeros(0), _boundary_bound(it, d, 0.0)), True),
     ("dual_step_size", lambda p, it, d: dual_step_size(
@@ -138,11 +135,10 @@ class TestComputeDirection:
             problem, it = random_interior_setup(rng)
             fs = factorized_at(problem, it)
             d1 = compute_direction(fs, it, 1.0)
-            assert_allclose(d1.b_p, np.zeros(it.m))
+            assert_allclose(build_rhs(it, 1.0)[1], np.zeros(it.m))
             assert_allclose(d1.ds, -it.jac @ d1.dx, atol=1e-12)
             gamma = float(rng.uniform(0.0, 1.0))
-            dg = compute_direction(fs, it, gamma)
-            assert_allclose(dg.b_p, (1.0 - gamma) * it.mu * it.w, atol=1e-15)
+            assert_allclose(build_rhs(it, gamma)[1], (1.0 - gamma) * it.mu * it.w, atol=1e-15)
 
     def test_newton_system_rows_at_snapshot(self):
         # At the assembly point the reduced solve must satisfy the full
@@ -155,13 +151,14 @@ class TestComputeDirection:
             H = problem.hess_lag(it.x, it.y - it.mu * BETA1)
             for gamma in (0.0, float(rng.uniform()), 1.0):
                 d = compute_direction(fs, it, gamma)
-                scale = 1.0 + np.abs(d.b_d).max(initial=0.0)
+                b_d, b_p, b_c = build_rhs(it, gamma)
+                scale = 1.0 + np.abs(b_d).max(initial=0.0)
                 row1 = (H + fs.delta * np.eye(problem.n)) @ d.dx + it.jac.T @ d.dy
-                assert_allclose(row1, -d.b_d, atol=1e-7 * scale)
+                assert_allclose(row1, -b_d, atol=1e-7 * scale)
                 row2 = it.jac @ d.dx + d.ds
-                assert_allclose(row2, -d.b_p, atol=1e-8 * scale)
+                assert_allclose(row2, -b_p, atol=1e-8 * scale)
                 row3 = it.s * d.dy + it.y * d.ds
-                assert_allclose(row3, -d.b_c, atol=1e-7 * scale)
+                assert_allclose(row3, -b_c, atol=1e-7 * scale)
 
 
 def _barrier_grad(it):
@@ -404,9 +401,9 @@ class TestThetaPVector:
     def test_linear_rows_get_the_linear_factor(self):
         p = replace(linear_problem([0.0], [[1.0], [2.0], [3.0]], [0.0, 0.0, 0.0]),
                     linear_indices=frozenset({0, 2}))
-        assert theta_p_vector(p).tolist() == [
+        assert p._theta_p.tolist() == [
             THETA_P_LINEAR, THETA_P_NONLINEAR, THETA_P_LINEAR]
-        assert theta_p_vector(quadratic_problem([[1.0]], [0.0])).shape == (0,)
+        assert quadratic_problem([[1.0]], [0.0])._theta_p.shape == (0,)
 
 
 class TestFilter:
