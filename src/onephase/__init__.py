@@ -10,7 +10,7 @@ The names below are the public API.  Solver internals (steps, linear
 algebra, merit functions) are imported from their defining modules.
 """
 
-from .iterate import Certificate, Iterate, SolveStatus, SolverOptions
+from .iterate import Iterate, SolveStatus, SolverOptions
 from .problem import (
     DerivativeReport,
     EvaluationError,
@@ -31,13 +31,12 @@ from .problem_file import (
     serialize_problem_file,
 )
 from .registry import BuiltinProblem, builtin_registry
-from .solver import SolveResult, SolveTrace, TraceRecord, solve
+from .solver import SolveResult, TraceRecord, solve
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BuiltinProblem",
-    "Certificate",
     "DerivativeReport",
     "EvaluationError",
     "Iterate",
@@ -49,7 +48,6 @@ __all__ = [
     "Relation",
     "SolveResult",
     "SolveStatus",
-    "SolveTrace",
     "SolverOptions",
     "SourceConstraint",
     "SourceProblem",

@@ -2,8 +2,8 @@
 
 Exit codes: 0 optimal, 1 primal infeasible, 2 unbounded, 3 iteration or
 time limit, 4 solver failure (shift cap, evaluation error), 5 usage or
-parse error.  The ONEPHASE_LOG environment variable (quiet | summary |
-trace) controls stdout verbosity.
+parse error, or an output file that cannot be written.  The ONEPHASE_LOG
+environment variable (quiet | summary | trace) controls stdout verbosity.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .iterate import SolveStatus, SolverOptions
 from .problem_file import build_source, default_start, parse_problem_file
 from .problem import check_derivatives, to_inequality_form
 from .registry import builtin_registry
-from .solver import SolveResult, solve
+from .solver import SolveResult, solve, write_trace_csv
 
 EXIT_CODES = {
     SolveStatus.OPTIMAL: 0,
@@ -80,7 +80,8 @@ def _print_summary(name: str, result: SolveResult, level: str) -> None:
           f"iterations, {result.wall_time:.3f}s)")
     if result.status in (SolveStatus.OPTIMAL, SolveStatus.PRIMAL_INFEASIBLE,
                          SolveStatus.UNBOUNDED):
-        print(f"  certificate: {result.certificate}")
+        values = ", ".join(f"{k}={v:.3e}" for k, v in result.certificate.items())
+        print(f"  certificate: {values}")
     elif result.detail:
         print(f"  detail: {result.detail}")
     if result.iterate is not None:
@@ -129,8 +130,12 @@ def _cmd_solve(args) -> int:
     _print_summary(name, result, level)
 
     if args.trace is not None:
-        with open(args.trace, "w", newline="") as fh:
-            result.trace.write_csv(fh)
+        try:
+            with open(args.trace, "w", newline="") as fh:
+                write_trace_csv(result.trace, fh)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return USAGE_ERROR
         if level != "quiet":
             print(f"  trace written to {args.trace}")
     return EXIT_CODES[result.status]
@@ -157,7 +162,7 @@ def _solve_file(path: Path, opts: SolverOptions, trace_dir) -> dict:
     if trace_dir is not None:
         trace_path = Path(trace_dir) / (path.stem + "-trace.csv")
         with open(trace_path, "w", newline="") as fh:
-            result.trace.write_csv(fh)
+            write_trace_csv(result.trace, fh)
     return row
 
 
@@ -175,19 +180,25 @@ def _cmd_batch(args) -> int:
     if not files:
         print(f"error: no {BATCH_EXTENSION} files in {directory}", file=sys.stderr)
         return USAGE_ERROR
+    if args.trace_dir is not None and not Path(args.trace_dir).is_dir():
+        print(f"error: {args.trace_dir} is not a directory", file=sys.stderr)
+        return USAGE_ERROR
     try:
         opts = _options_from_args(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
-    rows = [_solve_file(p, opts, args.trace_dir) for p in files]
-
-    if args.summary is not None:
-        with open(args.summary, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=BATCH_COLUMNS)
-            writer.writeheader()
-            writer.writerows(rows)
+    try:
+        rows = [_solve_file(p, opts, args.trace_dir) for p in files]
+        if args.summary is not None:
+            with open(args.summary, "w", newline="") as fh:
+                writer = csv.DictWriter(fh, fieldnames=BATCH_COLUMNS)
+                writer.writeheader()
+                writer.writerows(rows)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     if level != "quiet":
         for row in rows:
             print(f"{row['name']}: {row['status']}")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -198,27 +198,17 @@ def sigma(y: np.ndarray) -> float:
     return 100.0 / max(100.0, inf_norm(y))
 
 
-@dataclass
-class Certificate:
-    """Measured quantities backing a terminal status."""
-
-    values: dict = field(default_factory=dict)
-
-    def __str__(self) -> str:
-        return ", ".join(f"{k}={v:.3e}" for k, v in self.values.items())
-
-
-def terminate_optimal(it: Iterate, eps_opt: float) -> Certificate | None:
-    """Scaled first-order optimality: the certificate of sigma||grad L_0||,
-    sigma||Sy|| and the raw primal residual ||a(x)+s|| when all three are
-    below ``eps_opt``, else None."""
+def terminate_optimal(it: Iterate, eps_opt: float) -> dict | None:
+    """Scaled first-order optimality: the certificate (a dict of measured
+    values) of sigma||grad L_0||, sigma||Sy|| and the raw primal residual
+    ||a(x)+s|| when all three are below ``eps_opt``, else None."""
     dual, comp = it.scaled_optimality
     values = {
         "scaled_dual_infeasibility": dual,
         "scaled_complementarity": comp,
         "primal_residual": inf_norm(it.a + it.s),
     }
-    return Certificate(values) if all(v <= eps_opt for v in values.values()) else None
+    return values if all(v <= eps_opt for v in values.values()) else None
 
 
 def gamma_far(it: Iterate) -> float:
@@ -239,7 +229,7 @@ def gamma_inf(it: Iterate) -> float:
     return (one_norm(it.jac.T @ it.y) + float(it.s @ it.y)) / y1
 
 
-def terminate_infeasible(it: Iterate) -> Certificate | None:
+def terminate_infeasible(it: Iterate) -> dict | None:
     """Local-infeasibility certificate: a^T y > 0 with both stationarity
     measures below tolerance, else None."""
     a_dot_y = float(it.a @ it.y)
@@ -248,15 +238,15 @@ def terminate_infeasible(it: Iterate) -> Certificate | None:
     far, inf = gamma_far(it), gamma_inf(it)
     if not (far <= EPS_FAR and inf <= EPS_INF):
         return None
-    return Certificate({"a_dot_y": a_dot_y, "gamma_far": far, "gamma_inf": inf,
-                        "dual_norm": inf_norm(it.y)})
+    return {"a_dot_y": a_dot_y, "gamma_far": far, "gamma_inf": inf,
+            "dual_norm": inf_norm(it.y)}
 
 
-def terminate_unbounded(it: Iterate) -> Certificate | None:
+def terminate_unbounded(it: Iterate) -> dict | None:
     """Divergence test ||x||_inf >= 1/eps_unbd, else None: as a(x) <= mu^0 w
     all along, diverging x certifies the shifted region is unbounded."""
     x_norm = inf_norm(it.x)
-    return Certificate({"x_norm": x_norm}) if x_norm >= 1.0 / EPS_UNBD else None
+    return {"x_norm": x_norm} if x_norm >= 1.0 / EPS_UNBD else None
 
 
 def aggressive_criterion(it: Iterate) -> bool:

@@ -92,12 +92,15 @@ def assemble_schur(problem: NlpProblem, it: Iterate) -> np.ndarray:
     ``problem.bounds`` enter as the diagonal ``bincount(var, y/s)``, the
     other rows as the product ``J_G^T D_G J_G``; the result matches the
     dense product to rounding, and is that product to the bit when the
-    problem declares no bounds.
+    problem declares no bounds.  ``M`` is made exactly symmetric once, at
+    the end.  A Hessian that ``hess_lag`` accepts as symmetric within its
+    ``1e-12`` tolerance but that is not exactly symmetric is averaged there
+    with the rest, which differs from averaging it alone only at rounding
+    level.
     """
     s, y, jac = it.s, it.y, it.jac
     assert (s > 0).all() and (y > 0).all(), "assemble_schur needs s, y > 0"
     M = np.array(problem.hess_lag(it.x, y - it.mu * BETA1), dtype=float)
-    M = 0.5 * (M + M.T)
     d = y / s
     general, rows = problem._general_rows, problem._bound_row
     jac_g = jac[general]

@@ -64,7 +64,8 @@ class NlpProblem:
     the Schur assembly trusts the declaration: it adds ``y_row/s_row`` to
     the diagonal entry ``var`` instead of reading the row of ``jac``, so a
     declared row's Jacobian row must be ``sign*e_var`` exactly (checked
-    once per solve, at the start point).  ``bounds`` and
+    once per solve, at the start point).  Rows, variables and
+    ``linear_indices`` must be integers.  ``bounds`` and
     ``linear_indices`` are decoded into arrays when the problem is built;
     replace them with :func:`dataclasses.replace`, not by assignment.
     """
@@ -99,18 +100,22 @@ class NlpProblem:
         repeated = np.ones(row.size, dtype=bool)
         repeated[np.unique(row, return_index=True)[1]] = False
         bad = repeated | ~((0 <= row) & (row < self.m) & (0 <= var) & (var < self.n)
+                           & (row == np.trunc(row)) & (var == np.trunc(var))
                            & (np.abs(sign) == 1) & np.isfinite(c))
         for k in np.flatnonzero(bad)[:1]:  # the first faulty entry, in the text of its fault
             row, var, sign, c = self.bounds[k]
             if not (0 <= row < self.m and 0 <= var < self.n):
                 raise ValueError(f"bound row {row} or variable {var} out of range")
+            if row != int(row) or var != int(var):
+                raise ValueError(f"bound row {row} or variable {var} not an integer")
             if sign not in (-1, 1):
                 raise ValueError(f"bound row {row} has sign {sign}, not +-1")
             if not np.isfinite(c):
                 raise ValueError(f"bound row {row} has non-finite constant {c}")
             raise ValueError(f"bound row {row} declared twice")
-        if not self.linear_indices <= set(range(self.m)):
-            raise ValueError("linear_indices outside {0..m-1}")
+        for i in self.linear_indices:
+            if not (isinstance(i, (int, np.integer)) and 0 <= i < self.m):
+                raise ValueError(f"linear index {i!r} is not an integer in 0..{self.m - 1}")
         self._bound_row, self._bound_var = row.astype(np.intp), var.astype(np.intp)
         self._bound_sign, self._bound_c = sign, c
         general = np.ones(self.m, dtype=bool)

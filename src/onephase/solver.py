@@ -11,17 +11,15 @@ from __future__ import annotations
 
 import copy
 import csv
-import io
 import time
 from collections import Counter
-from dataclasses import dataclass, field, fields
-from typing import Callable, Optional
+from dataclasses import astuple, dataclass, fields
+from typing import Callable, Optional, TextIO
 
 import numpy as np
 
 from .iterate import (
     BETA3,
-    Certificate,
     Iterate,
     SolveStatus,
     SolverOptions,
@@ -46,7 +44,6 @@ from .linalg import (
 )
 from .problem import EvaluationError, NlpProblem
 from .steps import (
-    Direction,
     Filter,
     aggressive_step,
     compute_direction,
@@ -102,40 +99,27 @@ class TraceRecord:
     factorizations: int
     backsolves: int
 
-    def row(self) -> list:
-        return [getattr(self, c) for c in TRACE_COLUMNS]
 
-
-TRACE_COLUMNS = [f.name for f in fields(TraceRecord)]
-
-
-@dataclass
-class SolveTrace:
-    records: list = field(default_factory=list)
-
-    def append(self, record: TraceRecord) -> None:
-        self.records.append(record)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def write_csv(self, stream: io.TextIOBase) -> None:
-        stream.write(f"# {TRACE_SCHEMA_VERSION}\n")
-        writer = csv.writer(stream)
-        writer.writerow(TRACE_COLUMNS)
-        for rec in self.records:
-            writer.writerow(rec.row())
+def write_trace_csv(trace: list[TraceRecord], stream: TextIO) -> None:
+    """Write ``trace`` as CSV: a ``# TRACE_SCHEMA_VERSION`` line, the
+    column names, then one row per record."""
+    stream.write(f"# {TRACE_SCHEMA_VERSION}\n")
+    writer = csv.writer(stream)
+    writer.writerow(f.name for f in fields(TraceRecord))
+    writer.writerows(astuple(rec) for rec in trace)
 
 
 @dataclass
 class SolveResult:
     """``inner_iterations`` counts the steps tried; ``outer_iterations``
-    counts the Schur matrices assembled, each used until a step is accepted."""
+    counts the Schur matrices assembled, each used until a step is accepted.
+    ``certificate`` holds the measured values backing ``status`` (empty on
+    an evaluation error); ``trace`` holds one record per inner iteration."""
 
     status: SolveStatus
     iterate: Optional[Iterate]
-    certificate: Certificate
-    trace: SolveTrace
+    certificate: dict
+    trace: list[TraceRecord]
     counters: dict
     inner_iterations: int
     outer_iterations: int
@@ -152,7 +136,6 @@ class SolveResult:
 
 
 ProgressCallback = Callable[[TraceRecord], None]
-StepObserver = Callable[[Iterate, Direction, float, float, Iterate, str], None]
 
 
 def _counting_problem(problem: NlpProblem) -> tuple[NlpProblem, dict]:
@@ -316,7 +299,6 @@ def solve(
     x_start: np.ndarray,
     opts: Optional[SolverOptions] = None,
     progress: Optional[ProgressCallback] = None,
-    step_observer: Optional[StepObserver] = None,
 ) -> SolveResult:
     """Run the one-phase interior point method.
 
@@ -326,15 +308,13 @@ def solve(
     failure statuses (shift cap, iteration/time limit, evaluation error).
 
     ``progress`` receives each :class:`TraceRecord` as it is produced and
-    must not mutate solver state.  ``step_observer`` is called on every
-    accepted step with ``(previous, direction, alpha_p, alpha_d, new,
-    kind)``; it exists for verification and diagnostics.
+    must not mutate solver state.
     """
     opts = SolverOptions() if opts is None else opts
     opts.validate()
     counted, counters = _counting_problem(problem)
     t0 = time.perf_counter()
-    trace = SolveTrace()
+    trace: list[TraceRecord] = []
     rejected: Counter = Counter()   # (step kind, reason) of every rejected step
 
     def result(status, iterate, certificate, detail=""):
@@ -366,10 +346,10 @@ def solve(
             return SolveStatus.UNBOUNDED, cert
         if inner_count >= opts.max_iter:
             return (SolveStatus.ITERATION_LIMIT,
-                    Certificate({"inner_iterations": inner_count}), stall_detail())
+                    {"inner_iterations": inner_count}, stall_detail())
         if time.perf_counter() - t0 >= opts.max_time:
             return (SolveStatus.TIME_LIMIT,
-                    Certificate({"seconds": time.perf_counter() - t0}), stall_detail())
+                    {"seconds": time.perf_counter() - t0}, stall_detail())
         return None
 
     inner_count = 0
@@ -406,16 +386,12 @@ def solve(
             if not outcome.success:
                 rejected[kind, outcome.reason] += 1
             else:
-                prev = cur
                 cur = outcome.iterate
                 phi, kkt = merit_phi(cur), merit_kkt(cur)
                 if take_aggressive:
                     filt.reset(phi, kkt)
                 else:
                     filt.add(phi, kkt)
-                if step_observer is not None:
-                    step_observer(prev, outcome.direction, outcome.alpha_p,
-                                  outcome.alpha_d, cur, kind)
 
             opt_dual, opt_comp = cur.scaled_optimality
             record = TraceRecord(
@@ -450,6 +426,6 @@ def solve(
         return result(hit[0], cur, *hit[1:])
     except MaxDeltaError as exc:
         counters["factorizations"] += exc.attempts
-        return result(SolveStatus.MAX_DELTA, cur, Certificate({"delta": exc.delta}), str(exc))
+        return result(SolveStatus.MAX_DELTA, cur, {"delta": exc.delta}, str(exc))
     except EvaluationError as exc:
-        return result(SolveStatus.EVALUATION_ERROR, cur, Certificate({}), str(exc))
+        return result(SolveStatus.EVALUATION_ERROR, cur, {}, str(exc))

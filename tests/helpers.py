@@ -3,10 +3,12 @@
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
+import onephase.solver as solver_module
 from onephase import Iterate, NlpProblem
 
 
@@ -110,6 +112,38 @@ def random_interior_setup(rng, n=None, m=None):
                  f=problem.f(x), grad_f=problem.grad_f(x),
                  a=problem.a(x), jac=problem.jac(x))
     return problem, it
+
+
+@contextmanager
+def observed_steps():
+    """Collect every accepted step of the solves run inside the block as
+    ``(previous, direction, alpha_p, alpha_d, new, kind)``.
+
+    Wraps ``aggressive_step`` and ``stabilization_step`` in the ``solver``
+    module's globals, through which ``solve`` calls them, and restores them
+    on exit.
+    """
+    steps = []
+    saved = {}
+
+    def observing(step, kind):
+        def observed(fs, it, *args):
+            outcome = step(fs, it, *args)
+            if outcome.success:
+                steps.append((it, outcome.direction, outcome.alpha_p,
+                              outcome.alpha_d, outcome.iterate, kind))
+            return outcome
+        return observed
+
+    for kind in ("aggressive", "stabilization"):
+        name = f"{kind}_step"
+        saved[name] = getattr(solver_module, name)
+        setattr(solver_module, name, observing(saved[name], kind))
+    try:
+        yield steps
+    finally:
+        for name, step in saved.items():
+            setattr(solver_module, name, step)
 
 
 def run_python(code, *flags):

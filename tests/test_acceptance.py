@@ -29,7 +29,7 @@ from onephase.linalg import (
 )
 from onephase.steps import compute_direction, descent_grad
 
-from helpers import random_interior_setup
+from helpers import observed_steps, random_interior_setup
 
 
 @contextmanager
@@ -42,20 +42,16 @@ def criterion(number, description):
     print(f"ACCEPTANCE {number}: PASS - {description}")
 
 
-def run_registry(name, opts=None, x_start=None, observer=None):
+def run_registry(name, opts=None, x_start=None):
     entry = builtin_registry()[name]
     problem, _ = entry.build()
     start = entry.x_start if x_start is None else x_start
-    return problem, solve(problem, start, opts, step_observer=observer)
+    return problem, solve(problem, start, opts)
 
 
 def collect_steps(name):
-    steps = []
-
-    def observer(prev, direction, alpha_p, alpha_d, new, kind):
-        steps.append((prev, direction, alpha_p, alpha_d, new, kind))
-
-    problem, result = run_registry(name, observer=observer)
+    with observed_steps() as steps:
+        problem, result = run_registry(name)
     return problem, result, steps
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import onephase.cli as cli_module
 from onephase import SolverOptions, builtin_registry, serialize_problem_file
 from onephase.cli import USAGE_ERROR, _options_from_args, build_parser, run_cli
 
@@ -258,6 +259,30 @@ def test_batch_summary_counts_every_file(tmp_path):
 
 def test_batch_empty_directory_is_usage_error(tmp_path):
     assert run_cli(["batch", str(tmp_path)]) == 5
+
+
+def test_unwritable_trace_is_usage_error(tmp_path, capsys):
+    trace = tmp_path / "missing" / "t.csv"
+    assert run_cli(["solve", "builtin:qp-2d", "--trace", str(trace)]) == USAGE_ERROR
+    out, err = capsys.readouterr()
+    assert "qp-2d: optimal" in out and "trace written" not in out
+    assert err.startswith("error: ") and str(trace) in err
+
+
+def test_trace_dir_not_a_directory_is_refused_before_solving(tmp_path, monkeypatch, capsys):
+    (tmp_path / "lp.nlp").write_text(LP_TEXT)
+    monkeypatch.setattr(cli_module, "solve", lambda *args: pytest.fail("solved"))
+    trace_dir = tmp_path / "missing"
+    assert run_cli(["batch", str(tmp_path), "--trace-dir", str(trace_dir)]) == USAGE_ERROR
+    assert capsys.readouterr().err == f"error: {trace_dir} is not a directory\n"
+
+
+def test_unwritable_summary_is_usage_error(tmp_path, capsys):
+    (tmp_path / "lp.nlp").write_text(LP_TEXT)
+    summary = tmp_path / "missing" / "s.csv"
+    assert run_cli(["batch", str(tmp_path), "--summary", str(summary)]) == USAGE_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(summary) in err
 
 
 def test_no_command_is_usage_error(capsys):

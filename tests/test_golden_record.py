@@ -83,7 +83,7 @@ def _solves():
 
 def _steps(trace) -> str:
     return "".join((r.kind[0].upper() if r.accepted else r.kind[0])
-                   for r in trace.records)
+                   for r in trace)
 
 
 def record() -> dict:

@@ -368,7 +368,7 @@ class TestCachedMeasures:
             if math.isfinite(psi):
                 assert same_bits(merit_phi(it), psi + comp ** 3 / it.mu ** 2)
             cert = terminate_optimal(it, math.inf)
-            assert same_bits(cert.values["scaled_dual_infeasibility"],
+            assert same_bits(cert["scaled_dual_infeasibility"],
                              sig * inf_norm(grad_0))
             for gamma in (0.0, 0.5, 1.0):
                 b_d, _, _ = steps.build_rhs(it, gamma)

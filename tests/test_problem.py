@@ -387,16 +387,26 @@ class TestDeclaredBounds:
         (((2, 0, 1, 1.0),), "out of range"),
         (((-1, 0, 1, 1.0),), "out of range"),
         (((0, 2, -1, 0.0),), "out of range"),
+        (((1.5, 0.7, 1, 0.0),), "bound row 1.5 or variable 0.7 not an integer"),
+        (((1, 0.5, 1, 1.0),), "not an integer"),
         (((0, 0, 0, 0.0),), "sign"),
         (((0, 0, -2, 0.0),), "sign"),
         (((0, 0, -1, np.nan),), "non-finite"),
         (((1, 0, 1, np.inf),), "non-finite"),
         (((0, 0, -1, 0.0), (0, 0, 1, 1.0)), "declared twice"),
-    ], ids=["row-past-m", "row-negative", "var-past-n", "sign-zero", "sign-two",
-            "const-nan", "const-inf", "row-repeated"])
+    ], ids=["row-past-m", "row-negative", "var-past-n", "row-fractional",
+            "var-fractional", "sign-zero", "sign-two", "const-nan", "const-inf",
+            "row-repeated"])
     def test_invalid_bounds_rejected(self, bounds, match):
         with pytest.raises(ValueError, match=match):
             replace(self.box(), bounds=bounds)
+
+    @pytest.mark.parametrize("indices", [{1.0}, {2}, {-1}, {"0"}],
+                             ids=["float", "past-m", "negative", "string"])
+    def test_invalid_linear_indices_rejected(self, indices):
+        (index,) = indices
+        with pytest.raises(ValueError, match=f"linear index {index!r} is not an integer"):
+            replace(self.box(), linear_indices=frozenset(indices))
 
 
 def _declared_bounds_loop(bounds, m, n):
@@ -406,6 +416,8 @@ def _declared_bounds_loop(bounds, m, n):
     for row, var, sign, c in bounds:
         if not (0 <= row < m and 0 <= var < n):
             raise ValueError(f"bound row {row} or variable {var} out of range")
+        if row != int(row) or var != int(var):
+            raise ValueError(f"bound row {row} or variable {var} not an integer")
         if sign not in (-1, 1):
             raise ValueError(f"bound row {row} has sign {sign}, not +-1")
         if not np.isfinite(c):
@@ -418,17 +430,20 @@ def _declared_bounds_loop(bounds, m, n):
 class TestDeclaredBoundsMatchLoop:
     def test_random_tables_identical(self):
         # Small m makes repeated rows common; rows, variables, signs and
-        # constants are each out of their range in a share of the entries.
+        # constants are each out of their range, and rows or variables
+        # fractional, in a share of the entries.
         rng = np.random.default_rng(43)
-        seen = {"accepted": 0, "out of range": 0, "sign": 0, "non-finite": 0,
-                "declared twice": 0}
+        seen = {"accepted": 0, "out of range": 0, "not an integer": 0, "sign": 0,
+                "non-finite": 0, "declared twice": 0}
         for _ in range(3000):
             m, n = int(rng.integers(1, 7)), int(rng.integers(1, 4))
             bounds = []
             for _ in range(int(rng.integers(0, 6))):
-                bad = rng.random(4) < 0.06
+                bad = rng.random(5) < 0.06
                 row = int(rng.integers(-2, 0) if bad[0] else rng.integers(0, m + bad[1]))
                 var = int(rng.integers(n, n + 2) if bad[2] else rng.integers(0, n))
+                if bad[4]:
+                    row, var = (row + 0.5, var) if rng.random() < 0.5 else (row, var + 0.25)
                 signs = [0, 2, -2, 0.5] if bad[3] else [-1, 1, -1.0, 1.0]
                 sign = signs[int(rng.integers(0, 4))]
                 c = rng.choice([np.nan, np.inf, -np.inf, 1e300, -0.0, 1.5],

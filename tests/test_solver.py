@@ -32,9 +32,10 @@ from onephase.solver import (
     clip_initial_duals,
     initial_slack_shift,
     initialize,
+    write_trace_csv,
 )
 
-from helpers import quadratic_problem, run_python
+from helpers import observed_steps, quadratic_problem, run_python
 from test_golden_record import GOLDEN, _nan_region_problem
 from test_golden_record import _steps as golden_steps
 
@@ -279,7 +280,7 @@ class TestSolveBasics:
         problem, _ = entry.build()
         result = solve(problem, entry.x_start)
         assert result.status is SolveStatus.PRIMAL_INFEASIBLE
-        cert = result.certificate.values
+        cert = result.certificate
         assert cert["a_dot_y"] > 0
         assert cert["gamma_far"] <= 1e-3
         assert cert["gamma_inf"] <= 1e-6
@@ -317,21 +318,16 @@ class TestSolveBasics:
         for name in ("wachter", "qp-separable10"):
             entry = builtin_registry()[name]
             problem, _ = entry.build()
-            start = []
-            accepted = []
-
-            def observer(prev, direction, alpha_p, alpha_d, new, kind):
-                if not start:
-                    start.append(prev.mu * inf_norm(prev.w))
+            with observed_steps() as steps:
+                result = solve(problem, entry.x_start, opts)
+            assert result.status is SolveStatus.OPTIMAL, name
+            assert steps, name
+            start = steps[0][0].mu * inf_norm(steps[0][0].w)
+            for _prev, _direction, _alpha_p, _alpha_d, new, _kind in steps:
                 assert check_interior(new), name
                 scale = inf_norm(new.s) + inf_norm(new.a) + new.mu * inf_norm(new.w)
                 assert inf_norm(new.primal_residual()) <= (
-                    1e-8 * (1.0 + start[0]) + 16 * eps * scale), name
-                accepted.append(kind)
-
-            result = solve(problem, entry.x_start, opts, step_observer=observer)
-            assert result.status is SolveStatus.OPTIMAL, name
-            assert accepted, name
+                    1e-8 * (1.0 + start) + 16 * eps * scale), name
 
 
 @pytest.fixture(scope="module")
@@ -347,12 +343,12 @@ def traced():
 class TestSolveTraceInvariants:
     def test_mu_column_nonincreasing(self, traced):
         for name, result in traced.items():
-            mus = [r.mu for r in result.trace.records]
+            mus = [r.mu for r in result.trace]
             assert all(b <= a + 1e-15 for a, b in zip(mus, mus[1:])), name
 
     def test_mu_strictly_decreasing_on_aggressive(self, traced):
         for name, result in traced.items():
-            for rec in result.trace.records:
+            for rec in result.trace:
                 if rec.kind == "aggressive" and rec.accepted:
                     assert rec.mu < rec.mu_pre, name
 
@@ -362,14 +358,14 @@ class TestSolveTraceInvariants:
             problem, _ = entry.build()
             it0 = initialize(problem, entry.x_start, SolverOptions())
             allowance = 1e-8 * (1.0 + it0.mu * inf_norm(it0.w))
-            for rec in result.trace.records:
+            for rec in result.trace:
                 assert rec.primal_resid <= allowance, name
 
     def test_aggressive_dispatch_satisfied_switching(self, traced):
         # accepted aggressive steps were dispatched with
         # sigma(y)||grad L_mu||_inf <= mu at the pre-step point.
         for name, result in traced.items():
-            for rec in result.trace.records:
+            for rec in result.trace:
                 if rec.kind == "aggressive":
                     assert rec.switch_dual <= rec.mu_pre * (1 + 1e-12), name
 
@@ -377,7 +373,7 @@ class TestSolveTraceInvariants:
         for name, result in traced.items():
             prev_mu = None
             prev_size = None
-            for rec in result.trace.records:
+            for rec in result.trace:
                 if rec.accepted and prev_mu is not None:
                     if rec.mu < prev_mu:
                         assert rec.filter_size == 1, name
@@ -390,7 +386,7 @@ class TestSolveTraceInvariants:
 
     def test_delta_below_cap(self, traced):
         for name, result in traced.items():
-            for rec in result.trace.records:
+            for rec in result.trace:
                 assert rec.delta <= 1e50, name
 
     def test_hessian_once_per_outer(self, traced):
@@ -402,7 +398,7 @@ class TestSolveTraceInvariants:
     def test_csv_roundtrip_schema(self, traced):
         result = traced["wachter"]
         buf = io.StringIO()
-        result.trace.write_csv(buf)
+        write_trace_csv(result.trace, buf)
         lines = buf.getvalue().splitlines()
         assert lines[0] == f"# {TRACE_SCHEMA_VERSION}"
         # the onephase-trace-v2 header, pinned column by column
@@ -428,7 +424,7 @@ class TestOneFactorizationPerStep:
         # unconstrained solve has no probe: see test_hessian_once_per_outer)
         assert result.counters["hess"] == result.outer_iterations + 1
         assert result.outer_iterations <= result.inner_iterations
-        records = result.trace.records
+        records = result.trace
         assert records[0].outer == 1
         for rec, after in zip(records, records[1:]):
             assert after.outer == rec.outer + rec.accepted, (name, rec.iter)
@@ -442,17 +438,13 @@ class TestCallbacks:
         seen = []
         result = solve(problem, entry.x_start, progress=seen.append)
         assert len(seen) == len(result.trace)
-        assert [r.iter for r in seen] == [r.iter for r in result.trace.records]
+        assert [r.iter for r in seen] == [r.iter for r in result.trace]
 
     def test_observer_reports_consistent_updates(self):
         entry = builtin_registry()["qp-simplex"]
         problem, _ = entry.build()
-        steps = []
-
-        def observer(prev, direction, alpha_p, alpha_d, new, kind):
-            steps.append((prev, direction, alpha_p, alpha_d, new, kind))
-
-        result = solve(problem, entry.x_start, step_observer=observer)
+        with observed_steps() as steps:
+            result = solve(problem, entry.x_start)
         assert result.status is SolveStatus.OPTIMAL
         assert steps
         for prev, direction, alpha_p, alpha_d, new, kind in steps:
@@ -467,15 +459,12 @@ class TestCallbacks:
         for name in ("qp-simplex", "qp-2d", "degenerate-lp", "qp-separable10"):
             entry = builtin_registry()[name]
             problem, _ = entry.build()
-            worst = 0.0
-
-            def observer(prev, direction, alpha_p, alpha_d, new, kind):
-                nonlocal worst
-                err = inf_norm(new.s - (prev.s + alpha_p * direction.ds))
-                worst = max(worst, err / (1.0 + inf_norm(prev.s)))
-
-            result = solve(problem, entry.x_start, step_observer=observer)
+            with observed_steps() as steps:
+                result = solve(problem, entry.x_start)
             assert result.status is SolveStatus.OPTIMAL
+            worst = max(inf_norm(new.s - (prev.s + alpha_p * direction.ds))
+                        / (1.0 + inf_norm(prev.s))
+                        for prev, direction, alpha_p, _ad, new, _kind in steps)
             assert worst <= 1e-10, name
 
 
@@ -654,7 +643,7 @@ class TestHostileCallbacks:
         result = solve(_one_sided_lp(eval_a=_a_raising_below_half), np.array([1.0]),
                        SolverOptions(max_iter=200))
         assert result.status is SolveStatus.ITERATION_LIMIT
-        rejected = sum(not rec.accepted for rec in result.trace.records)
+        rejected = sum(not rec.accepted for rec in result.trace)
         assert result.detail.startswith(f"{rejected} of 200 steps rejected; most often ")
 
     def test_raising_constraint_matches_golden_nan_record(self):
@@ -696,7 +685,7 @@ class TestHostileCallbacks:
         result = solve(_nan_region_problem("eval_a"), np.array([0.0]),
                        SolverOptions(max_iter=200))
         assert result.status is SolveStatus.ITERATION_LIMIT
-        kinds = [rec.kind for rec in result.trace.records if not rec.accepted]
+        kinds = [rec.kind for rec in result.trace if not rec.accepted]
         assert kinds.count("stabilization") > len(kinds) / 2
         assert result.detail == (f"{len(kinds)} of 200 steps rejected; "
                                  "most often stabilization: step size below minimum")
@@ -756,9 +745,9 @@ class TestNonconvexEscalation:
         assert result.status is SolveStatus.OPTIMAL
         assert abs(result.x[0] - 3.0) <= 1e-6
         # the start has negative curvature: some record must carry delta > 0
-        assert any(rec.delta > 0 for rec in result.trace.records)
+        assert any(rec.delta > 0 for rec in result.trace)
         # and the endgame should be unshifted Newton
-        assert result.trace.records[-1].delta == 0.0
+        assert result.trace[-1].delta == 0.0
 
 
 def _free_lp(c, G, h, name):
