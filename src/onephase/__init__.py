@@ -12,7 +12,6 @@ algebra, merit functions) are imported from their defining modules.
 
 from .iterate import Iterate, SolveStatus, SolverOptions
 from .problem import (
-    DerivativeReport,
     EvaluationError,
     LinearRow,
     NlpProblem,
@@ -37,7 +36,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BuiltinProblem",
-    "DerivativeReport",
     "EvaluationError",
     "Iterate",
     "LinearRow",

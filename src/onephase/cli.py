@@ -9,6 +9,7 @@ environment variable (quiet | summary | trace) controls stdout verbosity.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import os
 import sys
@@ -35,6 +36,11 @@ EXIT_CODES = {
 USAGE_ERROR = 5
 
 BATCH_EXTENSION = ".nlp"
+
+
+def _usage_error(message) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return USAGE_ERROR
 
 
 def _log_level() -> str:
@@ -111,33 +117,32 @@ def _cmd_solve(args) -> int:
     try:
         opts = _options_from_args(args)
         problem, x_start, name = _load_target(args.target)
+        trace_file = (contextlib.nullcontext() if args.trace is None
+                      else open(args.trace, "w", newline=""))
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return _usage_error(exc)
 
-    if args.seed is not None:
-        rng = np.random.default_rng(args.seed)
-        x_start = x_start + 0.1 * rng.standard_normal(x_start.shape)
+    try:
+        with trace_file:
+            if args.seed is not None:
+                rng = np.random.default_rng(args.seed)
+                x_start = x_start + 0.1 * rng.standard_normal(x_start.shape)
 
-    if args.check_derivatives:
-        report = check_derivatives(problem, x_start)
-        if level != "quiet":
-            print(f"derivative check at start point: grad {report.grad_f_error:.3e},"
-                  f" jac {report.jac_error:.3e}, hess {report.hess_error:.3e}")
+            if args.check_derivatives:
+                report = check_derivatives(problem, x_start)
+                if level != "quiet":
+                    print(f"derivative check at start point: grad {report['grad_f_error']:.3e},"
+                          f" jac {report['jac_error']:.3e}, hess {report['hess_error']:.3e}")
 
-    progress = _trace_printer() if level == "trace" else None
-    result = solve(problem, x_start, opts, progress=progress)
-    _print_summary(name, result, level)
-
-    if args.trace is not None:
-        try:
-            with open(args.trace, "w", newline="") as fh:
-                write_trace_csv(result.trace, fh)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return USAGE_ERROR
-        if level != "quiet":
-            print(f"  trace written to {args.trace}")
+            progress = _trace_printer() if level == "trace" else None
+            result = solve(problem, x_start, opts, progress=progress)
+            _print_summary(name, result, level)
+            if args.trace is not None:
+                write_trace_csv(result.trace, trace_file)
+    except OSError as exc:
+        return _usage_error(exc)
+    if args.trace is not None and level != "quiet":
+        print(f"  trace written to {args.trace}")
     return EXIT_CODES[result.status]
 
 
@@ -174,31 +179,28 @@ def _cmd_batch(args) -> int:
     level = _log_level()
     directory = Path(args.directory)
     if not directory.is_dir():
-        print(f"error: {directory} is not a directory", file=sys.stderr)
-        return USAGE_ERROR
+        return _usage_error(f"{directory} is not a directory")
     files = sorted(directory.glob(f"*{BATCH_EXTENSION}"))
     if not files:
-        print(f"error: no {BATCH_EXTENSION} files in {directory}", file=sys.stderr)
-        return USAGE_ERROR
+        return _usage_error(f"no {BATCH_EXTENSION} files in {directory}")
     if args.trace_dir is not None and not Path(args.trace_dir).is_dir():
-        print(f"error: {args.trace_dir} is not a directory", file=sys.stderr)
-        return USAGE_ERROR
+        return _usage_error(f"{args.trace_dir} is not a directory")
     try:
         opts = _options_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        summary = (contextlib.nullcontext() if args.summary is None
+                   else open(args.summary, "w", newline=""))
+    except (OSError, ValueError) as exc:
+        return _usage_error(exc)
 
     try:
-        rows = [_solve_file(p, opts, args.trace_dir) for p in files]
-        if args.summary is not None:
-            with open(args.summary, "w", newline="") as fh:
-                writer = csv.DictWriter(fh, fieldnames=BATCH_COLUMNS)
+        with summary:
+            rows = [_solve_file(p, opts, args.trace_dir) for p in files]
+            if args.summary is not None:
+                writer = csv.DictWriter(summary, fieldnames=BATCH_COLUMNS)
                 writer.writeheader()
                 writer.writerows(rows)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return _usage_error(exc)
     if level != "quiet":
         for row in rows:
             print(f"{row['name']}: {row['status']}")

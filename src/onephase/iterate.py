@@ -211,31 +211,19 @@ def terminate_optimal(it: Iterate, eps_opt: float) -> dict | None:
     return values if all(v <= eps_opt for v in values.values()) else None
 
 
-def gamma_far(it: Iterate) -> float:
-    """||J^T y||_1 / (a^T y); small values mean y is close to a Fritz-John
-    ray for infeasibility.  Undefined unless a^T y > 0."""
-    ay = float(it.a @ it.y)
-    if ay <= 0:
-        raise ValueError("gamma_far undefined: a(x)^T y <= 0")
-    return one_norm(it.jac.T @ it.y) / ay
-
-
-def gamma_inf(it: Iterate) -> float:
-    """(||J^T y||_1 + s^T y) / ||y||_1; invariant under positive rescaling
-    of y.  Undefined when y = 0."""
-    y1 = one_norm(it.y)
-    if y1 <= 0:
-        raise ValueError("gamma_inf undefined: y = 0")
-    return (one_norm(it.jac.T @ it.y) + float(it.s @ it.y)) / y1
-
-
 def terminate_infeasible(it: Iterate) -> dict | None:
     """Local-infeasibility certificate: a^T y > 0 with both stationarity
-    measures below tolerance, else None."""
+    measures below tolerance, else None.  ``gamma_far = ||J^T y||_1 / a^T y``
+    is small when y is close to a Fritz-John ray for infeasibility;
+    ``gamma_inf = (||J^T y||_1 + s^T y) / ||y||_1`` is invariant under
+    positive rescaling of y.  Both are formed only once a^T y > 0, which
+    also makes y nonzero."""
     a_dot_y = float(it.a @ it.y)
     if a_dot_y <= 0:
         return None
-    far, inf = gamma_far(it), gamma_inf(it)
+    jty = one_norm(it.jac.T @ it.y)
+    far = jty / a_dot_y
+    inf = (jty + float(it.s @ it.y)) / one_norm(it.y)
     if not (far <= EPS_FAR and inf <= EPS_INF):
         return None
     return {"a_dot_y": a_dot_y, "gamma_far": far, "gamma_inf": inf,

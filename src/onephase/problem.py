@@ -21,18 +21,11 @@ THETA_P_NONLINEAR = 0.25   # nonlinear rows
 
 
 class EvaluationError(RuntimeError):
-    """A user callback raised, returned the wrong shape, produced a
-    non-finite value or (``hess_lag``) an asymmetric matrix.
-
-    Carries the name of the callback and the flat index of the first
-    offending entry so the failure can be reported precisely.
-    """
-
-    def __init__(self, what: str, index: int | None = None, reason: str = "non-finite value"):
-        self.what = what
-        self.index = index
-        loc = "" if index is None else f" at entry {index}"
-        super().__init__(f"{reason} from {what}{loc}")
+    """A solve could not go on: a user callback raised, returned the wrong
+    shape, produced a non-finite value or (``hess_lag``) an asymmetric
+    matrix, or the start point could not be made interior.  The message
+    names the callback and the first offending entry, e.g. ``non-finite
+    value from a at entry 3``."""
 
 
 def _evaluate(what: str, shape: tuple, fn: Callable, *args) -> np.ndarray:
@@ -41,10 +34,11 @@ def _evaluate(what: str, shape: tuple, fn: Callable, *args) -> np.ndarray:
     try:
         out = np.asarray(fn(*args), dtype=float).reshape(shape)
     except Exception as exc:
-        raise EvaluationError(what, reason=f"{type(exc).__name__}: {exc}") from exc
+        raise EvaluationError(f"{type(exc).__name__}: {exc} from {what}") from exc
     finite = np.isfinite(out)
     if not finite.all():
-        raise EvaluationError(what, int(np.flatnonzero(~finite)[0]) if shape else None)
+        at = f" at entry {np.flatnonzero(~finite)[0]}" if shape else ""
+        raise EvaluationError(f"non-finite value from {what}{at}")
     return out
 
 
@@ -64,8 +58,8 @@ class NlpProblem:
     the Schur assembly trusts the declaration: it adds ``y_row/s_row`` to
     the diagonal entry ``var`` instead of reading the row of ``jac``, so a
     declared row's Jacobian row must be ``sign*e_var`` exactly (checked
-    once per solve, at the start point).  Rows, variables and
-    ``linear_indices`` must be integers.  ``bounds`` and
+    once per solve, at the start point).  ``n``, ``m``, rows, variables
+    and ``linear_indices`` must be integers.  ``bounds`` and
     ``linear_indices`` are decoded into arrays when the problem is built;
     replace them with :func:`dataclasses.replace`, not by assignment.
     """
@@ -92,6 +86,9 @@ class NlpProblem:
     _theta_p: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        for name in ("n", "m"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name}={getattr(self, name)!r} is not an integer")
         if self.n < 1:
             raise ValueError("problem needs at least one variable")
         if self.m < 0:
@@ -144,7 +141,7 @@ class NlpProblem:
         H = _evaluate("hess_lag", (self.n, self.n), self.eval_hess_lag, x, v)
         asym = np.flatnonzero(np.abs(H - H.T) > 1e-12 * max(1.0, float(np.abs(H).max())))
         if asym.size:
-            raise EvaluationError("hess_lag", int(asym[0]), "asymmetric matrix")
+            raise EvaluationError(f"asymmetric matrix from hess_lag at entry {asym[0]}")
         return H
 
 
@@ -225,9 +222,10 @@ def to_inequality_form(source: SourceProblem) -> tuple[NlpProblem, ProblemTransf
     ``constraints``; the ``linear_rows`` and, for each fixed variable
     (``l_j = u_j``, no interior), the same shifted pair, as one constant
     block ``A x - b``; the other box bounds, declared in ``bounds``.
-    Rejects a linear row without ``n`` finite coefficients and a finite
-    rhs, a NaN bound, an infinite bound on the wrong side (l = +inf or
-    u = -inf) and inconsistent bounds (l > u), naming the row or variable.
+    Rejects a constraint with a non-finite rhs, a linear row without ``n``
+    finite coefficients and a finite rhs, a NaN bound, an infinite bound on
+    the wrong side (l = +inf or u = -inf) and inconsistent bounds (l > u),
+    naming the constraint, row or variable.
     """
     n = source.n
     lower = np.full(n, -np.inf) if source.lower is None else np.asarray(source.lower, float)
@@ -249,6 +247,8 @@ def to_inequality_form(source: SourceProblem) -> tuple[NlpProblem, ProblemTransf
     transform = ProblemTransform()
     cons_rows: list[tuple[int, SourceConstraint]] = []
     for k, con in enumerate(source.constraints):
+        if not np.isfinite(con.rhs):
+            raise ValueError(f"malformed constraint {k}: non-finite rhs")
         for sign in _SIGNS[con.relation]:
             cons_rows.append((sign, con))
             transform.rows.append(TransformRow("constraint", k, sign))
@@ -330,15 +330,6 @@ def to_inequality_form(source: SourceProblem) -> tuple[NlpProblem, ProblemTransf
     return problem, transform
 
 
-@dataclass
-class DerivativeReport:
-    """Max elementwise errors of analytic derivatives vs central differences."""
-
-    grad_f_error: float
-    jac_error: float
-    hess_error: float
-
-
 def _rel_err(analytic: np.ndarray, fd: np.ndarray) -> float:
     analytic = np.atleast_1d(np.asarray(analytic, float))
     fd = np.atleast_1d(np.asarray(fd, float))
@@ -346,15 +337,20 @@ def _rel_err(analytic: np.ndarray, fd: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - fd) / denom, initial=0.0))
 
 
-def check_derivatives(problem: NlpProblem, x: np.ndarray, h: float = 1e-6) -> DerivativeReport:
+def check_derivatives(problem: NlpProblem, x: np.ndarray, h: float = 1e-6) -> dict:
     """Compare callbacks against central finite differences at ``x``.
 
-    The Hessian is probed through the Lagrangian gradient with unit
-    constraint weights.  Report-only: never raises on mismatch.
+    Returns the max elementwise relative errors as ``{"grad_f_error",
+    "jac_error", "hess_error"}``.  The Hessian is probed through the
+    Lagrangian gradient with unit constraint weights.  Report-only: never
+    raises on mismatch.
     """
     x = np.asarray(x, float)
     n, m = problem.n, problem.m
     v = np.ones(m)
+
+    def lag_grad(z):
+        return problem.grad_f(z) + problem.jac(z).T @ v
 
     fd_grad = np.empty(n)
     fd_jac = np.empty((m, n))
@@ -366,14 +362,10 @@ def check_derivatives(problem: NlpProblem, x: np.ndarray, h: float = 1e-6) -> De
         denom = xp[j] - xm[j]  # realized step; exact for nearby floats
         fd_grad[j] = (problem.f(xp) - problem.f(xm)) / denom
         fd_jac[:, j] = (problem.a(xp) - problem.a(xm)) / denom
-
-        def lag_grad(z):
-            return problem.grad_f(z) + problem.jac(z).T @ v
-
         fd_hess[:, j] = (lag_grad(xp) - lag_grad(xm)) / denom
 
-    return DerivativeReport(
-        grad_f_error=_rel_err(problem.grad_f(x), fd_grad),
-        jac_error=_rel_err(problem.jac(x), fd_jac),
-        hess_error=_rel_err(problem.hess_lag(x, v), 0.5 * (fd_hess + fd_hess.T)),
-    )
+    return {
+        "grad_f_error": _rel_err(problem.grad_f(x), fd_grad),
+        "jac_error": _rel_err(problem.jac(x), fd_jac),
+        "hess_error": _rel_err(problem.hess_lag(x, v), 0.5 * (fd_hess + fd_hess.T)),
+    }

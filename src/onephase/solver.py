@@ -58,15 +58,6 @@ BETA12 = 1e3       # maximum initial dual value
 KAPPA = 1e-2       # relative margin of the start point inside its bounds
 
 
-class InitializationError(EvaluationError):
-    """The starting point could not be made interior."""
-
-    def __init__(self, message: str):
-        RuntimeError.__init__(self, message)
-        self.what = "initialization"
-        self.index = None
-
-
 TRACE_SCHEMA_VERSION = "onephase-trace-v2"
 
 
@@ -208,16 +199,17 @@ def initialize(problem: NlpProblem, x_start: np.ndarray,
     The probe's trial factorizations and backsolves are added to
     ``counters`` when given.
 
-    Raises :class:`InitializationError` when a bound row is active or
-    violated after projection, or when the Jacobian row of a declared bound
-    row is not ``sign*e_var`` (the Schur assembly relies on it); evaluation
+    Raises :class:`EvaluationError` when ``x_start`` is not finite, when a
+    bound row is active or violated after projection, when the Jacobian row
+    of a declared bound row is not ``sign*e_var`` (the Schur assembly
+    relies on it), or when no strictly interior start results; evaluation
     failures at the start point propagate.
     """
     x0 = np.array(x_start, float)  # a copy: iterates own their arrays
     if x0.shape != (problem.n,):
         raise ValueError(f"x_start must have shape ({problem.n},)")
     if not np.all(np.isfinite(x0)):
-        raise InitializationError("x_start has non-finite entries")
+        raise EvaluationError("x_start has non-finite entries")
 
     m = problem.m
     if m == 0:
@@ -236,8 +228,7 @@ def initialize(problem: NlpProblem, x_start: np.ndarray,
     bound_mask[rows] = True
     if np.any(s_raw[bound_mask] <= 0):
         bad = int(np.flatnonzero(bound_mask & (s_raw <= 0))[0])
-        raise InitializationError(
-            f"bound row {bad} active or violated after projection")
+        raise EvaluationError(f"bound row {bad} active or violated after projection")
 
     # One Newton direction at unit duals to estimate y.  The shifted slacks
     # only serve this solve; the residual target is a(x0) + s_tilde.
@@ -248,7 +239,7 @@ def initialize(problem: NlpProblem, x_start: np.ndarray,
     declared = np.zeros((rows.size, problem.n))
     declared[np.arange(rows.size), var] = sign
     for k in np.flatnonzero((probe.jac[rows] != declared).any(axis=1))[:1]:
-        raise InitializationError(
+        raise EvaluationError(
             f"bound row {rows[k]} is declared as {sign[k]:g}*e_{var[k]} but its Jacobian row differs")
     fs = factorize_with_shift(assemble_schur(problem, probe), 0.0)
     direction = compute_direction(fs, probe, 0.0)
@@ -277,7 +268,7 @@ def initialize(problem: NlpProblem, x_start: np.ndarray,
     mu0 = opts.mu_scale * mu_tilde
     s0 = s_tilde
     if mu0 <= 0 or np.min(s0) <= 0:
-        raise InitializationError("could not construct a strictly interior start")
+        raise EvaluationError("could not construct a strictly interior start")
     w = (a0 + s0) / mu0
     y0 = clip_initial_duals(y_tilde, s0, mu0)
 

@@ -31,6 +31,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from onephase import NlpProblem, SolverOptions, builtin_registry, solve
 
@@ -132,6 +133,19 @@ def test_golden_record_unchanged():
     changed = [label for label in golden if current[label] != golden[label]]
     assert not changed, "solves differing from the golden record:\n" + "\n".join(
         f"  {label}: {_differences(golden[label], current[label])}" for label in changed)
+
+
+@pytest.mark.parametrize("direction", [np.inf, -np.inf], ids=["up", "down"])
+def test_one_ulp_start_move_keeps_every_status(direction):
+    """Every start moved by one ulp ends in its golden status.  Counts may
+    change: the line search's rounding decides some trials."""
+    golden = json.loads(GOLDEN.read_text())
+    changed = {}
+    for label, problem, x0, opts in _solves():
+        status = solve(problem, np.nextafter(x0, direction), opts).status.value
+        if status != golden[label]["status"]:
+            changed[label] = f"{golden[label]['status']} → {status}"
+    assert not changed, changed
 
 
 if __name__ == "__main__":

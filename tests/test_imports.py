@@ -1,8 +1,10 @@
-"""Every name a module of ``onephase`` imports is used in that module.
+"""Every name a module of ``onephase`` imports is used in that module, and
+every module-level function and class is named somewhere in the package.
 
-No linter runs on this tree, so this check catches the imports a deletion
-leaves behind.  A name counts as used when the module reads it (in code or
-an annotation) or lists it in ``__all__``.
+No linter runs on this tree, so these checks catch the imports a deletion
+leaves behind and the definitions only tests call.  A name counts as used
+when a module reads it (in code or an annotation, or as an attribute) or
+lists it in ``__all__``.
 """
 
 import ast
@@ -14,6 +16,14 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "onephase"
 
 # Imported only to be re-exported from where README documents them.
 RE_EXPORTS = {"steps.py": {"THETA_P_LINEAR", "THETA_P_NONLINEAR"}}
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """The names the ``__all__`` assignment of ``tree`` lists."""
+    return {name for node in ast.walk(tree)
+            if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for name in ast.literal_eval(node.value)}
 
 
 def unused_imports(source: str) -> dict[str, int]:
@@ -28,10 +38,7 @@ def unused_imports(source: str) -> dict[str, int]:
                 name = alias.asname or alias.name.split(".")[0]
                 imported[name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            used.update(ast.literal_eval(node.value))
+    used |= _exported(tree)
     return {name: line for name, line in imported.items() if name not in used}
 
 
@@ -46,3 +53,30 @@ def test_no_unused_imports(path):
 def test_check_flags_an_unused_import():
     source = "import os\nfrom math import pi, tau\n__all__ = ['tau']\nprint(pi)\n"
     assert unused_imports(source) == {"os": 1}
+
+
+def unused_definitions(sources: dict[str, str]) -> dict[str, int]:
+    """The module-level functions and classes of ``sources`` (module name to
+    text) that no module names and no ``__all__`` lists, as
+    ``{"module:name": line}``."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    named = set()
+    for tree in trees.values():
+        named |= _exported(tree)
+        named |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return {f"{module}:{node.name}": node.lineno
+            for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in named}
+
+
+def test_no_definition_only_tests_use():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert not unused_definitions(sources)
+
+
+def test_check_flags_an_unused_definition():
+    sources = {"a": "def used():\n    pass\n\ndef orphan():\n    pass\n\nclass Public:\n    pass\n"
+                    "__all__ = ['Public']\n",
+               "b": "import a\na.used()\n"}
+    assert unused_definitions(sources) == {"a:orphan": 4}

@@ -19,8 +19,6 @@ from onephase.iterate import (
     Iterate,
     aggressive_criterion,
     check_interior,
-    gamma_far,
-    gamma_inf,
     inf_norm,
     make_iterate,
     merit_kkt,
@@ -88,7 +86,7 @@ class TestUpdateIterate:
         cur = raw_iterate(1.0, [0.0], [1.0], [1.0], [1.0], jac=[[1.0]])
         with pytest.raises(EvaluationError) as err:
             primal_trial(cur, np.array([0.5]), 1.0, 1.0, p)
-        assert err.value.what == "a"
+        assert str(err.value) == "non-finite value from a at entry 0"
 
 
 class TestSolverOptionDefaults:
@@ -192,40 +190,51 @@ class TestTerminateOptimal:
 
 
 class TestGammaMeasures:
+    """The two stationarity measures, as the certificate of
+    ``terminate_infeasible`` reports them."""
+
     def test_far_zero_at_stationarity(self):
-        it = raw_iterate(1.0, [0.0], [1.0, 1.0], [1.0, 1.0], [0.0, 0.0],
+        it = raw_iterate(1.0, [0.0], [1e-9, 1e-9], [1.0, 1.0], [0.0, 0.0],
                          a=[1.0, 0.0], jac=[[1.0], [-1.0]])
-        assert gamma_far(it) == 0.0
+        assert terminate_infeasible(it)["gamma_far"] == 0.0
 
     def test_far_hand_value(self):
-        it = raw_iterate(1.0, [2.0], [1.0], [3.0], [0.0], a=[2.0], jac=[[1.0]])
-        assert gamma_far(it) == pytest.approx(0.5)
+        # ||J^T y||_1 = 2^-20 and a^T y = 2, both exact in binary.
+        it = raw_iterate(1.0, [0.0], [2.0 ** -30] * 2, [1.0, 1.0], [0.0, 0.0],
+                         a=[1.0, 1.0], jac=[[1.0], [2.0 ** -20 - 1.0]])
+        assert terminate_infeasible(it)["gamma_far"] == 2.0 ** -21
 
     def test_far_undefined(self):
-        it = raw_iterate(1.0, [0.0], [1.0], [1.0], [0.0], a=[-1.0], jac=[[1.0]])
-        with pytest.raises(ValueError):
-            gamma_far(it)
+        # a^T y = 0 leaves gamma_far undefined (0/0): no certificate, no division.
+        it = raw_iterate(1.0, [0.0], [1e-9], [1.0], [0.0], a=[0.0], jac=[[0.0]])
+        assert terminate_infeasible(it) is None
 
     def test_inf_hand_value(self):
-        it = raw_iterate(1.0, [0.0], [0.5], [2.0], [0.0], a=[0.5], jac=[[1.0]])
-        assert gamma_inf(it) == pytest.approx(1.5)
+        # (||J^T y||_1 + s^T y) / ||y||_1 = (3*2^-21 + 3*2^-22) / 3.
+        it = raw_iterate(1.0, [0.0], [2.0 ** -22], [3.0], [0.0], a=[1.0], jac=[[2.0 ** -21]])
+        assert terminate_infeasible(it)["gamma_inf"] == 3 * 2.0 ** -22
 
     def test_inf_scale_invariant(self):
+        # Rows 0 and 1 cancel exactly in J^T y (dyadic products), so both
+        # measures are formed without cancellation and rescaling y by t
+        # changes only their rounding.
         rng = np.random.default_rng(13)
         for _ in range(25):
-            m = int(rng.integers(1, 5))
-            it = raw_iterate(1.0, rng.standard_normal(2),
-                             rng.uniform(0.1, 2.0, m), rng.uniform(0.1, 2.0, m),
-                             np.zeros(m), a=rng.standard_normal(m),
-                             jac=rng.standard_normal((m, 2)))
+            r, u = rng.integers(1, 100, 2) / 64.0
+            v, e = rng.uniform(0.1, 2.0), rng.uniform(1e-9, 1e-7)
+            it = raw_iterate(1.0, [0.0, 0.0], rng.uniform(1e-9, 1e-7, 3), [u, u, v],
+                             np.zeros(3), a=rng.uniform(0.1, 2.0, 3),
+                             jac=[[r, 0.0], [-r, 0.0], [0.0, e]])
             t = float(rng.uniform(0.1, 100.0))
             scaled = raw_iterate(it.mu, it.x, it.s, t * it.y, it.w, a=it.a, jac=it.jac)
-            assert gamma_inf(scaled) == pytest.approx(gamma_inf(it), rel=1e-12)
+            cert, cert_scaled = terminate_infeasible(it), terminate_infeasible(scaled)
+            for key in ("gamma_far", "gamma_inf"):
+                assert cert_scaled[key] == pytest.approx(cert[key], rel=1e-12)
 
     def test_inf_zero_limit(self):
         it = raw_iterate(1.0, [0.0], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0],
                          a=[1.0, 1.0], jac=[[1.0], [-1.0]])
-        assert gamma_inf(it) == 0.0
+        assert terminate_infeasible(it)["gamma_inf"] == 0.0
 
 
 class TestTerminateInfeasible:

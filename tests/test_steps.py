@@ -72,7 +72,7 @@ NO_ROW_VALUES = [
     ("compute_direction.ds", lambda p, it, d: d.ds, np.zeros(0)),
     ("lagrangian_grad", lambda p, it, d: it.lagrangian_grad(0.3), lambda it: it.grad_f),
     ("descent_grad", lambda p, it, d: descent_grad(it, 1.0), lambda it: it.grad_f),
-    ("check_derivatives.jac_error", lambda p, it, d: check_derivatives(p, it.x).jac_error, 0.0),
+    ("check_derivatives.jac_error", lambda p, it, d: check_derivatives(p, it.x)["jac_error"], 0.0),
 ]
 
 
