@@ -19,7 +19,7 @@ import numpy as np
 
 from .iterate import SolveStatus, SolverOptions
 from .problem_file import build_source, default_start, parse_problem_file
-from .problem import check_derivatives, to_inequality_form
+from .problem import EvaluationError, check_derivatives, to_inequality_form
 from .registry import builtin_registry
 from .solver import SolveResult, solve, write_trace_csv
 
@@ -129,10 +129,15 @@ def _cmd_solve(args) -> int:
                 x_start = x_start + 0.1 * rng.standard_normal(x_start.shape)
 
             if args.check_derivatives:
-                report = check_derivatives(problem, x_start)
+                try:
+                    report = check_derivatives(problem, x_start)
+                except EvaluationError as exc:  # the solve reports it as evaluation-error
+                    found = str(exc)
+                else:
+                    found = (f"grad {report['grad_f_error']:.3e}, jac {report['jac_error']:.3e},"
+                             f" hess {report['hess_error']:.3e}")
                 if level != "quiet":
-                    print(f"derivative check at start point: grad {report['grad_f_error']:.3e},"
-                          f" jac {report['jac_error']:.3e}, hess {report['hess_error']:.3e}")
+                    print(f"derivative check at start point: {found}")
 
             progress = _trace_printer() if level == "trace" else None
             result = solve(problem, x_start, opts, progress=progress)

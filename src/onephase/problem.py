@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -42,6 +43,19 @@ def _evaluate(what: str, shape: tuple, fn: Callable, *args) -> np.ndarray:
     return out
 
 
+def _instances(values: np.ndarray, types) -> np.ndarray:
+    """``isinstance(v, types)`` for each entry of the object array ``values``."""
+    return np.fromiter(map(isinstance, values.flat, repeat(types)), bool,
+                       values.size).reshape(values.shape)
+
+
+def _raise_first_fault(entry: Callable, faults) -> None:
+    """Raise ``ValueError`` for the first entry that any ``(mask, message)``
+    fault marks, in the words of its first fault: ``message.format(*entry(k))``."""
+    for k in np.flatnonzero(np.logical_or.reduce([mask for mask, _ in faults]))[:1]:
+        raise ValueError(next(text for mask, text in faults if mask[k]).format(*entry(k)))
+
+
 @dataclass
 class NlpProblem:
     """Inequality-form nonlinear program with user-supplied derivatives.
@@ -59,9 +73,9 @@ class NlpProblem:
     the diagonal entry ``var`` instead of reading the row of ``jac``, so a
     declared row's Jacobian row must be ``sign*e_var`` exactly (checked
     once per solve, at the start point).  ``n``, ``m``, rows, variables
-    and ``linear_indices`` must be integers.  ``bounds`` and
-    ``linear_indices`` are decoded into arrays when the problem is built;
-    replace them with :func:`dataclasses.replace`, not by assignment.
+    and ``linear_indices`` must be ``int`` or ``np.integer``.  ``bounds``
+    and ``linear_indices`` are decoded into arrays when the problem is
+    built; replace them with :func:`dataclasses.replace`, not by assignment.
     """
 
     n: int
@@ -93,23 +107,20 @@ class NlpProblem:
             raise ValueError("problem needs at least one variable")
         if self.m < 0:
             raise ValueError("negative constraint count")
-        row, var, sign, c = np.array(self.bounds, dtype=float).reshape(-1, 4).T
+        table = np.array(self.bounds, dtype=object).reshape(-1, 4)
+        text = _instances(table, str)  # read as 0: a fault of their own names them
+        row, var, sign, c = np.where(text, 0, table).astype(float).T
         repeated = np.ones(row.size, dtype=bool)
         repeated[np.unique(row, return_index=True)[1]] = False
-        bad = repeated | ~((0 <= row) & (row < self.m) & (0 <= var) & (var < self.n)
-                           & (row == np.trunc(row)) & (var == np.trunc(var))
-                           & (np.abs(sign) == 1) & np.isfinite(c))
-        for k in np.flatnonzero(bad)[:1]:  # the first faulty entry, in the text of its fault
-            row, var, sign, c = self.bounds[k]
-            if not (0 <= row < self.m and 0 <= var < self.n):
-                raise ValueError(f"bound row {row} or variable {var} out of range")
-            if row != int(row) or var != int(var):
-                raise ValueError(f"bound row {row} or variable {var} not an integer")
-            if sign not in (-1, 1):
-                raise ValueError(f"bound row {row} has sign {sign}, not +-1")
-            if not np.isfinite(c):
-                raise ValueError(f"bound row {row} has non-finite constant {c}")
-            raise ValueError(f"bound row {row} declared twice")
+        _raise_first_fault(self.bounds.__getitem__, (
+            (~((0 <= row) & (row < self.m) & (0 <= var) & (var < self.n)),
+             "bound row {0} or variable {1} out of range"),
+            (~_instances(table[:, :2], (int, np.integer)).all(axis=1),
+             "bound row {0} or variable {1} not an integer"),
+            (text[:, 2:].any(axis=1), "bound row {0} has a sign or constant given as a string"),
+            (np.abs(sign) != 1, "bound row {0} has sign {2}, not +-1"),
+            (~np.isfinite(c), "bound row {0} has non-finite constant {3}"),
+            (repeated, "bound row {0} declared twice")))
         for i in self.linear_indices:
             if not (isinstance(i, (int, np.integer)) and 0 <= i < self.m):
                 raise ValueError(f"linear index {i!r} is not an integer in 0..{self.m - 1}")
@@ -232,17 +243,11 @@ def to_inequality_form(source: SourceProblem) -> tuple[NlpProblem, ProblemTransf
     upper = np.full(n, np.inf) if source.upper is None else np.asarray(source.upper, float)
     if lower.shape != (n,) or upper.shape != (n,):
         raise ValueError("bound arrays must have length n")
-    bad = (np.isnan(lower) | np.isnan(upper) | (lower == np.inf) | (upper == -np.inf)
-           | (lower > upper))
-    for j in np.flatnonzero(bad)[:1]:  # the first faulty variable, in the text of its fault
-        if np.isnan(lower[j]) or np.isnan(upper[j]):
-            raise ValueError(f"NaN bound for variable {j}: "
-                             f"lower {lower[j]}, upper {upper[j]}")
-        if lower[j] == np.inf or upper[j] == -np.inf:
-            raise ValueError(f"infinite bound on the wrong side for variable {j}: "
-                             f"lower {lower[j]}, upper {upper[j]}")
-        raise ValueError(f"inconsistent bounds for variable {j}: "
-                         f"lower {lower[j]} > upper {upper[j]}")
+    _raise_first_fault(lambda j: (j, lower[j], upper[j]), (
+        (np.isnan(lower) | np.isnan(upper), "NaN bound for variable {0}: lower {1}, upper {2}"),
+        ((lower == np.inf) | (upper == -np.inf),
+         "infinite bound on the wrong side for variable {0}: lower {1}, upper {2}"),
+        (lower > upper, "inconsistent bounds for variable {0}: lower {1} > upper {2}")))
 
     transform = ProblemTransform()
     cons_rows: list[tuple[int, SourceConstraint]] = []
@@ -272,9 +277,8 @@ def to_inequality_form(source: SourceProblem) -> tuple[NlpProblem, ProblemTransf
             transform.rows.append(TransformRow(kind, int(j), sign))
     A = np.array([sign * c for sign, c, _ in lin]).reshape(len(lin), n)
     b = np.array([sign * r for sign, _, r in lin], dtype=float)
-    bad = np.flatnonzero(~(np.isfinite(A).all(axis=1) & np.isfinite(b)))
-    if bad.size:
-        k = transform.rows[len(cons_rows) + bad[0]].source_index
+    for i in np.flatnonzero(~(np.isfinite(A).all(axis=1) & np.isfinite(b)))[:1]:
+        k = transform.rows[len(cons_rows) + i].source_index
         raise ValueError(f"malformed linear row {k}: non-finite coefficient or rhs")
 
     n_cons = len(cons_rows)

@@ -29,13 +29,12 @@ carries a 1-based line and column.
 
 The parser splits each line once and converts each numeric run (the
 ``linear`` vector, a constraint row's coefficients, ``start``) in one call;
-columns are found only for an error, by tokenizing that one line again.
+columns are found only for an error, by walking that line's tokens.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,21 +82,13 @@ class ProblemFile:
         return serialize_problem_file(self) == serialize_problem_file(other)
 
 
-_TOKEN = re.compile(r"[^\s#]+")  # \s is exactly str.isspace() on every code point
-
-
-def _tokenize(line: str) -> list[tuple[str, int]]:
-    """Split a line into (token, 1-based column) pairs; '#' starts a comment.
-
-    The parser splits with ``line.partition("#")[0].split()``, which gives
-    the same tokens, and calls this only to locate an error."""
-    return [(m.group(), m.start() + 1)
-            for m in _TOKEN.finditer(line.partition("#")[0])]
-
-
 def _error(message: str, raw: str, lineno: int, k: int = 0) -> ProblemFileError:
-    """The error ``message`` at the column of token ``k`` of line ``raw``."""
-    return ProblemFileError(message, lineno, _tokenize(raw)[k][1])
+    """The error ``message`` at the column of the parser's token ``k`` of ``raw``."""
+    code, end = raw.partition("#")[0], 0
+    for token in code.split()[:k + 1]:
+        start = code.index(token, end)
+        end = start + len(token)
+    return ProblemFileError(message, lineno, start + 1)
 
 
 def _float(tokens: list[str], k: int, raw: str, lineno: int) -> float:
@@ -274,7 +265,7 @@ def _numbers(values) -> str:
 def serialize_problem_file(pf: ProblemFile) -> str:
     """Canonical text form; parsing it reproduces ``pf`` bit-identically.
     A name that is not one token (empty, whitespace, ``#``) is a ``ValueError``."""
-    if _tokenize(pf.name) != [(pf.name, 1)]:
+    if pf.name.partition("#")[0].split() != [pf.name]:
         raise ValueError(f"problem name {pf.name!r} is not one token")
     out = [f"problem {pf.name}", f"vars {pf.n}", "", "objective",
            f"constant {float(pf.constant)!r}",
@@ -310,10 +301,11 @@ def build_source(pf: ProblemFile) -> SourceProblem:
     c = np.asarray(pf.linear, float)
     k = float(pf.constant)
 
+    quiet = np.errstate(over="ignore", invalid="ignore")  # the solver reports an overflow
     return SourceProblem(
         n=n,
-        eval_f=lambda x: k + float(c @ x) + 0.5 * float(x @ (Q @ x)),
-        eval_grad_f=lambda x: c + Q @ x,
+        eval_f=quiet(lambda x: k + float(c @ x) + 0.5 * float(x @ (Q @ x))),
+        eval_grad_f=quiet(lambda x: c + Q @ x),
         eval_hess_f=lambda x: Q,
         linear_rows=pf.rows,
         lower=pf.lower.copy(),

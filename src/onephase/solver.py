@@ -226,9 +226,8 @@ def initialize(problem: NlpProblem, x_start: np.ndarray,
 
     bound_mask = np.zeros(m, dtype=bool)
     bound_mask[rows] = True
-    if np.any(s_raw[bound_mask] <= 0):
-        bad = int(np.flatnonzero(bound_mask & (s_raw <= 0))[0])
-        raise EvaluationError(f"bound row {bad} active or violated after projection")
+    for k in np.flatnonzero(bound_mask & (s_raw <= 0))[:1]:
+        raise EvaluationError(f"bound row {k} active or violated after projection")
 
     # One Newton direction at unit duals to estimate y.  The shifted slacks
     # only serve this solve; the residual target is a(x0) + s_tilde.

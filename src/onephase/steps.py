@@ -35,7 +35,7 @@ from .iterate import (
     sigma,
 )
 from .linalg import FactorizedSystem, solve_shifted
-from .problem import THETA_P_LINEAR, THETA_P_NONLINEAR, EvaluationError, NlpProblem
+from .problem import EvaluationError, NlpProblem
 
 # The paper's fixed parameters read in this module.
 BETA4 = 0.2                # merit decrease fraction
@@ -46,8 +46,6 @@ BETA_EXP = 0.5             # fraction-to-boundary step-size exponent
 BETA8 = 0.9                # dual-feasibility guard threshold
 THETA_B = 0.1              # fraction-to-boundary, acceptance
 MAX_GUARD_RETRIES = 10
-# THETA_P_LINEAR and THETA_P_NONLINEAR, the maximum-step factors, come from
-# ``problem``, which lays them out per row once (``problem._theta_p``).
 
 
 @dataclass

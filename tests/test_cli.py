@@ -12,6 +12,8 @@ import onephase.cli as cli_module
 from onephase import SolverOptions, builtin_registry, serialize_problem_file
 from onephase.cli import USAGE_ERROR, _options_from_args, build_parser, run_cli
 
+from helpers import run_python
+
 REPO = Path(__file__).resolve().parents[1]
 
 LP_TEXT = """\
@@ -217,6 +219,22 @@ def test_solve_file_with_trace(tmp_path, capsys):
 def test_check_derivatives_flag(capsys):
     assert run_cli(["solve", "builtin:qp-2d", "--check-derivatives"]) == 0
     assert "derivative check" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags", [[], ["--check-derivatives"]],
+                         ids=["solve", "check-derivatives"])
+def test_overflowing_start_ends_evaluation_error_without_traceback(tmp_path, flags):
+    # f(1e200) overflows: the solve, and the derivative check before it,
+    # report the value instead of raising or letting numpy warn
+    path = tmp_path / "big.nlp"
+    path.write_text("problem big\nvars 1\n\nobjective\nquad 0 0 1.0\n\nstart\n1e200\n")
+    argv = ["solve", str(path), *flags]
+    done = run_python(f"import sys; from onephase.cli import run_cli; sys.exit(run_cli({argv!r}))")
+    assert done.returncode == 4, done.stderr
+    assert "detail: non-finite value from f" in done.stdout
+    assert "Traceback" not in done.stderr and "RuntimeWarning" not in done.stderr
+    if flags:
+        assert "derivative check at start point: non-finite value from f" in done.stdout
 
 
 def test_seed_perturbs_start(capsys):

@@ -14,10 +14,6 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "onephase"
 
-# Imported only to be re-exported from where README documents them.
-RE_EXPORTS = {"steps.py": {"THETA_P_LINEAR", "THETA_P_NONLINEAR"}}
-
-
 def _exported(tree: ast.Module) -> set[str]:
     """The names the ``__all__`` assignment of ``tree`` lists."""
     return {name for node in ast.walk(tree)
@@ -45,8 +41,6 @@ def unused_imports(source: str) -> dict[str, int]:
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     unused = unused_imports(path.read_text())
-    for name in RE_EXPORTS.get(path.name, ()):
-        unused.pop(name, None)
     assert not unused, unused
 
 

@@ -30,6 +30,7 @@ from onephase.iterate import (
     terminate_optimal,
     terminate_unbounded,
 )
+from onephase.problem import THETA_P_LINEAR, THETA_P_NONLINEAR
 
 from helpers import linear_problem, random_interior_setup, raw_iterate
 
@@ -101,7 +102,7 @@ class TestSolverOptionDefaults:
         assert (iterate.BETA1, iterate.BETA2, iterate.BETA3) == (1e-4, 0.01, 0.02)
         assert (steps.BETA4, steps.BETA5, steps.BETA6) == (0.2, 2.0 ** -5, 0.5)
         assert (steps.BETA_KKT, steps.BETA_EXP, steps.BETA8) == (0.01, 0.5, 0.9)
-        assert (steps.THETA_B, steps.THETA_P_LINEAR, steps.THETA_P_NONLINEAR) == (
+        assert (steps.THETA_B, THETA_P_LINEAR, THETA_P_NONLINEAR) == (
             0.1, 0.1, 0.25)
         assert (linalg.DELTA_MIN, linalg.DELTA_INC, linalg.DELTA_MAX) == (1e-8, 8.0, 1e50)
         assert linalg.DELTA_DEC == pytest.approx(np.pi)
@@ -114,8 +115,8 @@ class TestSolverOptionDefaults:
             assert 0 < value < 1
         assert 0 < iterate.BETA2 < iterate.BETA3 < 1
         assert 0.5 < steps.BETA8 < 1
-        assert steps.THETA_B <= steps.THETA_P_LINEAR < 1
-        assert steps.THETA_B <= steps.THETA_P_NONLINEAR < 1
+        assert steps.THETA_B <= THETA_P_LINEAR < 1
+        assert steps.THETA_B <= THETA_P_NONLINEAR < 1
         assert 0 < linalg.DELTA_MIN < linalg.DELTA_MAX < math.inf
         assert linalg.DELTA_INC > 1 and linalg.DELTA_DEC > 1
         assert 0 < solver.BETA11 <= solver.BETA12 < math.inf

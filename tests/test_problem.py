@@ -388,6 +388,8 @@ class TestDeclaredBounds:
 
     def test_valid_bounds_accepted(self):
         assert replace(self.box(), bounds=self.BOX).bounds == self.BOX
+        numpy_typed = ((np.int64(0), np.int32(0), -1.0, np.float32(0)), (1, 0, 1, 1))
+        assert replace(self.box(), bounds=numpy_typed).bounds == numpy_typed
 
     @pytest.mark.parametrize("bounds, match", [
         (((2, 0, 1, 1.0),), "out of range"),
@@ -400,9 +402,13 @@ class TestDeclaredBounds:
         (((0, 0, -1, np.nan),), "non-finite"),
         (((1, 0, 1, np.inf),), "non-finite"),
         (((0, 0, -1, 0.0), (0, 0, 1, 1.0)), "declared twice"),
+        ((("1", 0, 1, 0.0),), "bound row 1 or variable 0 not an integer"),
+        (((1.0, 0, 1, 0.0),), "bound row 1.0 or variable 0 not an integer"),
+        (((0, 0, "1", 0.0),), "bound row 0 has a sign or constant given as a string"),
+        (((0, 0, 1, "nan"),), "bound row 0 has a sign or constant given as a string"),
     ], ids=["row-past-m", "row-negative", "var-past-n", "row-fractional",
             "var-fractional", "sign-zero", "sign-two", "const-nan", "const-inf",
-            "row-repeated"])
+            "row-repeated", "row-string", "row-float", "sign-string", "const-string"])
     def test_invalid_bounds_rejected(self, bounds, match):
         with pytest.raises(ValueError, match=match):
             replace(self.box(), bounds=bounds)
@@ -431,10 +437,13 @@ def _declared_bounds_loop(bounds, m, n):
     their reference."""
     rows = set()
     for row, var, sign, c in bounds:
-        if not (0 <= row < m and 0 <= var < n):
+        # a string row or variable is not compared: it is not an integer
+        if not all(isinstance(x, str) or 0 <= x < size for x, size in ((row, m), (var, n))):
             raise ValueError(f"bound row {row} or variable {var} out of range")
-        if row != int(row) or var != int(var):
+        if not (isinstance(row, (int, np.integer)) and isinstance(var, (int, np.integer))):
             raise ValueError(f"bound row {row} or variable {var} not an integer")
+        if isinstance(sign, str) or isinstance(c, str):
+            raise ValueError(f"bound row {row} has a sign or constant given as a string")
         if sign not in (-1, 1):
             raise ValueError(f"bound row {row} has sign {sign}, not +-1")
         if not np.isfinite(c):
@@ -447,25 +456,31 @@ def _declared_bounds_loop(bounds, m, n):
 class TestDeclaredBoundsMatchLoop:
     def test_random_tables_identical(self):
         # Small m makes repeated rows common; rows, variables, signs and
-        # constants are each out of their range, and rows or variables
-        # fractional, in a share of the entries.
+        # constants are each out of their range, rows or variables fractional
+        # or of another type (a float, a string, or a valid numpy integer),
+        # and signs or constants strings, in a share of the entries.
         rng = np.random.default_rng(43)
-        seen = {"accepted": 0, "out of range": 0, "not an integer": 0, "sign": 0,
-                "non-finite": 0, "declared twice": 0}
+        seen = {"accepted": 0, "out of range": 0, "not an integer": 0, "string": 0,
+                "sign": 0, "non-finite": 0, "declared twice": 0}
         for _ in range(3000):
             m, n = int(rng.integers(1, 7)), int(rng.integers(1, 4))
             bounds = []
             for _ in range(int(rng.integers(0, 6))):
-                bad = rng.random(5) < 0.06
+                bad = rng.random(7) < 0.06
                 row = int(rng.integers(-2, 0) if bad[0] else rng.integers(0, m + bad[1]))
                 var = int(rng.integers(n, n + 2) if bad[2] else rng.integers(0, n))
                 if bad[4]:
                     row, var = (row + 0.5, var) if rng.random() < 0.5 else (row, var + 0.25)
+                if bad[5]:
+                    kind = (float, str, np.int64)[int(rng.integers(0, 3))]
+                    row, var = (kind(row), var) if rng.random() < 0.5 else (row, kind(var))
                 signs = [0, 2, -2, 0.5] if bad[3] else [-1, 1, -1.0, 1.0]
                 sign = signs[int(rng.integers(0, 4))]
-                c = rng.choice([np.nan, np.inf, -np.inf, 1e300, -0.0, 1.5],
-                               p=[0.04, 0.03, 0.03, 0.2, 0.2, 0.5])
-                bounds.append((row, var, sign, float(c)))
+                c = float(rng.choice([np.nan, np.inf, -np.inf, 1e300, -0.0, 1.5],
+                                     p=[0.04, 0.03, 0.03, 0.2, 0.2, 0.5]))
+                if bad[6]:
+                    sign, c = (str(sign), c) if rng.random() < 0.5 else (sign, str(c))
+                bounds.append((row, var, sign, c))
             bounds = tuple(bounds)
             try:
                 _declared_bounds_loop(bounds, m, n)

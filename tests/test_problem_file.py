@@ -14,7 +14,7 @@ from onephase import (
     to_inequality_form,
 )
 from onephase import problem_file
-from onephase.problem_file import _tokenize, default_start
+from onephase.problem_file import _error, default_start
 
 MINIMAL_LP = """\
 problem tiny
@@ -115,16 +115,19 @@ class TestTokenizeMatchesLoop:
         for _ in range(3000):
             picks = rng.integers(0, len(self.ALPHABET), int(rng.integers(0, 30)))
             line = "".join(self.ALPHABET[k] for k in picks)
-            assert _tokenize(line) == _tokenize_loop(line), repr(line)
-            # the parser's split gives the same tokens
-            assert line.partition("#")[0].split() == [t for t, _ in _tokenize(line)], repr(line)
+            tokens = _tokenize_loop(line)
+            # the parser's split gives the same tokens, and an error at each
+            # token is located at its column
+            assert line.partition("#")[0].split() == [t for t, _ in tokens], repr(line)
+            columns = [_error("m", line, 1, k).column for k in range(len(tokens))]
+            assert columns == [column for _, column in tokens], repr(line)
             for k in set(picks.tolist()):
                 seen[self.ALPHABET[k]] += 1
         assert min(seen.values()) > 1000, seen
 
     def test_columns_count_code_points(self):
-        assert _tokenize("\u00a0x#y z\tw") == [("x", 2)]
-        assert _tokenize("\x1cab\u2003c#") == [("ab", 2), ("c", 5)]
+        assert _error("m", "\u00a0x#y z\tw", 1).column == 2
+        assert [_error("m", "\x1cab\u2003c#", 1, k).column for k in (0, 1)] == [2, 5]
 
 
 HEAD3 = "problem p\nvars 3\n\n"
@@ -226,10 +229,10 @@ def test_pinned_error_message_line_and_column(case):
 
 def test_valid_document_never_locates_a_column(monkeypatch):
     # columns are found only for an error
-    def locate(line):
-        raise AssertionError(f"_tokenize called on {line!r}")
+    def locate(message, raw, *args):
+        raise AssertionError(f"_error called on {raw!r}")
 
-    monkeypatch.setattr(problem_file, "_tokenize", locate)
+    monkeypatch.setattr(problem_file, "_error", locate)
     text = ("# header\n\u3000problem\u00a0spaced # name\nvars\t2\n\nobjective\n"
             "constant 1.5\x0b\nlinear -1.0\u2003 2.0  # c\nquad 0 1 0.5\n"
             "constraints\n1.0\x1f1.0 <= 4.0\n\nbounds\n 1 0.0 inf\nstart\n0.5 0.5#end\n")

@@ -33,7 +33,8 @@ from onephase.steps import (
     stabilization_step,
     theta_bar,
 )
-from onephase.steps import BETA8, THETA_B, THETA_P_LINEAR, THETA_P_NONLINEAR
+from onephase.problem import THETA_P_LINEAR, THETA_P_NONLINEAR
+from onephase.steps import BETA8, THETA_B
 
 from helpers import linear_problem, quadratic_problem, random_interior_setup, raw_iterate
 
