@@ -49,15 +49,14 @@ def _log_level() -> str:
 
 
 def _load_file(path: Path):
-    """Parse and lower a problem file into (problem, x_start, name)."""
+    """Parse and lower a problem file into (problem, x_start)."""
     pf = parse_problem_file(path.read_text())
     problem, _transform = to_inequality_form(build_source(pf))
-    return problem, default_start(pf), pf.name
+    return problem, default_start(pf)
 
 
 def _load_target(target: str):
-    """Resolve 'builtin:NAME' or a problem-file path into
-    (problem, x_start, name)."""
+    """Resolve 'builtin:NAME' or a problem-file path into (problem, x_start)."""
     if target.startswith("builtin:"):
         name = target.split(":", 1)[1]
         registry = builtin_registry()
@@ -66,7 +65,7 @@ def _load_target(target: str):
             raise ValueError(f"unknown builtin problem {name!r}; known: {known}")
         entry = registry[name]
         problem, _transform = entry.build()
-        return problem, entry.x_start.copy(), entry.name
+        return problem, entry.x_start.copy()
     return _load_file(Path(target))
 
 
@@ -116,7 +115,10 @@ def _cmd_solve(args) -> int:
     level = _log_level()
     try:
         opts = _options_from_args(args)
-        problem, x_start, name = _load_target(args.target)
+        problem, x_start = _load_target(args.target)
+        if args.seed is not None:  # default_rng refuses a negative seed
+            rng = np.random.default_rng(args.seed)
+            x_start = x_start + 0.1 * rng.standard_normal(x_start.shape)
         trace_file = (contextlib.nullcontext() if args.trace is None
                       else open(args.trace, "w", newline=""))
     except (OSError, ValueError) as exc:
@@ -124,10 +126,6 @@ def _cmd_solve(args) -> int:
 
     try:
         with trace_file:
-            if args.seed is not None:
-                rng = np.random.default_rng(args.seed)
-                x_start = x_start + 0.1 * rng.standard_normal(x_start.shape)
-
             if args.check_derivatives:
                 try:
                     report = check_derivatives(problem, x_start)
@@ -141,7 +139,7 @@ def _cmd_solve(args) -> int:
 
             progress = _trace_printer() if level == "trace" else None
             result = solve(problem, x_start, opts, progress=progress)
-            _print_summary(name, result, level)
+            _print_summary(problem.name, result, level)
             if args.trace is not None:
                 write_trace_csv(result.trace, trace_file)
     except OSError as exc:
@@ -154,7 +152,7 @@ def _cmd_solve(args) -> int:
 def _solve_file(path: Path, opts: SolverOptions, trace_dir) -> dict:
     row = {"name": path.stem, "file": str(path)}
     try:
-        problem, x_start, _name = _load_file(path)
+        problem, x_start = _load_file(path)
     except (ValueError, OSError) as exc:
         row.update(status="parse-error", exit_code=USAGE_ERROR, error=str(exc),
                    inner_iters="", outer_iters="", objective="", wall_time="")

@@ -69,6 +69,8 @@ class SolverOptions:
                 raise ValueError(f"{name}={value} outside its admissible interval")
         if not self.max_time >= 0:  # NaN fails this test too
             raise ValueError(f"max_time={self.max_time} outside its admissible interval")
+        if not isinstance(self.max_iter, (int, np.integer)):
+            raise ValueError(f"max_iter={self.max_iter!r} is not an integer")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 

@@ -9,6 +9,7 @@ original constraints.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Callable, Optional, Sequence
@@ -225,6 +226,15 @@ class ProblemTransform:
 _SIGNS = {Relation.LE: (+1,), Relation.GE: (-1,), Relation.EQ: (+1, -1)}
 
 
+def _check_row(what: str, relation, rhs) -> None:
+    """Refuse a source row whose relation is not a :class:`Relation` or
+    whose rhs is not a real number (a string is not read as one)."""
+    if not isinstance(relation, Relation):
+        raise ValueError(f"malformed {what}: relation {relation!r} is not a Relation")
+    if not isinstance(rhs, numbers.Real):
+        raise ValueError(f"malformed {what}: rhs {rhs!r} is not a real number")
+
+
 def to_inequality_form(source: SourceProblem) -> tuple[NlpProblem, ProblemTransform]:
     """Lower a mixed-form problem to ``a(x) <= 0`` rows.
 
@@ -233,10 +243,11 @@ def to_inequality_form(source: SourceProblem) -> tuple[NlpProblem, ProblemTransf
     ``constraints``; the ``linear_rows`` and, for each fixed variable
     (``l_j = u_j``, no interior), the same shifted pair, as one constant
     block ``A x - b``; the other box bounds, declared in ``bounds``.
-    Rejects a constraint with a non-finite rhs, a linear row without ``n``
-    finite coefficients and a finite rhs, a NaN bound, an infinite bound on
-    the wrong side (l = +inf or u = -inf) and inconsistent bounds (l > u),
-    naming the constraint, row or variable.
+    Rejects a constraint or linear row whose relation is not a
+    :class:`Relation` or whose rhs is not a finite real number, a linear
+    row without ``n`` finite numeric coefficients, a NaN bound, an infinite
+    bound on the wrong side (l = +inf or u = -inf) and inconsistent bounds
+    (l > u), naming the constraint, row or variable.
     """
     n = source.n
     lower = np.full(n, -np.inf) if source.lower is None else np.asarray(source.lower, float)
@@ -252,7 +263,8 @@ def to_inequality_form(source: SourceProblem) -> tuple[NlpProblem, ProblemTransf
     transform = ProblemTransform()
     cons_rows: list[tuple[int, SourceConstraint]] = []
     for k, con in enumerate(source.constraints):
-        if not np.isfinite(con.rhs):
+        _check_row(f"constraint {k}", con.relation, con.rhs)
+        if not np.isfinite(float(con.rhs)):
             raise ValueError(f"malformed constraint {k}: non-finite rhs")
         for sign in _SIGNS[con.relation]:
             cons_rows.append((sign, con))
@@ -261,7 +273,11 @@ def to_inequality_form(source: SourceProblem) -> tuple[NlpProblem, ProblemTransf
     # The A x - b block as (sign, coefficients, rhs) rows.
     lin: list[tuple[int, np.ndarray, float]] = []
     for k, row in enumerate(source.linear_rows):
-        c = np.asarray(row.coeffs, float)
+        _check_row(f"linear row {k}", row.relation, row.rhs)
+        c = np.asarray(row.coeffs)
+        if c.dtype.kind not in "biuf":  # strings, None or other objects
+            raise ValueError(f"malformed linear row {k}: non-numeric coefficients ({c.dtype})")
+        c = c.astype(float, copy=False)
         if c.shape != (n,):
             raise ValueError(f"malformed linear row {k}: coefficients of shape "
                              f"{c.shape}, not ({n},)")
@@ -297,9 +313,10 @@ def to_inequality_form(source: SourceProblem) -> tuple[NlpProblem, ProblemTransf
         out = np.empty(m)
         for i, (sign, con) in enumerate(cons_rows):
             out[i] = sign * (con.func(x) - con.rhs)
-        out[n_cons:n_block] = np.vecdot(A, x) - b
-        # lower: c - x_j <= 0;  upper: x_j - c <= 0
-        out[n_block:] = b_sign * x[b_var] - b_sign * b_c
+        with np.errstate(over="ignore", invalid="ignore"):  # the solver reports an overflow
+            out[n_cons:n_block] = np.vecdot(A, x) - b
+            # lower: c - x_j <= 0;  upper: x_j - c <= 0
+            out[n_block:] = b_sign * x[b_var] - b_sign * b_c
         return out
 
     def eval_jac(x: np.ndarray) -> np.ndarray:

@@ -248,7 +248,7 @@ def parse_problem_file(text: str) -> ProblemFile:
         name=name if name is not None else "unnamed",
         n=n,
         constant=0.0 if constant is None else constant,
-        linear=np.zeros(n) if linear is None else linear,
+        linear=linear,
         quad_terms=sorted(quad.values(), key=lambda t: (t.i, t.j)),
         rows=rows,
         lower=lower,

@@ -1,8 +1,8 @@
 """Built-in test problems with known terminal behavior.
 
-Linear/quadratic entries are stored as problem-file data so they can be
-serialized, re-parsed and solved identically; nonlinear entries define
-their callbacks directly.
+Linear/quadratic entries are problem-file data, name and start included,
+so they can be serialized, re-parsed and solved identically; nonlinear
+entries define their callbacks directly.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .problem import (
     SourceProblem,
     to_inequality_form,
 )
-from .problem_file import ProblemFile, QuadTerm, build_source
+from .problem_file import ProblemFile, QuadTerm, build_source, default_start
 
 
 @dataclass
@@ -35,6 +35,11 @@ class BuiltinProblem:
     def build(self) -> tuple[NlpProblem, ProblemTransform]:
         source = self.source if self.source is not None else build_source(self.file_data)
         return to_inequality_form(source)
+
+
+def _from_file(pf: ProblemFile, description: str) -> BuiltinProblem:
+    """The entry for ``pf``, starting from a copy of the file's start."""
+    return BuiltinProblem(pf.name, description, default_start(pf).copy(), file_data=pf)
 
 
 def _wachter() -> BuiltinProblem:
@@ -61,7 +66,7 @@ def _wachter() -> BuiltinProblem:
         name="wachter",
     )
     return BuiltinProblem(
-        name="wachter",
+        name=source.name,
         description="equality-split benchmark where classical infeasible starts fail",
         x_start=np.array([-2.0, 1.0, 1.0]),
         source=source,
@@ -79,7 +84,7 @@ def _nonconvex_quartic() -> BuiltinProblem:
         name="nonconvex-quartic",
     )
     return BuiltinProblem(
-        name="nonconvex-quartic",
+        name=source.name,
         description="1-D nonconvex quartic whose gradient norm rises before it falls",
         x_start=np.array([0.0]),
         source=source,
@@ -94,12 +99,7 @@ def _qp_simplex() -> BuiltinProblem:
         quad_terms=[QuadTerm(i, i, 1.0) for i in range(n)],
         rows=[LinearRow(np.ones(n), Relation.GE, 1.0)],
     )
-    return BuiltinProblem(
-        name="qp-simplex",
-        description="min 0.5||x||^2 s.t. sum(x) >= 1; optimum x = e/10, f = 0.05",
-        x_start=np.zeros(n),
-        file_data=pf,
-    )
+    return _from_file(pf, "min 0.5||x||^2 s.t. sum(x) >= 1; optimum x = e/10, f = 0.05")
 
 
 def _qp_2d() -> BuiltinProblem:
@@ -111,12 +111,7 @@ def _qp_2d() -> BuiltinProblem:
         quad_terms=[QuadTerm(0, 0, 1.0), QuadTerm(1, 1, 1.0)],
         rows=[LinearRow(np.array([1.0, 1.0]), Relation.LE, 1.0)],
     )
-    return BuiltinProblem(
-        name="qp-2d",
-        description="projection of (1, 2) onto x+y <= 1; optimum (0, 1), f = 1",
-        x_start=np.zeros(2),
-        file_data=pf,
-    )
+    return _from_file(pf, "projection of (1, 2) onto x+y <= 1; optimum (0, 1), f = 1")
 
 
 def _qp_separable10() -> BuiltinProblem:
@@ -132,12 +127,7 @@ def _qp_separable10() -> BuiltinProblem:
         upper=np.ones(n),
         start=np.full(n, 0.5),
     )
-    return BuiltinProblem(
-        name="qp-separable10",
-        description="separable box QP; optimum clips the targets into [0, 1]",
-        x_start=np.full(n, 0.5),
-        file_data=pf,
-    )
+    return _from_file(pf, "separable box QP; optimum clips the targets into [0, 1]")
 
 
 def _infeasible_box() -> BuiltinProblem:
@@ -152,12 +142,7 @@ def _infeasible_box() -> BuiltinProblem:
             LinearRow(np.array([1.0]), Relation.GE, 1.0),
         ],
     )
-    return BuiltinProblem(
-        name="infeasible-box",
-        description="empty box {x <= -1, x >= 1}; terminates primal-infeasible",
-        x_start=np.zeros(1),
-        file_data=pf,
-    )
+    return _from_file(pf, "empty box {x <= -1, x >= 1}; terminates primal-infeasible")
 
 
 def _unbounded_lp() -> BuiltinProblem:
@@ -167,12 +152,7 @@ def _unbounded_lp() -> BuiltinProblem:
         linear=np.array([1.0]),
         upper=np.array([0.0]),
     )
-    return BuiltinProblem(
-        name="unbounded-lp",
-        description="min x s.t. x <= 0; objective diverges, terminates unbounded",
-        x_start=np.zeros(1),
-        file_data=pf,
-    )
+    return _from_file(pf, "min x s.t. x <= 0; objective diverges, terminates unbounded")
 
 
 def _degenerate_lp() -> BuiltinProblem:
@@ -186,12 +166,7 @@ def _degenerate_lp() -> BuiltinProblem:
         ],
         lower=np.zeros(2),
     )
-    return BuiltinProblem(
-        name="degenerate-lp",
-        description="duplicated constraint LP with non-unique duals; f* = 1",
-        x_start=np.zeros(2),
-        file_data=pf,
-    )
+    return _from_file(pf, "duplicated constraint LP with non-unique duals; f* = 1")
 
 
 def builtin_registry() -> dict[str, BuiltinProblem]:

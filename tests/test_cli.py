@@ -237,8 +237,30 @@ def test_overflowing_start_ends_evaluation_error_without_traceback(tmp_path, fla
         assert "derivative check at start point: non-finite value from f" in done.stdout
 
 
+def test_overflowing_linear_row_prints_no_warning(tmp_path):
+    # 1e200 * 1e200 overflows in the lowered A x - b block
+    path = tmp_path / "big.nlp"
+    path.write_text("problem big\nvars 1\n\nobjective\nlinear 1.0\n\n"
+                    "constraints\n1e200 <= 1.0\n\nstart\n1e200\n")
+    argv = ["solve", str(path)]
+    done = run_python(f"import sys; from onephase.cli import run_cli; sys.exit(run_cli({argv!r}))")
+    assert done.returncode == 4, done.stderr
+    assert "detail: non-finite value from a at entry 0" in done.stdout
+    assert "RuntimeWarning" not in done.stderr, done.stderr
+
+
 def test_seed_perturbs_start(capsys):
     assert run_cli(["solve", "builtin:qp-2d", "--seed", "3"]) == 0
+
+
+def test_negative_seed_is_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli_module, "solve", lambda *args, **kwargs: pytest.fail("solved"))
+    trace = tmp_path / "t.csv"
+    argv = ["solve", "builtin:qp-2d", "--seed", "-1", "--trace", str(trace)]
+    assert run_cli(argv) == USAGE_ERROR
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+    assert not trace.exists()
 
 
 def test_quiet_mode_silent(monkeypatch, capsys):

@@ -135,6 +135,14 @@ class TestSolverOptionDefaults:
                 bad.validate()
         SolverOptions(max_time=0.0).validate()
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 2.5, 3000.0, "7"],
+                             ids=["nan", "inf", "fraction", "integral-float", "string"])
+    def test_non_integer_max_iter_rejected(self, value):
+        # inner_count >= nan is never true: a NaN budget would switch the limit off
+        with pytest.raises(ValueError, match=f"max_iter={value!r} is not an integer"):
+            SolverOptions(max_iter=value).validate()
+        SolverOptions(max_iter=np.int64(7)).validate()
+
 
 class TestCheckInterior:
     def test_centered_point(self):

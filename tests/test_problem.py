@@ -326,6 +326,39 @@ class TestToInequalityForm:
         with pytest.raises(ValueError, match="malformed constraint 1: non-finite rhs"):
             to_inequality_form(quadratic_source(2, constraints=rows))
 
+    @pytest.mark.parametrize("rows, message", [
+        ([LinearRow(np.ones(2), "<=", 1.0)],
+         "malformed linear row 1: relation '<=' is not a Relation"),
+        ([LinearRow(np.ones(2), Relation.LE, "1")],
+         "malformed linear row 1: rhs '1' is not a real number"),
+        ([LinearRow(["a", "b"], Relation.LE, 1.0)],
+         r"malformed linear row 1: non-numeric coefficients \(<U1\)"),
+    ], ids=["relation-string", "rhs-string", "coefficient-string"])
+    def test_linear_row_of_wrong_type_rejected_with_index(self, rows, message):
+        rows = [LinearRow(np.ones(2), Relation.EQ, 0.0), *rows]
+        with pytest.raises(ValueError, match=message):
+            to_inequality_form(quadratic_source(2, linear_rows=rows))
+
+    @pytest.mark.parametrize("relation, rhs, message", [
+        (">=", 1.0, "malformed constraint 1: relation '>=' is not a Relation"),
+        (Relation.LE, "1", "malformed constraint 1: rhs '1' is not a real number"),
+        (Relation.LE, None, "malformed constraint 1: rhs None is not a real number"),
+    ], ids=["relation-string", "rhs-string", "rhs-none"])
+    def test_constraint_of_wrong_type_rejected_with_index(self, relation, rhs, message):
+        circle = SourceConstraint(lambda x: float(x @ x), lambda x: 2.0 * x, Relation.LE, 4.0)
+        rows = [circle, replace(circle, relation=relation, rhs=rhs)]
+        with pytest.raises(ValueError, match=message):
+            to_inequality_form(quadratic_source(2, constraints=rows))
+
+    def test_overflowing_linear_row_reports_non_finite_a(self):
+        # 1e200 * 1e200 overflows inside the A x - b block: the solve names
+        # the entry instead of numpy warning (an error under this suite)
+        row = LinearRow(np.array([1e200]), Relation.LE, 1.0)
+        problem, _ = to_inequality_form(quadratic_source(1, linear_rows=[row]))
+        result = solve(problem, np.array([1e200]))
+        assert result.status is SolveStatus.EVALUATION_ERROR
+        assert result.detail == "non-finite value from a at entry 0"
+
     def test_transform_is_bijection(self):
         for entry in builtin_registry().values():
             problem, transform = entry.build()

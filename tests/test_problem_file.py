@@ -332,6 +332,16 @@ class TestRoundTrip:
             assert reparsed == entry.file_data, entry.name
             assert serialize_problem_file(reparsed) == text, entry.name
 
+    def test_entry_name_and_start_come_from_its_file(self):
+        for entry in self.file_entries():
+            assert entry.name == entry.file_data.name
+            assert np.array_equal(entry.x_start, default_start(entry.file_data)), entry.name
+            assert entry.x_start is not entry.file_data.start, entry.name
+        # registry-hostile draws its perturbed starts in this order
+        assert list(builtin_registry()) == [
+            "wachter", "qp-simplex", "qp-2d", "qp-separable10", "infeasible-box",
+            "unbounded-lp", "degenerate-lp", "nonconvex-quartic"]
+
     @pytest.mark.parametrize("name", ["", "two words", "a#b", "tab\tname", "nb\u00a0sp"])
     def test_name_that_is_not_one_token_rejected(self, name):
         # "a#b" would read back as "a" and "two words" would not parse.
