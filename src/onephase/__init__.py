@@ -15,7 +15,6 @@ from .problem import (
     EvaluationError,
     LinearRow,
     NlpProblem,
-    ProblemTransform,
     Relation,
     SourceConstraint,
     SourceProblem,
@@ -42,7 +41,6 @@ __all__ = [
     "NlpProblem",
     "ProblemFile",
     "ProblemFileError",
-    "ProblemTransform",
     "Relation",
     "SolveResult",
     "SolveStatus",

@@ -51,7 +51,7 @@ def _log_level() -> str:
 def _load_file(path: Path):
     """Parse and lower a problem file into (problem, x_start)."""
     pf = parse_problem_file(path.read_text())
-    problem, _transform = to_inequality_form(build_source(pf))
+    problem, _origins = to_inequality_form(build_source(pf))
     return problem, default_start(pf)
 
 
@@ -64,7 +64,7 @@ def _load_target(target: str):
             known = ", ".join(sorted(registry))
             raise ValueError(f"unknown builtin problem {name!r}; known: {known}")
         entry = registry[name]
-        problem, _transform = entry.build()
+        problem, _origins = entry.build()
         return problem, entry.x_start.copy()
     return _load_file(Path(target))
 

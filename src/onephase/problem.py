@@ -50,6 +50,11 @@ def _instances(values: np.ndarray, types) -> np.ndarray:
                        values.size).reshape(values.shape)
 
 
+def _require_int(name: str, value) -> None:
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name}={value!r} is not an integer")
+
+
 def _raise_first_fault(entry: Callable, faults) -> None:
     """Raise ``ValueError`` for the first entry that any ``(mask, message)``
     fault marks, in the words of its first fault: ``message.format(*entry(k))``."""
@@ -101,9 +106,8 @@ class NlpProblem:
     _theta_p: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        for name in ("n", "m"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise ValueError(f"{name}={getattr(self, name)!r} is not an integer")
+        _require_int("n", self.n)
+        _require_int("m", self.m)
         if self.n < 1:
             raise ValueError("problem needs at least one variable")
         if self.m < 0:
@@ -203,25 +207,6 @@ class SourceProblem:
     name: str = "problem"
 
 
-@dataclass
-class TransformRow:
-    """Where inequality row i came from: ``a_i(x) = sign*(func(x) - rhs)``.
-
-    ``source_kind`` is "constraint" (index into the source constraint
-    list), "linear" (index into ``linear_rows``), "lower" or "upper"
-    (index is then a variable index).
-    """
-
-    source_kind: str
-    source_index: int
-    sign: int
-
-
-@dataclass
-class ProblemTransform:
-    rows: list[TransformRow] = field(default_factory=list)
-
-
 # Row signs per relation: an equality becomes two opposing rows.
 _SIGNS = {Relation.LE: (+1,), Relation.GE: (-1,), Relation.EQ: (+1, -1)}
 
@@ -235,8 +220,12 @@ def _check_row(what: str, relation, rhs) -> None:
         raise ValueError(f"malformed {what}: rhs {rhs!r} is not a real number")
 
 
-def to_inequality_form(source: SourceProblem) -> tuple[NlpProblem, ProblemTransform]:
-    """Lower a mixed-form problem to ``a(x) <= 0`` rows.
+def to_inequality_form(source: SourceProblem) -> tuple[NlpProblem, list[tuple[str, int, int]]]:
+    """Lower a mixed-form problem to ``a(x) <= 0`` rows; return the problem
+    and, per row, its origin ``(kind, index, sign)``, meaning
+    ``a_i(x) = sign*(func(x) - rhs)``.  ``kind`` is "constraint" (``index``
+    into ``constraints``), "linear" (into ``linear_rows``), "lower" or
+    "upper" (``index`` is then a variable).
 
     Equalities ``c(x) = b`` become the pair ``c(x)-b <= 0`` and
     ``b-c(x) <= 0``.  Rows come in three blocks: the nonlinear
@@ -247,9 +236,11 @@ def to_inequality_form(source: SourceProblem) -> tuple[NlpProblem, ProblemTransf
     :class:`Relation` or whose rhs is not a finite real number, a linear
     row without ``n`` finite numeric coefficients, a NaN bound, an infinite
     bound on the wrong side (l = +inf or u = -inf) and inconsistent bounds
-    (l > u), naming the constraint, row or variable.
+    (l > u), naming the constraint, row or variable, and an ``n`` that is
+    not an integer.
     """
     n = source.n
+    _require_int("n", n)
     lower = np.full(n, -np.inf) if source.lower is None else np.asarray(source.lower, float)
     upper = np.full(n, np.inf) if source.upper is None else np.asarray(source.upper, float)
     if lower.shape != (n,) or upper.shape != (n,):
@@ -260,7 +251,7 @@ def to_inequality_form(source: SourceProblem) -> tuple[NlpProblem, ProblemTransf
          "infinite bound on the wrong side for variable {0}: lower {1}, upper {2}"),
         (lower > upper, "inconsistent bounds for variable {0}: lower {1} > upper {2}")))
 
-    transform = ProblemTransform()
+    origins: list[tuple[str, int, int]] = []
     cons_rows: list[tuple[int, SourceConstraint]] = []
     for k, con in enumerate(source.constraints):
         _check_row(f"constraint {k}", con.relation, con.rhs)
@@ -268,7 +259,7 @@ def to_inequality_form(source: SourceProblem) -> tuple[NlpProblem, ProblemTransf
             raise ValueError(f"malformed constraint {k}: non-finite rhs")
         for sign in _SIGNS[con.relation]:
             cons_rows.append((sign, con))
-            transform.rows.append(TransformRow("constraint", k, sign))
+            origins.append(("constraint", k, sign))
 
     # The A x - b block as (sign, coefficients, rhs) rows.
     lin: list[tuple[int, np.ndarray, float]] = []
@@ -283,18 +274,18 @@ def to_inequality_form(source: SourceProblem) -> tuple[NlpProblem, ProblemTransf
                              f"{c.shape}, not ({n},)")
         for sign in _SIGNS[row.relation]:
             lin.append((sign, c, float(row.rhs)))
-            transform.rows.append(TransformRow("linear", k, sign))
+            origins.append(("linear", k, sign))
     fixed = np.isfinite(lower) & (lower == upper)
     for j in np.flatnonzero(fixed):
         e_j = np.zeros(n)
         e_j[j] = 1.0
         for kind, sign in (("upper", +1), ("lower", -1)):
             lin.append((sign, e_j, float(lower[j])))
-            transform.rows.append(TransformRow(kind, int(j), sign))
+            origins.append((kind, int(j), sign))
     A = np.array([sign * c for sign, c, _ in lin]).reshape(len(lin), n)
     b = np.array([sign * r for sign, _, r in lin], dtype=float)
     for i in np.flatnonzero(~(np.isfinite(A).all(axis=1) & np.isfinite(b)))[:1]:
-        k = transform.rows[len(cons_rows) + i].source_index
+        k = origins[len(cons_rows) + i][1]
         raise ValueError(f"malformed linear row {k}: non-finite coefficient or rhs")
 
     n_cons = len(cons_rows)
@@ -306,8 +297,7 @@ def to_inequality_form(source: SourceProblem) -> tuple[NlpProblem, ProblemTransf
     m = n_block + b_var.size
     b_row = np.arange(n_block, m)
     bounds = tuple(zip(b_row.tolist(), b_var.tolist(), (2 * b_side - 1).tolist(), b_c.tolist()))
-    transform.rows += [TransformRow("upper" if sign > 0 else "lower", j, sign)
-                       for _, j, sign, _ in bounds]
+    origins += [("upper" if sign > 0 else "lower", j, sign) for _, j, sign, _ in bounds]
 
     def eval_a(x: np.ndarray) -> np.ndarray:
         out = np.empty(m)
@@ -348,7 +338,7 @@ def to_inequality_form(source: SourceProblem) -> tuple[NlpProblem, ProblemTransf
         linear_indices=frozenset(range(n_cons, m)),
         name=source.name,
     )
-    return problem, transform
+    return problem, origins
 
 
 def _rel_err(analytic: np.ndarray, fd: np.ndarray) -> float:

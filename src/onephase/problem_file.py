@@ -91,11 +91,16 @@ def _error(message: str, raw: str, lineno: int, k: int = 0) -> ProblemFileError:
     return ProblemFileError(message, lineno, start + 1)
 
 
-def _float(tokens: list[str], k: int, raw: str, lineno: int) -> float:
+def _float(tokens: list[str], k: int, raw: str, lineno: int, what: str | None = None) -> float:
+    """Token ``k`` as a float, or an error at its column if it is malformed
+    or, when ``what`` names the value, not finite."""
     try:
-        return float(tokens[k])
+        value = float(tokens[k])
     except ValueError:
         raise _error(f"malformed number {tokens[k]!r}", raw, lineno, k) from None
+    if what is not None and not math.isfinite(value):
+        raise _error(f"non-finite {what} value {tokens[k]!r}", raw, lineno, k)
+    return value
 
 
 def _int(tokens: list[str], k: int, raw: str, lineno: int) -> int:
@@ -103,13 +108,6 @@ def _int(tokens: list[str], k: int, raw: str, lineno: int) -> int:
         return int(tokens[k])
     except ValueError:
         raise _error(f"malformed integer {tokens[k]!r}", raw, lineno, k) from None
-
-
-def _finite(tokens: list[str], k: int, raw: str, lineno: int, what: str) -> float:
-    value = _float(tokens, k, raw, lineno)
-    if not math.isfinite(value):
-        raise _error(f"non-finite {what} value {tokens[k]!r}", raw, lineno, k)
-    return value
 
 
 def _floats(tokens: list[str], first: int, stop: int, raw: str, lineno: int,
@@ -124,8 +122,8 @@ def _floats(tokens: list[str], first: int, stop: int, raw: str, lineno: int,
             _float(tokens, k, raw, lineno)
         raise
     if what is not None and not np.isfinite(values).all():
-        k = first + int(np.flatnonzero(~np.isfinite(values))[0])
-        raise _error(f"non-finite {what} value {tokens[k]!r}", raw, lineno, k)
+        for k in range(first, stop):  # the first non-finite token raises
+            _float(tokens, k, raw, lineno, what)
     return values
 
 
@@ -188,7 +186,7 @@ def parse_problem_file(text: str) -> ProblemFile:
                     raise _error("duplicate constant line", raw, lineno)
                 if len(tokens) != 2:
                     raise _error("expected: constant VALUE", raw, lineno)
-                constant = _finite(tokens, 1, raw, lineno, "constant")
+                constant = _float(tokens, 1, raw, lineno, "constant")
             elif head == "linear":
                 if linear is not None:
                     raise _error("duplicate linear line", raw, lineno)
@@ -201,7 +199,7 @@ def parse_problem_file(text: str) -> ProblemFile:
                     raise _error("expected: quad I J VALUE", raw, lineno)
                 i = _int(tokens, 1, raw, lineno)
                 j = _int(tokens, 2, raw, lineno)
-                v = _finite(tokens, 3, raw, lineno, "quad")
+                v = _float(tokens, 3, raw, lineno, "quad")
                 if not (0 <= i < n and 0 <= j < n):
                     raise _error(f"quad index ({i}, {j}) outside 0..{n - 1}", raw, lineno)
                 key = (min(i, j), max(i, j))
@@ -216,11 +214,11 @@ def parse_problem_file(text: str) -> ProblemFile:
                 raise _error(
                     f"constraint row {len(rows)} needs {n} coefficients, a relation "
                     f"and a constant; got {len(tokens)} tokens", raw, lineno)
-            coeffs = _floats(tokens, 0, n, raw, lineno)
+            coeffs = _floats(tokens, 0, n, raw, lineno, "coefficient")
             if tokens[n] not in _RELATIONS:
                 raise _error(f"unknown relation {tokens[n]!r} in row {len(rows)}",
                              raw, lineno, n)
-            rhs = _float(tokens, n + 1, raw, lineno)
+            rhs = _float(tokens, n + 1, raw, lineno, "rhs")
             rows.append(LinearRow(coeffs, _RELATIONS[tokens[n]], rhs))
 
         elif section == "bounds":

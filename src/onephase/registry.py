@@ -15,7 +15,6 @@ import numpy as np
 from .problem import (
     LinearRow,
     NlpProblem,
-    ProblemTransform,
     Relation,
     SourceConstraint,
     SourceProblem,
@@ -32,7 +31,7 @@ class BuiltinProblem:
     source: Optional[SourceProblem] = None
     file_data: Optional[ProblemFile] = None
 
-    def build(self) -> tuple[NlpProblem, ProblemTransform]:
+    def build(self) -> tuple[NlpProblem, list[tuple[str, int, int]]]:
         source = self.source if self.source is not None else build_source(self.file_data)
         return to_inequality_form(source)
 

@@ -52,6 +52,8 @@ MAX_GUARD_RETRIES = 10
 class Direction:
     """Primal-dual direction with the target reduction that made it.
 
+    ``slope`` is ``-(rhs . dx) = -dx' (M + delta I) dx``, the directional
+    derivative that the line search's descent test and Armijo model read.
     Its arrays are never mutated, so ``dx_norm`` (``||dx||_inf``) is
     computed once, on first use."""
 
@@ -59,6 +61,7 @@ class Direction:
     ds: np.ndarray
     dy: np.ndarray
     gamma: float
+    slope: float
 
     @cached_property
     def dx_norm(self) -> float:
@@ -121,7 +124,7 @@ def compute_direction(fs: FactorizedSystem, it: Iterate, gamma: float) -> Direct
     jdx = it.jac @ dx
     dy = (it.y / it.s) * (jdx + b_p - b_c / it.y)
     ds = -(1.0 - gamma) * it.mu * it.w - jdx
-    return Direction(dx=dx, ds=ds, dy=dy, gamma=gamma)
+    return Direction(dx=dx, ds=ds, dy=dy, gamma=gamma, slope=-float(rhs @ dx))
 
 
 def _boundary_bound(it: Iterate, direction: Direction, delta: float) -> np.ndarray:
@@ -244,14 +247,6 @@ def theta_bar(mu: float, s: np.ndarray, w: np.ndarray) -> float:
     return min(0.5, BETA6 / (4.0 * mu) * corridor * slack_ratio)
 
 
-def descent_grad(it: Iterate, gamma: float) -> np.ndarray:
-    """grad f + J^T (mu S^{-1} (gamma e + (1-gamma) Y w) - gamma mu beta1 e),
-    the right-hand side of the gamma system, along which its direction
-    descends by construction; at gamma = 1, grad psi_mu to the bit."""
-    return it.grad_f + it.jac.T @ (
-        it.mu / it.s * (gamma + (1.0 - gamma) * it.y * it.w) - gamma * it.mu * BETA1)
-
-
 def _finite_direction(direction: Direction) -> bool:
     return bool(
         np.isfinite(direction.dx).all()
@@ -304,14 +299,14 @@ def _trial(it: Iterate, problem: NlpProblem, direction: Direction,
 def _line_search(fs: FactorizedSystem, it: Iterate, problem: NlpProblem,
                  direction: Direction,
                  below_minimum: Callable[[float], bool],
-                 accepts: Callable[[Iterate, float, float], bool]) -> StepOutcome:
+                 accepts: Callable[[Iterate, float], bool]) -> StepOutcome:
     """Backtracking search shared by both step kinds.
 
-    Prelude: a non-finite direction, or one along which
-    ``descent_grad(it, gamma)`` does not decrease, fails at once; trials
-    start from the fraction-to-boundary maximum.  The boundary bound is
-    formed once, for the maximum and every trial.  Trial: :func:`_trial`,
-    then ``accepts(new, alpha_p, slope)`` and the complementarity corridor.
+    Prelude: a non-finite direction, or one whose ``slope`` is not
+    negative, fails at once; trials start from the fraction-to-boundary
+    maximum.  The boundary bound is formed once, for the maximum and every
+    trial.  Trial: :func:`_trial`, then ``accepts(new, alpha_p)`` and the
+    complementarity corridor.
     Halving: any rejection, failed evaluation included, multiplies
     ``alpha_p`` by beta6.  Guard: its rejection instead jumps to
     max(beta8^2, alpha_p tau^2), at most MAX_GUARD_RETRIES times (a
@@ -320,8 +315,7 @@ def _line_search(fs: FactorizedSystem, it: Iterate, problem: NlpProblem,
     """
     if not _finite_direction(direction):
         return StepOutcome(False, None, direction, reason="non-finite direction")
-    slope = float(descent_grad(it, direction.gamma) @ direction.dx)
-    if slope >= 0:
+    if direction.slope >= 0:
         return StepOutcome(False, None, direction, reason="not a descent direction")
     bound = _boundary_bound(it, direction, fs.delta)
     alpha_p = max_primal_step(it, direction, bound, problem._theta_p)
@@ -338,7 +332,7 @@ def _line_search(fs: FactorizedSystem, it: Iterate, problem: NlpProblem,
                                    reason="dual-feasibility guard retries exhausted")
             alpha_p = max(BETA8 ** 2, alpha_p * tau ** 2)
             continue
-        if new is not None and accepts(new, alpha_p, slope) and check_interior(new):
+        if new is not None and accepts(new, alpha_p) and check_interior(new):
             return StepOutcome(True, new, direction, alpha_p=alpha_p, alpha_d=alpha_d)
         alpha_p *= BETA6
     return StepOutcome(False, None, direction, reason="step size below minimum")
@@ -360,7 +354,7 @@ def aggressive_step(fs: FactorizedSystem, it: Iterate, problem: NlpProblem) -> S
     alpha_min = theta_bar(it.mu, it.s, it.w)
     return _line_search(fs, it, problem, compute_direction(fs, it, gamma),
                         below_minimum=lambda alpha: alpha < alpha_min,
-                        accepts=lambda new, alpha, slope: True)
+                        accepts=lambda new, alpha: True)
 
 
 def stabilization_step(fs: FactorizedSystem, it: Iterate, filt: Filter,
@@ -376,9 +370,9 @@ def stabilization_step(fs: FactorizedSystem, it: Iterate, filt: Filter,
     comp_term = it.comp_norm ** 3 / it.mu ** 2
     dx_sq = float(direction.dx @ direction.dx)
 
-    def sufficient(new: Iterate, alpha_p: float, slope: float) -> bool:
+    def sufficient(new: Iterate, alpha_p: float) -> bool:
         phi_plus = merit_phi(new)
-        model = 0.5 * (slope - 0.5 * fs.delta * alpha_p * dx_sq) - comp_term
+        model = 0.5 * (direction.slope - 0.5 * fs.delta * alpha_p * dx_sq) - comp_term
         if phi_plus <= phi_cur + alpha_p * BETA4 * model:
             return True
         return filt.accepts(phi_plus, merit_kkt(new), alpha_p)

@@ -21,13 +21,13 @@ from onephase import (
     to_inequality_form,
 )
 from onephase import linalg
-from onephase.iterate import BETA2, inf_norm, one_norm
+from onephase.iterate import BETA1, BETA2, inf_norm, one_norm
 from onephase.linalg import (
     MaxDeltaError,
     assemble_schur,
     factorize_with_shift,
 )
-from onephase.steps import compute_direction, descent_grad
+from onephase.steps import compute_direction
 
 from helpers import observed_steps, random_interior_setup
 
@@ -175,17 +175,18 @@ def test_07_descent_property_of_stabilization_directions():
             M = assemble_schur(problem, it)
             fs = factorize_with_shift(M, 0.0)
             d = compute_direction(fs, it, 1.0)
-            g = descent_grad(it, 1.0)
+            g = it.grad_f + it.jac.T @ (it.mu / it.s - it.mu * BETA1)  # grad psi_mu
             if inf_norm(g) <= 1e-12:
                 continue
             checked += 1
-            slope = float(g @ d.dx)
-            # exact-arithmetic oracle: slope must equal the negative
-            # quadratic form of the direction in M + delta*I
+            # exact-arithmetic oracle: the slope must equal the negative
+            # quadratic form of the direction in M + delta*I, and the
+            # barrier's directional derivative
             quad = float(d.dx @ ((M + fs.delta * np.eye(problem.n)) @ d.dx))
             assert quad > 0
-            assert slope < 0
-            assert slope == pytest.approx(-quad, rel=1e-6)
+            assert d.slope < 0
+            assert d.slope == pytest.approx(-quad, rel=1e-6)
+            assert d.slope == pytest.approx(float(g @ d.dx), rel=1e-6)
 
 
 def oracle_shift_sequence(matrices, delta_cfg):

@@ -170,7 +170,7 @@ def test_nan_coefficient_is_parse_error(tmp_path, capsys):
     f.write_text("problem r\nvars 2\n\nobjective\nlinear 1.0 1.0\n\n"
                  "constraints\n1.0 1.0 >= 0.0\n1.0 nan >= 1.0\n")
     assert run_cli(["solve", str(f)]) == USAGE_ERROR
-    assert "malformed linear row 1" in capsys.readouterr().err
+    assert "line 9, column 5: non-finite coefficient value 'nan'" in capsys.readouterr().err
     summary = tmp_path / "summary.csv"
     assert run_cli(["batch", str(tmp_path), "--summary", str(summary)]) == 4
     with open(summary, newline="") as fh:

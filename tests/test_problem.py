@@ -177,14 +177,12 @@ class TestBoundLoweringMatchesLoop:
                 assert str(err.value) == str(exc)
                 seen["multi-fault"] += sum(k in FAULTY_BOXES for k in kinds) > 1
             else:
-                problem, transform = to_inequality_form(source)
+                problem, origins = to_inequality_form(source)
                 n_block = len(rows) + 2 * int(np.sum(np.isfinite(lower) & (lower == upper)))
                 want, want_rows = _bound_rows_loop(lower, upper, n_block)
                 # repr tells 0.0 from -0.0 and a Python int from a numpy one
                 assert repr(problem.bounds) == repr(want)
-                got_rows = [(r.source_kind, r.source_index, r.sign)
-                            for r in transform.rows[n_block:]]
-                assert repr(got_rows) == repr(want_rows)
+                assert repr(origins[n_block:]) == repr(want_rows)
                 # the closures match the old float-array gather bit for bit
                 b_row, b_var, b_sign, b_c = np.array(want, dtype=float).reshape(-1, 4).T
                 b_var = b_var.astype(int)
@@ -203,16 +201,14 @@ class TestBoundLoweringMatchesLoop:
 class TestToInequalityForm:
     def test_equality_splits_into_two_rows(self):
         row = LinearRow(np.array([1.0]), Relation.EQ, 3.0)
-        problem, transform = to_inequality_form(quadratic_source(1, linear_rows=[row]))
+        problem, origins = to_inequality_form(quadratic_source(1, linear_rows=[row]))
         assert problem.m == 2
         x = np.array([5.0])
         assert_allclose(problem.a(x), [2.0, -2.0])  # x-3 <= 0 and 3-x <= 0
-        signs = [row.sign for row in transform.rows]
-        assert signs == [1, -1]
-        assert all(row.source_index == 0 for row in transform.rows)
+        assert origins == [("linear", 0, 1), ("linear", 0, -1)]
 
     def test_box_bounds_become_flagged_rows(self):
-        problem, transform = to_inequality_form(
+        problem, _ = to_inequality_form(
             quadratic_source(1, lower=np.array([0.0]), upper=np.array([1.0])))
         assert problem.m == 2
         assert problem.bounds == ((0, 0, -1, 0.0), (1, 0, 1, 1.0))
@@ -228,6 +224,12 @@ class TestToInequalityForm:
         problem, _ = to_inequality_form(quadratic_source(1, constraints=[con]))
         assert problem.m == 1
         assert_allclose(problem.a(np.array([1.0])), [1.0])  # 2 - x^2 <= 0
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, "2"], ids=["fraction", "float", "string"])
+    def test_non_integer_n_rejected(self, n):
+        # numpy's TypeError from np.full(2.5, ...) escaped before this check
+        with pytest.raises(ValueError, match=f"^n={n!r} is not an integer$"):
+            to_inequality_form(quadratic_source(n))
 
     def test_inconsistent_bounds_rejected_with_index(self):
         with pytest.raises(ValueError, match="variable 1"):
@@ -254,12 +256,12 @@ class TestToInequalityForm:
         # x0 + x1 <= 4, x0 fixed at 1, x1 >= 0.5: rows are the linear row,
         # then x0 - 1 <= 0 and 1 - x0 <= 0, then the declared 0.5 - x1 <= 0.
         row = LinearRow(np.ones(2), Relation.LE, 4.0)
-        problem, transform = to_inequality_form(quadratic_source(
+        problem, origins = to_inequality_form(quadratic_source(
             2, lower=np.array([1.0, 0.5]), upper=np.array([1.0, np.inf]),
             linear_rows=[row]))
         assert problem.bounds == ((3, 1, -1, 0.5),)
         assert problem.linear_indices == {0, 1, 2, 3}
-        assert [(r.source_kind, r.source_index, r.sign) for r in transform.rows] == [
+        assert origins == [
             ("linear", 0, 1), ("upper", 0, 1), ("lower", 0, -1), ("lower", 1, -1)]
         x = np.array([3.0, 2.0])
         assert_allclose(problem.a(x), [1.0, 2.0, -2.0, -1.5])
@@ -274,9 +276,9 @@ class TestToInequalityForm:
                                grad=lambda x: np.array([2.0 * x[0], 0.0]),
                                hess=lambda x: np.diag([2.0, 0.0]), relation=Relation.GE, rhs=2.0)
         row = LinearRow(np.ones(2), Relation.EQ, 1.0)
-        problem, transform = to_inequality_form(quadratic_source(
+        problem, origins = to_inequality_form(quadratic_source(
             2, lower=np.array([0.0, -np.inf]), constraints=[con], linear_rows=[row]))
-        assert [(r.source_kind, r.source_index, r.sign) for r in transform.rows] == [
+        assert origins == [
             ("constraint", 0, -1), ("linear", 0, 1), ("linear", 0, -1), ("lower", 0, -1)]
         assert problem.linear_indices == {1, 2, 3}
         assert problem.bounds == ((3, 0, -1, 0.0),)
@@ -295,8 +297,8 @@ class TestToInequalityForm:
         n = 128
         rows = [LinearRow(rng.standard_normal(n), relation, float(rng.standard_normal()))
                 for _ in range(6)]
-        problem, transform = to_inequality_form(quadratic_source(n, linear_rows=rows))
-        picked = [(t.sign, rows[t.source_index]) for t in transform.rows]
+        problem, origins = to_inequality_form(quadratic_source(n, linear_rows=rows))
+        picked = [(sign, rows[k]) for _, k, sign in origins]
         for _ in range(50):
             x = rng.standard_normal(n)
             per_row = [sign * (float(r.coeffs @ x) - r.rhs) for sign, r in picked]
@@ -361,8 +363,8 @@ class TestToInequalityForm:
 
     def test_transform_is_bijection(self):
         for entry in builtin_registry().values():
-            problem, transform = entry.build()
-            assert len(transform.rows) == problem.m
+            problem, origins = entry.build()
+            assert len(origins) == problem.m
 
     def test_feasible_point_maps_nonpositive(self):
         rows = [LinearRow(np.ones(2), Relation.LE, 4.0),

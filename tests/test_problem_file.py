@@ -141,6 +141,10 @@ PINNED_ERRORS = {
         HEAD3 + "constraints\n\t1.0\u3000-2.0 0x3 >= 0.0\n", "malformed number '0x3'", 5, 11),
     "malformed-rhs": (
         HEAD3 + "constraints\n1.0 2.0 3.0 <= 1.y\n", "malformed number '1.y'", 5, 16),
+    "non-finite-coefficient": (
+        HEAD3 + "constraints\n1.0 -inf nan <= 1.0\n", "non-finite coefficient value '-inf'", 5, 5),
+    "non-finite-rhs": (
+        HEAD3 + "constraints\n1.0 2.0 3.0 >= nan\n", "non-finite rhs value 'nan'", 5, 16),
     "unknown-relation": (
         HEAD3 + "constraints\n1.0 2.0 3.0 =< 1.0\n", "unknown relation '=<' in row 0", 5, 13),
     "coeff-before-relation": (

@@ -25,7 +25,6 @@ from onephase.steps import (
     aggressive_step,
     build_rhs,
     compute_direction,
-    descent_grad,
     dual_interval,
     dual_step_size,
     fraction_to_boundary_ok,
@@ -43,7 +42,8 @@ def direction(dx, ds, dy, gamma=1.0):
     dx = np.atleast_1d(np.asarray(dx, float))
     ds = np.atleast_1d(np.asarray(ds, float))
     dy = np.atleast_1d(np.asarray(dy, float))
-    return Direction(dx=dx, ds=ds, dy=dy, gamma=gamma)
+    # slope: only the line search reads it, and no test here hands it one
+    return Direction(dx=dx, ds=ds, dy=dy, gamma=gamma, slope=np.nan)
 
 
 def factorized_at(problem, it, delta_in=0.0):
@@ -72,7 +72,8 @@ NO_ROW_VALUES = [
     ("compute_direction.dy", lambda p, it, d: d.dy, np.zeros(0)),
     ("compute_direction.ds", lambda p, it, d: d.ds, np.zeros(0)),
     ("lagrangian_grad", lambda p, it, d: it.lagrangian_grad(0.3), lambda it: it.grad_f),
-    ("descent_grad", lambda p, it, d: descent_grad(it, 1.0), lambda it: it.grad_f),
+    ("compute_direction.slope", lambda p, it, d: d.slope,
+     lambda it: -float(it.grad_f @ it.grad_f)),
     ("check_derivatives.jac_error", lambda p, it, d: check_derivatives(p, it.x)["jac_error"], 0.0),
 ]
 
@@ -163,32 +164,37 @@ class TestComputeDirection:
 
 
 def _barrier_grad(it):
-    """``Iterate.barrier_grad``, deleted for ``descent_grad(it, 1.0)``; kept
-    as its reference."""
+    """``Iterate.barrier_grad``, deleted; kept as the reference for the
+    slope of a gamma = 1 direction."""
     return it.grad_f + it.jac.T @ (it.mu / it.s - it.mu * BETA1)
 
 
 def _aggressive_descent_grad(it, gamma):
     """The gradient ``aggressive_step`` formed at the duals of the deleted
     ``_trial_duals``, mu S^{-1} (gamma e + (1-gamma) Y w); kept as the
-    reference for ``descent_grad(it, gamma)``."""
+    reference for the slope of a gamma < 1 direction."""
     y_tilde = it.mu / it.s * (gamma + (1.0 - gamma) * it.y * it.w)
     return it.grad_f + it.jac.T @ (y_tilde - gamma * it.mu * BETA1)
 
 
-class TestDescentGrad:
-    def test_equals_the_deleted_formulas_to_the_bit(self):
+class TestSlope:
+    def test_equals_the_deleted_formulas_to_rounding(self):
+        # The slope is -(rhs . dx); the deleted descent gradients are -rhs
+        # in exact arithmetic, so each dotted with dx differs from the slope
+        # only by the rounding of its terms.
         rng = np.random.default_rng(26)
         for _ in range(200):
             problem, it = random_interior_setup(rng)
-            np.testing.assert_array_equal(descent_grad(it, 1.0), _barrier_grad(it))
-            for gamma in (0.0, 0.25, 0.5):
-                np.testing.assert_array_equal(descent_grad(it, gamma),
-                                              _aggressive_descent_grad(it, gamma))
+            fs = factorized_at(problem, it)
+            for gamma in (0.0, 0.25, 0.5, 1.0):
+                d = compute_direction(fs, it, gamma)
+                g = _barrier_grad(it) if gamma == 1.0 else _aggressive_descent_grad(it, gamma)
+                terms = np.abs(it.grad_f) + np.abs(it.jac).T @ (
+                    it.y + it.mu / it.s * (1.0 + it.y * it.w) + it.mu * BETA1)
+                assert abs(d.slope - float(g @ d.dx)) <= 1e-13 * float(terms @ np.abs(d.dx))
 
     def test_descends_along_the_direction_of_its_gamma(self):
-        # descent_grad is the right-hand side of the gamma system, so
-        # descent_grad . dx = -dx' (M + delta I) dx < 0 at the assembly point.
+        # The slope is -dx' (M + delta I) dx < 0 at the assembly point.
         rng = np.random.default_rng(27)
         for _ in range(50):
             problem, it = random_interior_setup(rng)
@@ -198,7 +204,8 @@ class TestDescentGrad:
                 if inf_norm(d.dx) <= 1e-12:
                     continue
                 quad = float(d.dx @ (fs.shifted @ d.dx))
-                assert float(descent_grad(it, gamma) @ d.dx) == pytest.approx(-quad, rel=1e-6)
+                assert quad > 0
+                assert d.slope == pytest.approx(-quad, rel=1e-6)
 
 
 class TestMaxPrimalStep:
@@ -505,7 +512,7 @@ class TestStabilizationStep:
             M = assemble_schur(problem, it)
             fs = factorize_with_shift(M, 0.0)
             d = compute_direction(fs, it, 1.0)
-            g = descent_grad(it, 1.0)
+            g = _barrier_grad(it)
             gnorm = float(np.linalg.norm(g))
             if gnorm <= 1e-12:
                 continue
@@ -521,9 +528,8 @@ class TestStabilizationStep:
                     lam = new_lam
                     break
                 lam = new_lam
-            slope = float(g @ d.dx)
-            assert slope < 0
-            assert slope <= -(gnorm ** 2) / (lam * (1.0 + 1e-6)) + 1e-12
+            assert d.slope < 0
+            assert d.slope <= -(gnorm ** 2) / (lam * (1.0 + 1e-6)) + 1e-12
 
 
 class TestLineSearchExits:
