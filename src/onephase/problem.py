@@ -97,13 +97,16 @@ class NlpProblem:
     # Decoded by __post_init__: the columns of ``bounds``, the other rows (a
     # slice when the bound rows are the trailing block, as
     # to_inequality_form lays them out, so ``jac[_general_rows]`` is a view)
-    # and ``linear_indices`` as the read-only per-row factor ``_theta_p``.
+    # and ``linear_indices`` as the read-only per-row factor ``_theta_p`` and
+    # the read-only mask ``_nonlinear_rows`` of the rows whose factor exceeds
+    # THETA_P_LINEAR.
     _bound_row: np.ndarray = field(init=False, compare=False, repr=False)
     _bound_var: np.ndarray = field(init=False, compare=False, repr=False)
     _bound_sign: np.ndarray = field(init=False, compare=False, repr=False)
     _bound_c: np.ndarray = field(init=False, compare=False, repr=False)
     _general_rows: slice | np.ndarray = field(init=False, compare=False, repr=False)
     _theta_p: np.ndarray = field(init=False, compare=False, repr=False)
+    _nonlinear_rows: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         _require_int("n", self.n)
@@ -139,6 +142,8 @@ class NlpProblem:
         self._theta_p = np.full(self.m, THETA_P_NONLINEAR)
         self._theta_p[list(self.linear_indices)] = THETA_P_LINEAR
         self._theta_p.flags.writeable = False
+        self._nonlinear_rows = self._theta_p > THETA_P_LINEAR
+        self._nonlinear_rows.flags.writeable = False
 
     # Validating wrappers; all solver code goes through these.
     def f(self, x: np.ndarray) -> float:

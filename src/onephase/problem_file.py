@@ -24,8 +24,9 @@ rows, per-variable bounds and an optional start point::
     0.5 0.5
 
 Indices are 0-based.  ``quad i j v`` sets the symmetric pair (i, j) and
-(j, i).  Bounds use ``-inf``/``inf`` for absent sides.  Every parse error
-carries a 1-based line and column.
+(j, i).  Bounds use ``-inf``/``inf`` for absent sides; a NaN bound, a lower
+``inf``, an upper ``-inf`` and a lower above its upper are parse errors.
+Every parse error carries a 1-based line and column.
 
 The parser splits each line once and converts each numeric run (the
 ``linear`` vector, a constraint row's coefficients, ``start``) in one call;
@@ -230,8 +231,18 @@ def parse_problem_file(text: str) -> ProblemFile:
             if j in bounds_seen:
                 raise _error(f"duplicate bounds for variable {j}", raw, lineno)
             bounds_seen.add(j)
-            lower[j] = _float(tokens, 1, raw, lineno)
-            upper[j] = _float(tokens, 2, raw, lineno)
+            lo, hi = _float(tokens, 1, raw, lineno), _float(tokens, 2, raw, lineno)
+            for k, side, value, wrong in ((1, "lower", lo, math.inf), (2, "upper", hi, -math.inf)):
+                if math.isnan(value):
+                    raise _error(f"NaN bound for variable {j}: {side} {tokens[k]!r}",
+                                 raw, lineno, k)
+                if value == wrong:
+                    raise _error(f"infinite bound on the wrong side for variable {j}: "
+                                 f"{side} {tokens[k]!r}", raw, lineno, k)
+            if lo > hi:
+                raise _error(f"inconsistent bounds for variable {j}: lower {lo!r} > upper {hi!r}",
+                             raw, lineno, 1)
+            lower[j], upper[j] = lo, hi
 
         elif section == "start":
             if start is not None:

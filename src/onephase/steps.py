@@ -259,13 +259,24 @@ _REJECTED = (None, 0.0, math.inf)   # (new, alpha_d, tau) of a rejected trial
 
 
 def _trial(it: Iterate, problem: NlpProblem, direction: Direction,
-           bound: np.ndarray, alpha_p: float) -> tuple[Iterate | None, float, float]:
+           bound: np.ndarray, alpha_max: float,
+           alpha_p: float) -> tuple[Iterate | None, float, float]:
     """``(new, alpha_d, tau)`` at ``alpha_p``; ``new`` is None on rejection.
 
     s+ = mu+ w - a(x+) must be positive and pass the fraction-to-boundary
     rule against ``bound``; the dual step needs a nonempty dual interval and
     grad f, J at x+.  Then the dual-feasibility guard: if mu+ < (1 - beta8) mu, a tau below 1
     rejects the trial before f is evaluated at x+.
+
+    Up to ``alpha_max``, the ratio-test maximum of :func:`max_primal_step`,
+    the fraction-to-boundary rule tests only the nonlinear rows.  On a
+    linear row, a(x+) = a(x) + alpha J dx, so s+ = s + alpha ds in exact
+    arithmetic, and for alpha <= alpha_max the ratio test already gives
+    s + alpha ds >= theta_p * bound >= theta_b * bound there (theta_p =
+    theta_b on linear rows).  Testing those rows again let rounding reject
+    the trial at alpha_max, where the binding row sits exactly on the
+    bound.  Above ``alpha_max``, which only the guard's jump to beta8^2
+    reaches, every row is tested.
     """
     mu_plus, x_plus, a_plus, s_plus = primal_trial(
         it, direction.dx, direction.gamma, alpha_p, problem)
@@ -274,7 +285,8 @@ def _trial(it: Iterate, problem: NlpProblem, direction: Direction,
     # empty s_plus would raise).
     if it.m and (mu_plus <= 0 or s_plus.min() <= 0):
         return _REJECTED
-    if not fraction_to_boundary_ok(s_plus, bound):
+    rows = problem._nonlinear_rows if alpha_p <= alpha_max else slice(None)
+    if not fraction_to_boundary_ok(s_plus[rows], bound[rows]):
         return _REJECTED
     interval = dual_interval(s_plus, mu_plus, it, direction)
     if interval is None:
@@ -304,9 +316,9 @@ def _line_search(fs: FactorizedSystem, it: Iterate, problem: NlpProblem,
 
     Prelude: a non-finite direction, or one whose ``slope`` is not
     negative, fails at once; trials start from the fraction-to-boundary
-    maximum.  The boundary bound is formed once, for the maximum and every
-    trial.  Trial: :func:`_trial`, then ``accepts(new, alpha_p)`` and the
-    complementarity corridor.
+    maximum, ``alpha_max``.  The boundary bound is formed once, for the
+    maximum and every trial.  Trial: :func:`_trial`, then
+    ``accepts(new, alpha_p)`` and the complementarity corridor.
     Halving: any rejection, failed evaluation included, multiplies
     ``alpha_p`` by beta6.  Guard: its rejection instead jumps to
     max(beta8^2, alpha_p tau^2), at most MAX_GUARD_RETRIES times (a
@@ -318,11 +330,11 @@ def _line_search(fs: FactorizedSystem, it: Iterate, problem: NlpProblem,
     if direction.slope >= 0:
         return StepOutcome(False, None, direction, reason="not a descent direction")
     bound = _boundary_bound(it, direction, fs.delta)
-    alpha_p = max_primal_step(it, direction, bound, problem._theta_p)
+    alpha_p = alpha_max = max_primal_step(it, direction, bound, problem._theta_p)
     guard_retries = 0
     while not below_minimum(alpha_p):
         try:
-            new, alpha_d, tau = _trial(it, problem, direction, bound, alpha_p)
+            new, alpha_d, tau = _trial(it, problem, direction, bound, alpha_max, alpha_p)
         except EvaluationError:
             new, alpha_d, tau = _REJECTED
         if tau < 1.0:

@@ -165,6 +165,19 @@ def test_nan_bound_is_parse_error(tmp_path, capsys):
     assert (row["status"], row["exit_code"]) == ("parse-error", str(USAGE_ERROR))
 
 
+@pytest.mark.parametrize("bounds, message", [
+    ("1 nan 2.0", "line 9, column 3: NaN bound for variable 1: lower 'nan'"),
+    ("0 2.0 1.0", "line 9, column 3: inconsistent bounds for variable 0: lower 2.0 > upper 1.0"),
+])
+def test_bounds_fault_is_reported_at_its_column(tmp_path, capsys, bounds, message):
+    # These were reported by the lowering, without a line or column.
+    f = tmp_path / "bad-bounds.nlp"
+    f.write_text(f"problem b\nvars 3\n\nobjective\nlinear 1.0 1.0 1.0\n\nbounds\n"
+                 f"2 -1.0 1.0\n{bounds}\n")
+    assert run_cli(["solve", str(f)]) == USAGE_ERROR
+    assert message in capsys.readouterr().err
+
+
 def test_nan_coefficient_is_parse_error(tmp_path, capsys):
     f = tmp_path / "nan-row.nlp"
     f.write_text("problem r\nvars 2\n\nobjective\nlinear 1.0 1.0\n\n"

@@ -201,6 +201,21 @@ PINNED_ERRORS = {
         HEAD3 + "bounds\n0 low 1\n", "malformed number 'low'", 5, 3),
     "malformed-upper-bound": (
         HEAD3 + "bounds\n0 0 high\n", "malformed number 'high'", 5, 5),
+    "nan-lower-bound": (
+        HEAD3 + "bounds\n1 nan 2.0\n", "NaN bound for variable 1: lower 'nan'", 5, 3),
+    "nan-upper-bound": (
+        HEAD3 + "bounds\n1 0.0  NaN\n", "NaN bound for variable 1: upper 'NaN'", 5, 8),
+    "wrong-side-lower-bound": (
+        HEAD3 + "bounds\n2 inf inf\n",
+        "infinite bound on the wrong side for variable 2: lower 'inf'", 5, 3),
+    "wrong-side-upper-bound": (
+        HEAD3 + "bounds\n2 -inf -1e999\n",
+        "infinite bound on the wrong side for variable 2: upper '-1e999'", 5, 8),
+    "crossed-bounds": (
+        HEAD3 + "bounds\n0  2.0 1.0\n", "inconsistent bounds for variable 0: lower 2.0 > upper 1.0",
+        5, 4),
+    "malformed-upper-after-nan-lower": (
+        HEAD3 + "bounds\n0 nan x\n", "malformed number 'x'", 5, 7),
     "duplicate-bounds": (
         HEAD3 + "bounds\n0 0 1\n0 0 2\n", "duplicate bounds for variable 0", 6, 1),
     "bounds-token-count": (

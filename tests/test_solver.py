@@ -34,7 +34,7 @@ from onephase.solver import (
     write_trace_csv,
 )
 
-from helpers import observed_steps, quadratic_problem, run_python
+from helpers import observed_steps, planted_qp, quadratic_problem, run_python
 from test_golden_record import GOLDEN, _nan_region_problem
 from test_golden_record import _steps as golden_steps
 
@@ -588,9 +588,34 @@ class TestEscalationShift:
             solve(problem, entry.x_start)
             if len(escalations) > before:
                 escalated.add(name)
-        assert {"qp-separable10", "unbounded-lp"} <= escalated
+        assert {"nonconvex-quartic", "unbounded-lp"} <= escalated
         for delta, live_delta in escalations:
             assert delta == live_delta
+
+
+_RECORDS_SCRIPT = """
+import json
+import numpy as np
+from helpers import planted_qp
+from onephase import solve
+for seed in range(3):
+    problem = planted_qp(seed)
+    r = solve(problem, np.zeros(problem.n))
+    print(json.dumps([r.status.value, r.inner_iterations, r.outer_iterations, r.counters]))
+"""
+
+
+def test_records_do_not_depend_on_the_blas_thread_count():
+    # At n = 128 OpenBLAS splits its products over threads, which changes
+    # their rounding.  On linear rows no trial may hinge on that rounding
+    # (see steps._trial), so every record must repeat.
+    runs = [run_python(_RECORDS_SCRIPT, env={"OPENBLAS_NUM_THREADS": threads})
+            for threads in ("1", "2")]
+    for done in runs:
+        assert done.returncode == 0, done.stderr
+    single, double = (done.stdout.splitlines() for done in runs)
+    assert len(single) == 3
+    assert single == double
 
 
 def _one_sided_lp(**callbacks):

@@ -17,11 +17,14 @@ from onephase.iterate import (
     terminate_infeasible,
 )
 from onephase.linalg import assemble_schur, factorize_with_shift
+import onephase.steps as steps_module
 from onephase.solver import initialize
 from onephase.steps import (
     Direction,
     Filter,
     _boundary_bound,
+    _line_search,
+    _trial,
     aggressive_step,
     build_rhs,
     compute_direction,
@@ -246,6 +249,83 @@ class TestFractionToBoundary:
         assert not fraction_to_boundary_ok(np.array([0.05]), _boundary_bound(it, d, 1.0))
 
 
+@pytest.fixture
+def boundary_tests(monkeypatch):
+    """``(rows tested, passed)`` of every fraction-to-boundary test the line
+    search makes while the fixture is active."""
+    calls = []
+    test = steps_module.fraction_to_boundary_ok
+
+    def recording(s_plus, bound):
+        calls.append((s_plus.size, test(s_plus, bound)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(steps_module, "fraction_to_boundary_ok", recording)
+    return calls
+
+
+def _one_row(a, da, linear):
+    """min 0 s.t. a(x) <= 0 in one variable, at x = 0 with mu = 1, w = 0."""
+    p = NlpProblem(
+        n=1, m=1,
+        eval_f=lambda x: 0.0,
+        eval_grad_f=lambda x: np.zeros(1),
+        eval_a=lambda x: np.array([a(x[0])]),
+        eval_jac=lambda x: np.array([[da(x[0])]]),
+        eval_hess_lag=lambda x, v: np.zeros((1, 1)),
+        linear_indices=frozenset({0}) if linear else frozenset(),
+    )
+    it = make_iterate(p, 1.0, np.zeros(1), np.ones(1), np.ones(1), np.zeros(1))
+    return p, it
+
+
+class TestLinearRowRule:
+    """Up to the ratio-test maximum, the fraction-to-boundary rule tests
+    only the nonlinear rows; above it, every row."""
+
+    def test_linear_rows_never_reject_the_trial_at_alpha_max(self, boundary_tests):
+        # Random linear-row iterates; searches that stop after their first
+        # trial.  In exact arithmetic the ratio test puts the binding row on
+        # the bound, so testing the linear rows again rejects about half of
+        # these trials on rounding alone.
+        binding = 0
+        for seed in range(20):
+            problem, it = random_interior_setup(np.random.default_rng(seed), n=8, m=12)
+            fs = factorized_at(problem, it)
+            for gamma in (0.0, 0.5, 1.0):
+                d = compute_direction(fs, it, gamma)
+                alpha_max = max_primal_step(it, d, _boundary_bound(it, d, fs.delta),
+                                            problem._theta_p)
+                binding += bool(alpha_max < 1.0 and d.slope < 0)
+                _line_search(fs, it, problem, d,
+                             below_minimum=lambda alpha: alpha != alpha_max,
+                             accepts=lambda new, alpha: True)
+        assert binding >= 20
+        assert all(passed for _, passed in boundary_tests)
+
+    def test_nonlinear_row_below_the_floor_is_rejected(self, boundary_tests):
+        # a = x^2 - 1 has ds = 0 at x = 0, so alpha_max = 1, but s+ = 1 -
+        # 0.99^2 = 0.0199 lies below theta_b * bound = 0.0985.
+        p, it = _one_row(lambda x: x * x - 1.0, lambda x: 2.0 * x, linear=False)
+        d = direction(0.99, 0.0, 0.0)
+        bound = _boundary_bound(it, d, 0.0)
+        assert max_primal_step(it, d, bound, p._theta_p) == 1.0
+        assert _trial(it, p, d, bound, 1.0, 1.0) == (None, 0.0, np.inf)
+        assert boundary_tests == [(1, False)]
+
+    def test_trial_above_alpha_max_tests_every_row(self, boundary_tests):
+        # a = x - 1: alpha_max = 0.9015 / 0.99; the full step leaves
+        # s+ = 0.01 below theta_b * bound = 0.0985.
+        p, it = _one_row(lambda x: x - 1.0, lambda x: 1.0, linear=True)
+        d = direction(0.99, -0.99, 0.0)
+        bound = _boundary_bound(it, d, 0.0)
+        alpha_max = max_primal_step(it, d, bound, p._theta_p)
+        assert alpha_max == pytest.approx(0.9015 / 0.99, rel=1e-3)
+        assert _trial(it, p, d, bound, alpha_max, 1.0) == (None, 0.0, np.inf)
+        _trial(it, p, d, bound, alpha_max, alpha_max)
+        assert boundary_tests == [(1, False), (0, True)]
+
+
 class TestDualInterval:
     def test_constant_feasible_interval(self):
         it = raw_iterate(1.0, [0.0], [1.0], [1.0], [0.0])
@@ -411,6 +491,8 @@ class TestThetaPVector:
                     linear_indices=frozenset({0, 2}))
         assert p._theta_p.tolist() == [
             THETA_P_LINEAR, THETA_P_NONLINEAR, THETA_P_LINEAR]
+        assert p._nonlinear_rows.tolist() == [False, True, False]
+        assert not p._nonlinear_rows.flags.writeable
         assert quadratic_problem([[1.0]], [0.0])._theta_p.shape == (0,)
 
 
