@@ -33,23 +33,25 @@ The paper's own restart rule is not in ``PAPER.md``; its reference
 implementation is github.com/ohinder/OnePhase.
 
 Factorizations use numpy's LAPACK (``np.linalg.cholesky``), the same
-OpenBLAS build that assembles ``M``.  numpy and scipy each ship their own
-OpenBLAS with its own thread pool; factoring with scipy's while numpy's
-assembles made the two pools contend on every outer iteration (an order of
-magnitude at n = 128 on two cores).  The backsolves call scipy's LAPACK
-``dpotrs`` directly, the routine ``scipy.linalg.cho_solve`` ends in: the
-same bits without its batching and validation wrapper, which cost more than
-the solve itself for n <= 10.  Thread counts are left to the user's
-``OPENBLAS_NUM_THREADS``.
+OpenBLAS build that assembles ``M``.  scipy ships a second OpenBLAS with
+its own thread pool; factoring with scipy's while numpy's assembled made
+the two pools contend on every outer iteration (an order of magnitude at
+n = 128 on two cores).  The backsolves call LAPACK ``dpotrs`` from numpy's
+OpenBLAS too, through ``ctypes``: ``np.linalg.solve`` would factor again,
+and scipy's ``dpotrs``, which gives the same bits, made ``import onephase``
+load ``scipy.linalg``, most of its import time.  So one OpenBLAS does all
+the dense work, and ``onephase`` does not import scipy.  Thread counts are
+left to the user's ``OPENBLAS_NUM_THREADS``.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import get_lapack_funcs
+from numpy.linalg import _umath_linalg
 
 from .iterate import BETA1, Iterate
 from .problem import NlpProblem
@@ -60,7 +62,36 @@ DELTA_INC = 8.0            # growth factor after a failed trial
 DELTA_DEC = float(np.pi)   # decay of the previous shift at the next restart
 DELTA_MAX = 1e50           # shift cap; reaching it ends the solve
 
-_potrs = get_lapack_funcs("potrs", dtype=np.float64)
+
+def _bind_dpotrs():
+    """LAPACK ``dpotrs`` of numpy's OpenBLAS and the integer type it takes.
+
+    ``dlsym`` through the handle of numpy's ``_umath_linalg`` extension also
+    searches the libraries that extension links, so the bundled OpenBLAS is
+    found without its file name, which carries a build hash.  PyPI wheels
+    export the routine with a ``scipy_`` prefix, and with a ``64_`` suffix
+    when numpy's LAPACK takes 64-bit integers.
+    """
+    lib = ctypes.CDLL(_umath_linalg.__file__)
+    if _umath_linalg._ilp64:
+        names, lapack_int = ("scipy_dpotrs_64_", "dpotrs_64_"), ctypes.c_int64
+    else:
+        names, lapack_int = ("scipy_dpotrs_", "dpotrs_"), ctypes.c_int
+    for name in names:
+        if hasattr(lib, name):
+            potrs = getattr(lib, name)
+            potrs.restype = None
+            return potrs, lapack_int
+    raise ImportError(f"numpy's LAPACK exports no dpotrs (tried {', '.join(names)})")
+
+
+_dpotrs, _LapackInt = _bind_dpotrs()
+_ONE = ctypes.byref(_LapackInt(1))
+# The length of the one-character UPLO, which Fortran passes after the
+# declared arguments.
+_UPLO_LEN = ctypes.c_size_t(1)
+# A zero-length ctypes array views the start of a buffer of any length.
+_Doubles = ctypes.c_double * 0
 
 
 class MaxDeltaError(RuntimeError):
@@ -200,9 +231,23 @@ def solve_shifted(fs: FactorizedSystem, rhs: np.ndarray) -> np.ndarray:
 
 
 def _backsolve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    d, info = _potrs(factor, rhs, lower=True)
-    if info != 0:
-        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+    # dpotrs sees only a pointer: a C-ordered factor would be read as its
+    # transpose, and a short right-hand side would be overrun.
+    n = factor.shape[0]
+    d = np.array(rhs, dtype=np.float64)
+    if (factor.dtype != np.float64 or not factor.flags.f_contiguous
+            or factor.shape != (n, n) or d.shape != (n,)):
+        raise ValueError("potrs needs a Fortran-ordered float64 (n, n) factor "
+                         f"and a length-n right-hand side, got {factor.dtype} "
+                         f"{factor.shape} and {d.shape}")
+    size = ctypes.byref(_LapackInt(n))
+    info = _LapackInt()  # one per call: ctypes releases the GIL during it
+    # Arguments are passed as ctypes objects, without argtypes, whose
+    # conversions cost more than the whole call at n = 5.
+    _dpotrs(b"L", size, _ONE, _Doubles.from_buffer(factor.T), size,
+            _Doubles.from_buffer(d), size, ctypes.byref(info), _UPLO_LEN)
+    if info.value != 0:
+        raise ValueError(f"illegal value in {-info.value}th argument of internal potrs")
     return d
 
 

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from helpers import run_python
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "onephase"
 
 def _exported(tree: ast.Module) -> set[str]:
@@ -74,3 +76,12 @@ def test_check_flags_an_unused_definition():
                     "__all__ = ['Public']\n",
                "b": "import a\na.used()\n"}
     assert unused_definitions(sources) == {"a:orphan": 4}
+
+
+def test_import_loads_no_scipy():
+    # scipy.linalg was most of the import time, loaded for one LAPACK
+    # routine that numpy's own OpenBLAS provides.
+    done = run_python("import sys, onephase, onephase.cli; "
+                      "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

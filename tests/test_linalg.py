@@ -18,6 +18,7 @@ from onephase.linalg import (
     DELTA_INC,
     DELTA_MIN,
     MaxDeltaError,
+    _backsolve,
     assemble_schur,
     escalate_delta,
     factorize_with_shift,
@@ -222,7 +223,7 @@ class TestSingleBlasFactorization:
         fs = factorize_with_shift(matrix(M), 0.0)
         assert (fs.delta == 0.0) == (kind == "spd")
         assert np.all(np.triu(fs.factor, 1) == 0.0)
-        assert fs.factor.flags.f_contiguous  # cho_solve copies a C-ordered factor
+        assert fs.factor.flags.f_contiguous  # _backsolve refuses a C-ordered factor
         assert_allclose(fs.factor @ fs.factor.T, fs.shifted, rtol=0,
                         atol=1e-12 * np.abs(fs.shifted).max())
         rhs = rng.standard_normal(n)
@@ -253,25 +254,50 @@ def cho_solve_shifted(fs, rhs):
     return d, refined
 
 
+def matches_cho_solve(rng, n):
+    """Check ``solve_shifted`` against :func:`cho_solve_shifted` to the bit
+    on a random SPD matrix of size ``n`` with a condition number up to
+    1e14; return whether the refinement round ran."""
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    M = (Q * np.geomspace(1.0, 10.0 ** -rng.uniform(0, 14), n)) @ Q.T
+    fs = factorize_with_shift(0.5 * (M + M.T), 0.0)
+    rhs = rng.standard_normal(n)
+    want, refined = cho_solve_shifted(fs, rhs)
+    solves = fs.solves
+    got = solve_shifted(fs, rhs)
+    assert got.tobytes() == want.tobytes()
+    assert fs.solves - solves == 1 + refined
+    return refined
+
+
 class TestSolveShifted:
     def test_equals_cho_solve_to_the_bit(self):
-        # Random SPD matrices with condition numbers up to 1e14, so that
-        # both branches, with and without refinement, are taken.
+        # Condition numbers up to 1e14, so that both branches, with and
+        # without refinement, are taken.  The small sizes are the registry's;
+        # 40 to 256 span the benchmark's, where dtrsm works in blocks.
         rng = np.random.default_rng(16)
-        refined_seen = set()
-        for _ in range(80):
-            n = int(rng.integers(1, 12))
-            Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-            M = (Q * np.geomspace(1.0, 10.0 ** -rng.uniform(0, 14), n)) @ Q.T
-            fs = factorize_with_shift(0.5 * (M + M.T), 0.0)
-            rhs = rng.standard_normal(n)
-            want, refined = cho_solve_shifted(fs, rhs)
-            solves = fs.solves
-            got = solve_shifted(fs, rhs)
-            assert got.tobytes() == want.tobytes()
-            assert fs.solves - solves == 1 + refined
-            refined_seen.add(refined)
+        refined_seen = {matches_cho_solve(rng, int(rng.integers(1, 12))) for _ in range(80)}
         assert refined_seen == {False, True}
+        rng = np.random.default_rng(26)
+        refined_seen = {matches_cho_solve(rng, n) for n in (40, 60, 128, 256) for _ in range(4)}
+        assert refined_seen == {False, True}
+
+    def test_backsolve_refuses_a_factor_it_would_misread(self):
+        # dpotrs gets only a pointer: it would solve with the transpose of a
+        # C-ordered factor, or read a float32 one as garbage.
+        L = factorize_with_shift(matrix([[4.0, 2.0], [2.0, 3.0]]), 0.0).factor
+        rhs = np.array([1.0, 2.0])
+        for bad in (np.ascontiguousarray(L), np.asfortranarray(L, dtype=np.float32)):
+            with pytest.raises(ValueError, match="Fortran-ordered float64"):
+                _backsolve(bad, rhs)
+        with pytest.raises(ValueError, match="length-n right-hand side"):
+            _backsolve(L, rhs[:1])
+
+    def test_backsolve_raises_on_lapack_info(self):
+        # LAPACK wants LDA >= max(1, N): an empty factor passes the layout
+        # checks and is refused by dpotrs itself.
+        with pytest.raises(ValueError, match="5th argument"):
+            _backsolve(np.zeros((0, 0), order="F"), np.zeros(0))
 
     def test_scalar(self):
         fs = factorize_with_shift(matrix([[5.0]]), 0.0)
