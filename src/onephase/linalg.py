@@ -32,16 +32,19 @@ Biegler 2006, section 3.1) instead certifies divergence after one step.
 The paper's own restart rule is not in ``PAPER.md``; its reference
 implementation is github.com/ohinder/OnePhase.
 
-Factorizations use numpy's LAPACK (``np.linalg.cholesky``), the same
-OpenBLAS build that assembles ``M``.  scipy ships a second OpenBLAS with
-its own thread pool; factoring with scipy's while numpy's assembled made
-the two pools contend on every outer iteration (an order of magnitude at
-n = 128 on two cores).  The backsolves call LAPACK ``dpotrs`` from numpy's
-OpenBLAS too, through ``ctypes``: ``np.linalg.solve`` would factor again,
-and scipy's ``dpotrs``, which gives the same bits, made ``import onephase``
-load ``scipy.linalg``, most of its import time.  So one OpenBLAS does all
-the dense work, and ``onephase`` does not import scipy.  Thread counts are
-left to the user's ``OPENBLAS_NUM_THREADS``.
+The trial factorizations (LAPACK ``dpotrf``, with ``dlaset`` zeroing the
+upper triangle) and the backsolves (``dpotrs``) call the OpenBLAS that
+numpy bundles, the same build that assembles ``M``, through one
+``ctypes`` binding.  scipy ships a second OpenBLAS with its own thread
+pool: factoring with it while numpy's assembled made the two pools
+contend on every outer iteration (an order of magnitude at n = 128 on two
+cores), and importing ``scipy.linalg`` was most of ``import onephase``'s
+time.  ``np.linalg.cholesky`` calls the same ``dpotrf`` but makes three
+copies of the matrix around it, each a transpose, and raises an exception
+for every failed trial; ``np.linalg.solve`` would factor again.  So one
+OpenBLAS does all the dense work, a trial makes one copy, and
+``onephase`` does not import scipy.  Thread counts are left to the user's
+``OPENBLAS_NUM_THREADS``.
 """
 
 from __future__ import annotations
@@ -63,30 +66,32 @@ DELTA_DEC = float(np.pi)   # decay of the previous shift at the next restart
 DELTA_MAX = 1e50           # shift cap; reaching it ends the solve
 
 
-def _bind_dpotrs():
-    """LAPACK ``dpotrs`` of numpy's OpenBLAS and the integer type it takes.
+# dlsym through the handle of numpy's _umath_linalg extension also searches
+# the libraries that extension links, so the bundled OpenBLAS is found
+# without its file name, which carries a build hash.
+_LAPACK = ctypes.CDLL(_umath_linalg.__file__)
+_LapackInt = ctypes.c_int64 if _umath_linalg._ilp64 else ctypes.c_int
 
-    ``dlsym`` through the handle of numpy's ``_umath_linalg`` extension also
-    searches the libraries that extension links, so the bundled OpenBLAS is
-    found without its file name, which carries a build hash.  PyPI wheels
-    export the routine with a ``scipy_`` prefix, and with a ``64_`` suffix
-    when numpy's LAPACK takes 64-bit integers.
+
+def _bind_lapack(routine: str):
+    """LAPACK ``routine`` of numpy's OpenBLAS, returning nothing.
+
+    PyPI wheels export it with a ``scipy_`` prefix, and with a ``64_``
+    suffix when numpy's LAPACK takes 64-bit integers (``_LapackInt``).
     """
-    lib = ctypes.CDLL(_umath_linalg.__file__)
-    if _umath_linalg._ilp64:
-        names, lapack_int = ("scipy_dpotrs_64_", "dpotrs_64_"), ctypes.c_int64
-    else:
-        names, lapack_int = ("scipy_dpotrs_", "dpotrs_"), ctypes.c_int
+    suffix = "_64_" if _umath_linalg._ilp64 else "_"
+    names = (f"scipy_{routine}{suffix}", f"{routine}{suffix}")
     for name in names:
-        if hasattr(lib, name):
-            potrs = getattr(lib, name)
-            potrs.restype = None
-            return potrs, lapack_int
-    raise ImportError(f"numpy's LAPACK exports no dpotrs (tried {', '.join(names)})")
+        if hasattr(_LAPACK, name):
+            fn = getattr(_LAPACK, name)
+            fn.restype = None
+            return fn
+    raise ImportError(f"numpy's LAPACK exports no {routine} (tried {', '.join(names)})")
 
 
-_dpotrs, _LapackInt = _bind_dpotrs()
+_dpotrf, _dpotrs, _dlaset = map(_bind_lapack, ("dpotrf", "dpotrs", "dlaset"))
 _ONE = ctypes.byref(_LapackInt(1))
+_ZERO = ctypes.byref(ctypes.c_double(0.0))
 # The length of the one-character UPLO, which Fortran passes after the
 # declared arguments.
 _UPLO_LEN = ctypes.c_size_t(1)
@@ -106,7 +111,9 @@ class MaxDeltaError(RuntimeError):
 
 @dataclass
 class FactorizedSystem:
-    """Lower Cholesky factor of ``shifted = M + delta*I`` (``M`` if delta = 0)."""
+    """Lower Cholesky factor of ``shifted = M + delta*I`` (``M`` if delta = 0),
+    Fortran-ordered with a zero strict upper triangle: the layout
+    ``dpotrs`` reads in :func:`_backsolve`."""
 
     delta: float
     shifted: np.ndarray
@@ -141,13 +148,32 @@ def assemble_schur(problem: NlpProblem, it: Iterate) -> np.ndarray:
 
 
 def _try_cholesky(A: np.ndarray) -> np.ndarray | None:
-    # A must be finite (factorize_with_shift checks): LAPACK factors NaNs
-    # into NaNs without reporting a failure.  The factor is stored in
-    # Fortran order once, which spares potrs a copy per backsolve.
-    try:
-        return np.asfortranarray(np.linalg.cholesky(A))
-    except np.linalg.LinAlgError:
+    """Lower Cholesky factor of ``A``, Fortran-ordered, or ``None`` when
+    ``A`` is not positive definite.
+
+    ``A`` must be finite (:func:`factorize_with_shift` checks): LAPACK
+    factors NaNs into NaNs without reporting a failure.  ``A`` must also be
+    exactly symmetric, as :func:`assemble_schur` makes it: ``dpotrf`` reads
+    the lower triangle of a C-ordered copy taken as Fortran-ordered, which
+    is the upper triangle of ``A``.  The copy is factored in place and its
+    transpose, the factor in Fortran order, returned.
+    """
+    factor = np.array(A, dtype=np.float64, order="C")
+    n = factor.shape[0]
+    if factor.shape != (n, n):
+        raise ValueError(f"potrf needs a square matrix, got shape {factor.shape}")
+    size = ctypes.byref(_LapackInt(n))
+    info = _LapackInt()  # one per call: ctypes releases the GIL during it
+    _dpotrf(b"L", size, _Doubles.from_buffer(factor), size, ctypes.byref(info), _UPLO_LEN)
+    if info.value > 0:
         return None
+    if info.value < 0:
+        raise ValueError(f"illegal value in {-info.value}th argument of internal potrf")
+    # dpotrf leaves the strict upper triangle as it was: zero it, as the
+    # upper triangle of the (n-1) x (n-1) block from A(1, 2), n doubles in.
+    rest = ctypes.byref(_LapackInt(n - 1))
+    _dlaset(b"U", rest, rest, _ZERO, _ZERO, _Doubles.from_buffer(factor, 8 * n), size, _UPLO_LEN)
+    return factor.T
 
 
 def shift_floor(grad_norm: float, x_norm: float) -> float:
@@ -172,7 +198,8 @@ def factorize_with_shift(M: np.ndarray, delta_in: float,
     solver passes :func:`shift_floor` at the iterate ``M`` was assembled
     at, and the default is ``delta_min``.  A non-finite ``M`` (an
     overflowed assembly) raises :class:`MaxDeltaError` at once: no shift
-    factors it.
+    factors it.  ``M`` must be exactly symmetric, as :func:`assemble_schur`
+    returns it: the trials read its upper triangle (see :func:`_try_cholesky`).
     """
     if not np.isfinite(M).all():
         raise MaxDeltaError(math.inf, "Schur matrix has non-finite entries; no shift factors it")

@@ -1,8 +1,13 @@
+import ctypes
+
 import numpy as np
 import pytest
 import scipy.linalg
+from numpy.linalg import _umath_linalg
 from numpy.testing import assert_allclose
 
+import onephase.linalg as linalg_module
+import onephase.solver as solver_module
 from onephase import (
     LinearRow,
     NlpProblem,
@@ -10,6 +15,7 @@ from onephase import (
     SolveStatus,
     SourceConstraint,
     SourceProblem,
+    builtin_registry,
     solve,
     to_inequality_form,
 )
@@ -19,6 +25,8 @@ from onephase.linalg import (
     DELTA_MIN,
     MaxDeltaError,
     _backsolve,
+    _bind_lapack,
+    _try_cholesky,
     assemble_schur,
     escalate_delta,
     factorize_with_shift,
@@ -27,7 +35,7 @@ from onephase.linalg import (
 )
 from onephase.solver import _refactorize
 
-from helpers import quadratic_problem, run_python
+from helpers import planted_qp, quadratic_problem, run_python
 
 
 def matrix(M):
@@ -120,6 +128,28 @@ class TestAssembleSchur:
         assert problem._general_rows.tolist() == [1, 3]
         assert_matches_dense(problem, np.random.default_rng(6))
 
+    def test_every_assembly_of_a_solve_is_exactly_symmetric(self, monkeypatch):
+        # _try_cholesky factors the upper triangle of M as if it were the
+        # lower one: that is M only when M equals its transpose to the bit.
+        asymmetric, assemblies = [], []
+
+        def checked(problem, it):
+            M = assemble(problem, it)
+            assemblies.append(problem.name)
+            if not np.array_equal(M, M.T):
+                asymmetric.append(problem.name)
+            return M
+
+        assemble = solver_module.assemble_schur
+        monkeypatch.setattr(solver_module, "assemble_schur", checked)
+        for entry in builtin_registry().values():
+            problem, _ = entry.build()
+            solve(problem, entry.x_start)
+        problem = planted_qp(27)
+        solve(problem, np.zeros(problem.n))
+        assert len(set(assemblies)) == len(builtin_registry()) + 1
+        assert asymmetric == []
+
     def test_no_bounds_is_the_dense_product_to_the_bit(self):
         rng = np.random.default_rng(7)
         H = rng.standard_normal((5, 5))
@@ -211,6 +241,68 @@ class TestNonFiniteSchur:
         assert out.returncode == 0, out.stderr
         assert out.stdout.split(maxsplit=1) == [
             "inf", "Schur matrix has non-finite entries; no shift factors it\n"]
+
+
+class TestLapackBinding:
+    def test_every_routine_binds_at_numpy_integer_width(self):
+        width = ctypes.c_int64 if _umath_linalg._ilp64 else ctypes.c_int
+        assert linalg_module._LapackInt is width
+        for routine in ("dpotrf", "dpotrs", "dlaset"):
+            assert callable(_bind_lapack(routine))
+
+    def test_missing_routine_is_named(self):
+        with pytest.raises(ImportError, match="exports no dnosuch "):
+            _bind_lapack("dnosuch")
+
+
+# Sizes on both sides of OpenBLAS's switches from the unblocked to the
+# blocked and the threaded potrf.  Each indefinite matrix is an SPD one with
+# a negative diagonal entry halfway down, so the failure comes mid-factor.
+_BIT_IDENTITY_SCRIPT = """
+import numpy as np
+from onephase.linalg import _try_cholesky
+rng = np.random.default_rng(27)
+for n in (1, 2, 31, 32, 33, 60, 63, 64, 65, 127, 128, 129, 200, 256):
+    B = rng.standard_normal((n, n))
+    spd = B @ B.T / n + 0.1 * np.eye(n)
+    indefinite = spd.copy()
+    indefinite[n // 2, n // 2] = -1.0
+    for kind, A in (("spd", spd), ("indefinite", indefinite)):
+        A = 0.5 * (A + A.T)
+        try:
+            want = np.asfortranarray(np.linalg.cholesky(A))
+        except np.linalg.LinAlgError:
+            want = None
+        got = _try_cholesky(A)
+        if want is None:
+            print(n, kind, "none" if got is None else "factor where numpy raises")
+        else:
+            same = got.flags.f_contiguous and got.tobytes() == want.tobytes()
+            print(n, kind, "equal" if same else "differs")
+"""
+
+
+class TestTryCholesky:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_bits_equal_numpy_cholesky(self, threads):
+        out = run_python(_BIT_IDENTITY_SCRIPT, env={"OPENBLAS_NUM_THREADS": threads})
+        assert out.returncode == 0, out.stderr
+        lines = out.stdout.splitlines()
+        assert len(lines) == 28
+        for line in lines:
+            n, kind, outcome = line.split(maxsplit=2)
+            assert outcome == ("equal" if kind == "spd" else "none"), line
+
+    def test_raises_on_lapack_info(self):
+        # LAPACK wants LDA >= max(1, N): an empty matrix is refused by
+        # dpotrf itself.
+        with pytest.raises(ValueError, match="4th argument"):
+            _try_cholesky(np.zeros((0, 0)))
+
+    def test_refuses_a_matrix_it_would_overrun(self):
+        # dpotrf sees only a pointer: it would read n*n entries of a 2 x 3 array.
+        with pytest.raises(ValueError, match="square matrix"):
+            _try_cholesky(np.ones((2, 3)))
 
 
 class TestSingleBlasFactorization:

@@ -556,6 +556,19 @@ class TestWorkCounters:
         if trial_count is not None:
             assert len(trials) == trial_count
 
+    def test_trials_never_call_numpy_cholesky(self, monkeypatch):
+        # The trials call LAPACK directly: a failed one raises no exception,
+        # and numpy's three transposing copies are not made.
+        def numpy_cholesky(*args, **kwargs):
+            raise AssertionError("np.linalg.cholesky called")
+        monkeypatch.setattr(np.linalg, "cholesky", numpy_cholesky)
+        problem, x0, opts = _max_delta_example()
+        result = solve(problem, x0, opts)
+        assert result.status is SolveStatus.MAX_DELTA
+        assert result.counters["factorizations"] == 66
+        problem = planted_qp(27)
+        assert solve(problem, np.zeros(problem.n)).status is SolveStatus.OPTIMAL
+
 
 class TestEscalationShift:
     def test_escalation_receives_live_shift(self, monkeypatch):
