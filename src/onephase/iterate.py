@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .problem import NlpProblem
+from .problem import NlpProblem, _require_int
 
 
 def inf_norm(v: np.ndarray) -> float:
@@ -63,14 +64,14 @@ class SolverOptions:
     max_time: float = 3600.0   # wall-clock budget, seconds
 
     def validate(self) -> None:
-        for name in ("eps_opt", "mu_scale"):
+        for name in ("eps_opt", "mu_scale", "max_time"):
             value = getattr(self, name)
-            if not 0 < value < math.inf:
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):  # bool is an int
+                raise ValueError(f"{name}={value!r} is not a number")
+            # max_time may be 0 or inf; NaN fails either test
+            if not (value >= 0 if name == "max_time" else 0 < value < math.inf):
                 raise ValueError(f"{name}={value} outside its admissible interval")
-        if not self.max_time >= 0:  # NaN fails this test too
-            raise ValueError(f"max_time={self.max_time} outside its admissible interval")
-        if not isinstance(self.max_iter, (int, np.integer)):
-            raise ValueError(f"max_iter={self.max_iter!r} is not an integer")
+        _require_int("max_iter", self.max_iter)
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -258,15 +259,15 @@ def aggressive_criterion(it: Iterate) -> bool:
 
 def merit_psi(it: Iterate) -> float:
     """Shifted log-barrier merit
-    psi_mu(x) = f(x) - mu * sum_i (beta1*a_i(x) + log(mu*w_i - a_i(x))).
+    psi_mu(x) = f(x) - mu * sum_i (beta1*a_i(x) + log(mu*w_i - a_i(x))),
+    where mu*w - a(x) is the slack ``s``, as every slack update keeps it.
 
-    Returns +inf when any shifted slack is nonpositive, so backtracking
-    treats boundary violations like any other merit increase.
+    Returns +inf when any slack is nonpositive, so backtracking treats
+    boundary violations like any other merit increase.
     """
-    slack = it.mu * it.w - it.a
-    if slack.min(initial=np.inf) <= 0:
+    if it.s.min(initial=np.inf) <= 0:
         return math.inf
-    return it.f - it.mu * float(BETA1 * it.a.sum() + np.log(slack).sum())
+    return it.f - it.mu * float(BETA1 * it.a.sum() + np.log(it.s).sum())
 
 
 def merit_phi(it: Iterate) -> float:

@@ -226,12 +226,12 @@ def factorize_growing_shift(M: np.ndarray, delta: float,
     finiteness :func:`factorize_with_shift` has checked.  Raises
     :class:`MaxDeltaError`, carrying the attempts, once ``delta >= delta_max``.
     """
-    eye = np.eye(M.shape[0])
+    shifted, diagonal = M.copy(), M.diagonal()  # one copy, its diagonal rewritten per trial
     while True:
         if delta >= DELTA_MAX:
             raise MaxDeltaError(delta, attempts=attempts)
         attempts += 1
-        shifted = M + delta * eye
+        np.fill_diagonal(shifted, diagonal + delta)
         L = _try_cholesky(shifted)
         if L is not None:
             return FactorizedSystem(delta, shifted, L, attempts)

@@ -16,11 +16,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-# The paper's fraction-to-boundary factors of the maximum step, which
-# NlpProblem lays out once per row (the line search in ``steps`` reads them).
-THETA_P_LINEAR = 0.1       # linear rows
-THETA_P_NONLINEAR = 0.25   # nonlinear rows
-
 
 class EvaluationError(RuntimeError):
     """A solve could not go on: a user callback raised, returned the wrong
@@ -51,7 +46,7 @@ def _instances(values: np.ndarray, types) -> np.ndarray:
 
 
 def _require_int(name: str, value) -> None:
-    if not isinstance(value, (int, np.integer)):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):  # bool is an int
         raise ValueError(f"{name}={value!r} is not an integer")
 
 
@@ -79,9 +74,9 @@ class NlpProblem:
     the diagonal entry ``var`` instead of reading the row of ``jac``, so a
     declared row's Jacobian row must be ``sign*e_var`` exactly (checked
     once per solve, at the start point).  ``n``, ``m``, rows, variables
-    and ``linear_indices`` must be ``int`` or ``np.integer``.  ``bounds``
-    and ``linear_indices`` are decoded into arrays when the problem is
-    built; replace them with :func:`dataclasses.replace`, not by assignment.
+    and ``linear_indices`` must be ``int`` or ``np.integer``, not ``bool``.
+    ``bounds`` and ``linear_indices`` are decoded into arrays when the problem
+    is built; replace them with :func:`dataclasses.replace`, not by assignment.
     """
 
     n: int
@@ -97,15 +92,13 @@ class NlpProblem:
     # Decoded by __post_init__: the columns of ``bounds``, the other rows (a
     # slice when the bound rows are the trailing block, as
     # to_inequality_form lays them out, so ``jac[_general_rows]`` is a view)
-    # and ``linear_indices`` as the read-only per-row factor ``_theta_p`` and
-    # the read-only mask ``_nonlinear_rows`` of the rows whose factor exceeds
-    # THETA_P_LINEAR.
+    # and ``linear_indices`` as the read-only mask ``_nonlinear_rows`` of
+    # the rows not listed there.
     _bound_row: np.ndarray = field(init=False, compare=False, repr=False)
     _bound_var: np.ndarray = field(init=False, compare=False, repr=False)
     _bound_sign: np.ndarray = field(init=False, compare=False, repr=False)
     _bound_c: np.ndarray = field(init=False, compare=False, repr=False)
     _general_rows: slice | np.ndarray = field(init=False, compare=False, repr=False)
-    _theta_p: np.ndarray = field(init=False, compare=False, repr=False)
     _nonlinear_rows: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -123,14 +116,16 @@ class NlpProblem:
         _raise_first_fault(self.bounds.__getitem__, (
             (~((0 <= row) & (row < self.m) & (0 <= var) & (var < self.n)),
              "bound row {0} or variable {1} out of range"),
-            (~_instances(table[:, :2], (int, np.integer)).all(axis=1),
+            ((_instances(table[:, :2], bool) | ~_instances(table[:, :2], (int, np.integer)))
+             .any(axis=1),
              "bound row {0} or variable {1} not an integer"),
             (text[:, 2:].any(axis=1), "bound row {0} has a sign or constant given as a string"),
             (np.abs(sign) != 1, "bound row {0} has sign {2}, not +-1"),
             (~np.isfinite(c), "bound row {0} has non-finite constant {3}"),
             (repeated, "bound row {0} declared twice")))
         for i in self.linear_indices:
-            if not (isinstance(i, (int, np.integer)) and 0 <= i < self.m):
+            if isinstance(i, bool) or not (isinstance(i, (int, np.integer))
+                                           and 0 <= i < self.m):
                 raise ValueError(f"linear index {i!r} is not an integer in 0..{self.m - 1}")
         self._bound_row, self._bound_var = row.astype(np.intp), var.astype(np.intp)
         self._bound_sign, self._bound_c = sign, c
@@ -139,10 +134,8 @@ class NlpProblem:
         n_general = self.m - row.size
         self._general_rows = (slice(0, n_general) if general[:n_general].all()
                               else np.flatnonzero(general))
-        self._theta_p = np.full(self.m, THETA_P_NONLINEAR)
-        self._theta_p[list(self.linear_indices)] = THETA_P_LINEAR
-        self._theta_p.flags.writeable = False
-        self._nonlinear_rows = self._theta_p > THETA_P_LINEAR
+        self._nonlinear_rows = np.ones(self.m, dtype=bool)
+        self._nonlinear_rows[list(self.linear_indices)] = False
         self._nonlinear_rows.flags.writeable = False
 
     # Validating wrappers; all solver code goes through these.
@@ -174,7 +167,8 @@ class Relation(enum.Enum):
 
 @dataclass
 class SourceConstraint:
-    """One nonlinear constraint ``func(x) REL rhs`` of a source problem."""
+    """One nonlinear constraint ``func(x) REL rhs`` of a source problem;
+    ``hess=None`` leaves its curvature out of the lowered ``eval_hess_lag``."""
 
     func: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]

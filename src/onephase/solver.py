@@ -161,11 +161,11 @@ def _project_onto_bounds(x: np.ndarray, var: np.ndarray, sign: np.ndarray,
     lower = np.full(x.shape[0], -np.inf)
     upper = np.full(x.shape[0], np.inf)
     # Each side keeps its tightest bound and, of equal ones, the first (so the
-    # sign of a zero), as min/max do: a stable sort by variable, then tightness.
-    for side, rows, key in ((upper, sign > 0, c), (lower, sign <= 0, -c)):
-        order = np.flatnonzero(rows)[np.lexsort((key[rows], var[rows]))]
-        j, first = np.unique(var[order], return_index=True)
-        side[j] = c[order[first]]
+    # sign of a zero): on a tie np.minimum/np.maximum return their second
+    # operand, so the rows are walked last to first.
+    up = sign[::-1] > 0
+    np.minimum.at(upper, var[::-1][up], c[::-1][up])
+    np.maximum.at(lower, var[::-1][~up], c[::-1][~up])
     # A missing side's pad is inf, so its target inf - inf is NaN, which the
     # strict comparisons below skip; on a tie they keep x, as max/min do.
     with np.errstate(invalid="ignore", over="ignore"):
@@ -224,9 +224,7 @@ def initialize(problem: NlpProblem, x_start: np.ndarray,
     a0 = problem.a(x0)
     s_raw = -a0
 
-    bound_mask = np.zeros(m, dtype=bool)
-    bound_mask[rows] = True
-    for k in np.flatnonzero(bound_mask & (s_raw <= 0))[:1]:
+    for k in np.sort(rows[s_raw[rows] <= 0])[:1]:
         raise EvaluationError(f"bound row {k} active or violated after projection")
 
     # One Newton direction at unit duals to estimate y.  The shifted slacks
@@ -254,7 +252,7 @@ def initialize(problem: NlpProblem, x_start: np.ndarray,
     grad_l0 = probe.grad_f + probe.jac.T @ y_tilde
     eps_s = max(-2.0 * float(np.min(s_tilde)),
                 inf_norm(grad_l0) / (float(np.linalg.norm(y_tilde)) + 1.0))
-    free = ~bound_mask
+    free = problem._general_rows  # the rows that bounds leave unpinned
     s_tilde[free] += eps_s
 
     denom_s = 2.0 * float(s_tilde.sum())

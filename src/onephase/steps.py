@@ -45,6 +45,8 @@ BETA_KKT = 0.01            # filter KKT reduction factor
 BETA_EXP = 0.5             # fraction-to-boundary step-size exponent
 BETA8 = 0.9                # dual-feasibility guard threshold
 THETA_B = 0.1              # fraction-to-boundary, acceptance
+THETA_P_LINEAR = THETA_B   # fraction-to-boundary, maximum step: linear rows
+THETA_P_NONLINEAR = 0.25   # and nonlinear rows
 MAX_GUARD_RETRIES = 10
 
 
@@ -136,14 +138,15 @@ def _boundary_bound(it: Iterate, direction: Direction, delta: float) -> np.ndarr
 
 
 def max_primal_step(it: Iterate, direction: Direction, bound: np.ndarray,
-                    theta_p: np.ndarray) -> float:
+                    nonlinear: np.ndarray) -> float:
     """Largest alpha in [0,1] with s + alpha*ds >= theta_p * bound, where
-    ``bound`` is :func:`_boundary_bound` of ``direction``.
+    ``bound`` is :func:`_boundary_bound` of ``direction`` and theta_p is
+    THETA_P_NONLINEAR on the ``nonlinear`` rows, THETA_P_LINEAR elsewhere.
 
     The bound caps at ``theta_p * s``, so alpha = 0 is always feasible and
     the largest alpha follows from a per-component ratio test.
     """
-    floor = theta_p * bound
+    floor = np.where(nonlinear, THETA_P_NONLINEAR, THETA_P_LINEAR) * bound
     room = it.s - floor
     shrinking = direction.ds < 0
     if not shrinking.any():
@@ -330,7 +333,7 @@ def _line_search(fs: FactorizedSystem, it: Iterate, problem: NlpProblem,
     if direction.slope >= 0:
         return StepOutcome(False, None, direction, reason="not a descent direction")
     bound = _boundary_bound(it, direction, fs.delta)
-    alpha_p = alpha_max = max_primal_step(it, direction, bound, problem._theta_p)
+    alpha_p = alpha_max = max_primal_step(it, direction, bound, problem._nonlinear_rows)
     guard_retries = 0
     while not below_minimum(alpha_p):
         try:
@@ -361,7 +364,7 @@ def aggressive_step(fs: FactorizedSystem, it: Iterate, problem: NlpProblem) -> S
     if not _finite_direction(predictor):
         return StepOutcome(False, None, predictor, reason="non-finite direction")
     alpha_hat = max_primal_step(it, predictor, _boundary_bound(it, predictor, fs.delta),
-                                problem._theta_p)
+                                problem._nonlinear_rows)
     gamma = min(0.5, (1.0 - alpha_hat) ** 2)
     alpha_min = theta_bar(it.mu, it.s, it.w)
     return _line_search(fs, it, problem, compute_direction(fs, it, gamma),

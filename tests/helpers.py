@@ -1,5 +1,7 @@
 """Shared constructors for solver tests."""
 
+import functools
+import importlib.util
 import os
 import subprocess
 import sys
@@ -9,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 import onephase.solver as solver_module
-from onephase import Iterate, LinearRow, NlpProblem, Relation, SourceProblem, to_inequality_form
+from onephase import Iterate, NlpProblem, build_source, to_inequality_form
 
 
 def linear_problem(grad, jac_rows, a_consts, name="toy"):
@@ -58,37 +60,25 @@ def quadratic_problem(H, g, jac_rows=None, a_consts=None, name="toy-qp"):
     )
 
 
+@functools.cache
+def perfbench_module(name):
+    """``perfbench/<name>.py``, loaded from its file (``perfbench`` is not a
+    package) and registered in ``sys.modules`` for its dataclasses."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def planted_qp(seed, n=128):
-    """Strictly convex QP with a planted optimum, lowered: a banded Q, n/2
-    general >= rows (a third of them active) and a box on every variable
-    (a third of the variables at a bound)."""
-    rng = np.random.default_rng(seed)
-    Q = np.diag(rng.uniform(3.0, 4.0, n))
-    for k in (1, 2):
-        band = rng.uniform(-0.5, 0.5, n - k)
-        Q += np.diag(band, k) + np.diag(band, -k)
-    lower = -1.0 - rng.uniform(0.0, 1.0, n)
-    upper = 1.0 + rng.uniform(0.0, 1.0, n)
-    side = rng.integers(0, 6, n)    # 0: at lower, 1: at upper, else interior
-    x = rng.uniform(lower + 0.1, upper - 0.1)
-    x[side == 0] = lower[side == 0]
-    x[side == 1] = upper[side == 1]
-    G = rng.standard_normal((n // 2, n)) / np.sqrt(n)
-    active = rng.random(n // 2) < 1.0 / 3.0
-    h = G @ x - np.where(active, 0.0, rng.uniform(0.1, 1.0, n // 2))
-    # unit multipliers on the active rows and bounds make x stationary
-    c = -Q @ x + G.T @ active + (side == 0) - (side == 1)
-    source = SourceProblem(
-        n=n,
-        eval_f=lambda z: 0.5 * float(z @ Q @ z) + float(c @ z),
-        eval_grad_f=lambda z: Q @ z + c,
-        eval_hess_f=lambda z: Q,
-        linear_rows=[LinearRow(G[i], Relation.GE, float(h[i])) for i in range(n // 2)],
-        lower=lower,
-        upper=upper,
-        name=f"planted-qp{seed}",
-    )
-    return to_inequality_form(source)[0]
+    """The benchmark's strictly convex QP with a planted optimum
+    (``perfbench/workloads.py``'s ``_planted_qp``: a banded Q, n/2 general
+    >= rows, a third of them active, and a box on every variable, a third
+    of the variables at a bound), lowered."""
+    pf, _, _ = perfbench_module("workloads")._planted_qp(
+        np.random.default_rng(seed), n, n // 2, 0, f"planted-qp{seed}")
+    return to_inequality_form(build_source(pf))[0]
 
 
 def raw_iterate(mu, x, s, y, w, f=0.0, grad_f=None, a=None, jac=None):

@@ -4,27 +4,17 @@ that its module stops calling would read zero in a per-layer metric and
 fail nothing else, so this test solves every registry entry and one
 problem file with each name wrapped in a counter."""
 
-import importlib.util
 import inspect
-from pathlib import Path
 
 from onephase import builtin_registry, serialize_problem_file, solve
 from onephase.cli import run_cli
 
-REPO = Path(__file__).resolve().parents[1]
-
-
-def _rebound() -> dict:
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_tracer", REPO / "perfbench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer.REBOUND
+from helpers import perfbench_module
 
 
 def test_every_rebound_name_is_called_by_its_module(tmp_path, monkeypatch, capsys):
     calls = {}
-    for module, names in _rebound().items():
+    for module, names in perfbench_module("tracer").REBOUND.items():
         for name in names:
             key = f"{module.__name__}.{name}"
             fn = getattr(module, name)

@@ -8,6 +8,7 @@ lists it in ``__all__``.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -76,6 +77,52 @@ def test_check_flags_an_unused_definition():
                     "__all__ = ['Public']\n",
                "b": "import a\na.used()\n"}
     assert unused_definitions(sources) == {"a:orphan": 4}
+
+
+def _attribute_reads(tree: ast.AST) -> Counter:
+    return Counter(node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+
+
+def _declares_decoded_field(node: ast.stmt) -> bool:
+    """``node`` is ``name: type = field(..., init=False, ...)``."""
+    return (isinstance(node, ast.AnnAssign) and isinstance(node.value, ast.Call)
+            and any(kw.arg == "init" and isinstance(kw.value, ast.Constant)
+                    and kw.value.value is False for kw in node.value.keywords))
+
+
+def unread_fields(sources: dict[str, str]) -> dict[str, int]:
+    """The ``field(init=False)`` attributes declared in the classes of
+    ``sources`` (module name to text) that no code outside the declaring
+    class reads, as ``{"module:Class.name": line}``: a decoded field that
+    nothing reads is a decode left behind."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    everywhere = sum(map(_attribute_reads, trees.values()), Counter())
+    unread = {}
+    for module, tree in trees.items():
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            inside = _attribute_reads(cls)
+            for node in filter(_declares_decoded_field, cls.body):
+                if everywhere[node.target.id] == inside[node.target.id]:
+                    unread[f"{module}:{cls.name}.{node.target.id}"] = node.lineno
+    return unread
+
+
+def test_every_decoded_field_is_read():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert not unread_fields(sources)
+
+
+def test_check_flags_an_unread_field():
+    sources = {"a": "@dataclass\nclass P:\n    n: int\n"
+                    "    _read: int = field(init=False)\n"
+                    "    _orphan: int = field(init=False, repr=False)\n"
+                    "    k: int = field(default=0)\n"
+                    "    def __post_init__(self):\n"
+                    "        self._read = self._orphan = self.n\n"
+                    "        print(self._orphan.real)\n",
+               "b": "def f(p):\n    return p._read + p.k\n"}
+    assert unread_fields(sources) == {"a:P._orphan": 5}
 
 
 def test_import_loads_no_scipy():

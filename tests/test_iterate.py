@@ -30,7 +30,6 @@ from onephase.iterate import (
     terminate_optimal,
     terminate_unbounded,
 )
-from onephase.problem import THETA_P_LINEAR, THETA_P_NONLINEAR
 
 from helpers import linear_problem, random_interior_setup, raw_iterate
 
@@ -102,7 +101,7 @@ class TestSolverOptionDefaults:
         assert (iterate.BETA1, iterate.BETA2, iterate.BETA3) == (1e-4, 0.01, 0.02)
         assert (steps.BETA4, steps.BETA5, steps.BETA6) == (0.2, 2.0 ** -5, 0.5)
         assert (steps.BETA_KKT, steps.BETA_EXP, steps.BETA8) == (0.01, 0.5, 0.9)
-        assert (steps.THETA_B, THETA_P_LINEAR, THETA_P_NONLINEAR) == (
+        assert (steps.THETA_B, steps.THETA_P_LINEAR, steps.THETA_P_NONLINEAR) == (
             0.1, 0.1, 0.25)
         assert (linalg.DELTA_MIN, linalg.DELTA_INC, linalg.DELTA_MAX) == (1e-8, 8.0, 1e50)
         assert linalg.DELTA_DEC == pytest.approx(np.pi)
@@ -115,8 +114,8 @@ class TestSolverOptionDefaults:
             assert 0 < value < 1
         assert 0 < iterate.BETA2 < iterate.BETA3 < 1
         assert 0.5 < steps.BETA8 < 1
-        assert steps.THETA_B <= THETA_P_LINEAR < 1
-        assert steps.THETA_B <= THETA_P_NONLINEAR < 1
+        assert steps.THETA_B <= steps.THETA_P_LINEAR < 1
+        assert steps.THETA_B <= steps.THETA_P_NONLINEAR < 1
         assert 0 < linalg.DELTA_MIN < linalg.DELTA_MAX < math.inf
         assert linalg.DELTA_INC > 1 and linalg.DELTA_DEC > 1
         assert 0 < solver.BETA11 <= solver.BETA12 < math.inf
@@ -130,13 +129,18 @@ class TestSolverOptionDefaults:
             SolverOptions(max_iter=0),
             SolverOptions(max_time=-1.0),
             SolverOptions(max_time=math.nan),
+            SolverOptions(eps_opt=True),
+            SolverOptions(mu_scale=True),
+            SolverOptions(max_time=True),
+            SolverOptions(eps_opt="1e-6"),
+            SolverOptions(max_time=None),
         ):
             with pytest.raises(ValueError):
                 bad.validate()
         SolverOptions(max_time=0.0).validate()
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, 2.5, 3000.0, "7"],
-                             ids=["nan", "inf", "fraction", "integral-float", "string"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 2.5, 3000.0, "7", True],
+                             ids=["nan", "inf", "fraction", "integral-float", "string", "bool"])
     def test_non_integer_max_iter_rejected(self, value):
         # inner_count >= nan is never true: a NaN budget would switch the limit off
         with pytest.raises(ValueError, match=f"max_iter={value!r} is not an integer"):

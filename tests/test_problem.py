@@ -225,7 +225,8 @@ class TestToInequalityForm:
         assert problem.m == 1
         assert_allclose(problem.a(np.array([1.0])), [1.0])  # 2 - x^2 <= 0
 
-    @pytest.mark.parametrize("n", [2.5, 2.0, "2"], ids=["fraction", "float", "string"])
+    @pytest.mark.parametrize("n", [2.5, 2.0, "2", True],
+                             ids=["fraction", "float", "string", "bool"])
     def test_non_integer_n_rejected(self, n):
         # numpy's TypeError from np.full(2.5, ...) escaped before this check
         with pytest.raises(ValueError, match=f"^n={n!r} is not an integer$"):
@@ -441,15 +442,17 @@ class TestDeclaredBounds:
         (((1.0, 0, 1, 0.0),), "bound row 1.0 or variable 0 not an integer"),
         (((0, 0, "1", 0.0),), "bound row 0 has a sign or constant given as a string"),
         (((0, 0, 1, "nan"),), "bound row 0 has a sign or constant given as a string"),
+        (((True, True, 1, 0.0),), "bound row True or variable True not an integer"),
     ], ids=["row-past-m", "row-negative", "var-past-n", "row-fractional",
             "var-fractional", "sign-zero", "sign-two", "const-nan", "const-inf",
-            "row-repeated", "row-string", "row-float", "sign-string", "const-string"])
+            "row-repeated", "row-string", "row-float", "sign-string", "const-string",
+            "row-bool"])
     def test_invalid_bounds_rejected(self, bounds, match):
         with pytest.raises(ValueError, match=match):
             replace(self.box(), bounds=bounds)
 
-    @pytest.mark.parametrize("indices", [{1.0}, {2}, {-1}, {"0"}],
-                             ids=["float", "past-m", "negative", "string"])
+    @pytest.mark.parametrize("indices", [{1.0}, {2}, {-1}, {"0"}, {True}],
+                             ids=["float", "past-m", "negative", "string", "bool"])
     def test_invalid_linear_indices_rejected(self, indices):
         (index,) = indices
         with pytest.raises(ValueError, match=f"linear index {index!r} is not an integer"):
@@ -459,9 +462,10 @@ class TestDeclaredBounds:
     @pytest.mark.parametrize("sizes, match", [
         ({"n": 2.5}, "n=2.5 is not an integer"),
         ({"m": 1.0}, "m=1.0 is not an integer"),
+        ({"n": True}, "n=True is not an integer"),
         ({"n": 0}, "at least one variable"),
         ({"m": -1}, "negative constraint count"),
-    ], ids=["n-fractional", "m-float", "n-zero", "m-negative"])
+    ], ids=["n-fractional", "m-float", "n-bool", "n-zero", "m-negative"])
     def test_invalid_sizes_rejected(self, sizes, match):
         with pytest.raises(ValueError, match=match):
             replace(self.box(), **sizes)
@@ -475,7 +479,8 @@ def _declared_bounds_loop(bounds, m, n):
         # a string row or variable is not compared: it is not an integer
         if not all(isinstance(x, str) or 0 <= x < size for x, size in ((row, m), (var, n))):
             raise ValueError(f"bound row {row} or variable {var} out of range")
-        if not (isinstance(row, (int, np.integer)) and isinstance(var, (int, np.integer))):
+        if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+                   for x in (row, var)):
             raise ValueError(f"bound row {row} or variable {var} not an integer")
         if isinstance(sign, str) or isinstance(c, str):
             raise ValueError(f"bound row {row} has a sign or constant given as a string")

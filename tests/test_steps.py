@@ -35,7 +35,6 @@ from onephase.steps import (
     stabilization_step,
     theta_bar,
 )
-from onephase.problem import THETA_P_LINEAR, THETA_P_NONLINEAR
 from onephase.steps import BETA8, THETA_B
 
 from helpers import linear_problem, quadratic_problem, random_interior_setup, raw_iterate
@@ -67,7 +66,7 @@ NO_ROW_VALUES = [
     ("terminate_infeasible", lambda p, it, d: terminate_infeasible(it) is not None, False),
     ("merit_psi", lambda p, it, d: merit_psi(it), lambda it: it.f),
     ("max_primal_step", lambda p, it, d: max_primal_step(
-        it, d, _boundary_bound(it, d, 0.0), p._theta_p), 1.0),
+        it, d, _boundary_bound(it, d, 0.0), p._nonlinear_rows), 1.0),
     ("fraction_to_boundary_ok", lambda p, it, d: fraction_to_boundary_ok(
         np.zeros(0), _boundary_bound(it, d, 0.0)), True),
     ("dual_step_size", lambda p, it, d: dual_step_size(
@@ -295,7 +294,7 @@ class TestLinearRowRule:
             for gamma in (0.0, 0.5, 1.0):
                 d = compute_direction(fs, it, gamma)
                 alpha_max = max_primal_step(it, d, _boundary_bound(it, d, fs.delta),
-                                            problem._theta_p)
+                                            problem._nonlinear_rows)
                 binding += bool(alpha_max < 1.0 and d.slope < 0)
                 _line_search(fs, it, problem, d,
                              below_minimum=lambda alpha: alpha != alpha_max,
@@ -309,7 +308,7 @@ class TestLinearRowRule:
         p, it = _one_row(lambda x: x * x - 1.0, lambda x: 2.0 * x, linear=False)
         d = direction(0.99, 0.0, 0.0)
         bound = _boundary_bound(it, d, 0.0)
-        assert max_primal_step(it, d, bound, p._theta_p) == 1.0
+        assert max_primal_step(it, d, bound, p._nonlinear_rows) == 1.0
         assert _trial(it, p, d, bound, 1.0, 1.0) == (None, 0.0, np.inf)
         assert boundary_tests == [(1, False)]
 
@@ -319,7 +318,7 @@ class TestLinearRowRule:
         p, it = _one_row(lambda x: x - 1.0, lambda x: 1.0, linear=True)
         d = direction(0.99, -0.99, 0.0)
         bound = _boundary_bound(it, d, 0.0)
-        alpha_max = max_primal_step(it, d, bound, p._theta_p)
+        alpha_max = max_primal_step(it, d, bound, p._nonlinear_rows)
         assert alpha_max == pytest.approx(0.9015 / 0.99, rel=1e-3)
         assert _trial(it, p, d, bound, alpha_max, 1.0) == (None, 0.0, np.inf)
         _trial(it, p, d, bound, alpha_max, alpha_max)
@@ -489,11 +488,9 @@ class TestThetaPVector:
     def test_linear_rows_get_the_linear_factor(self):
         p = replace(linear_problem([0.0], [[1.0], [2.0], [3.0]], [0.0, 0.0, 0.0]),
                     linear_indices=frozenset({0, 2}))
-        assert p._theta_p.tolist() == [
-            THETA_P_LINEAR, THETA_P_NONLINEAR, THETA_P_LINEAR]
         assert p._nonlinear_rows.tolist() == [False, True, False]
         assert not p._nonlinear_rows.flags.writeable
-        assert quadratic_problem([[1.0]], [0.0])._theta_p.shape == (0,)
+        assert quadratic_problem([[1.0]], [0.0])._nonlinear_rows.shape == (0,)
 
 
 class TestFilter:
