@@ -154,8 +154,7 @@ def _solve_file(path: Path, opts: SolverOptions, trace_dir) -> dict:
     try:
         problem, x_start = _load_file(path)
     except (ValueError, OSError) as exc:
-        row.update(status="parse-error", exit_code=USAGE_ERROR, error=str(exc),
-                   inner_iters="", outer_iters="", objective="", wall_time="")
+        row.update(status="parse-error", exit_code=USAGE_ERROR, error=str(exc))
         return row
     result = solve(problem, x_start, opts)
     row.update(

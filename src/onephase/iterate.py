@@ -87,9 +87,9 @@ class Iterate:
     The measures every consumer of one iterate reads are computed once, on
     first use: ``grad_lag_mu`` and ``grad_lag_0`` (``lagrangian_grad`` at
     ``mu`` and at 0), ``grad_norm`` (``||grad L_mu||_inf``), ``comp_norm``
-    (``||Sy - mu e||_inf``), ``sigma`` (``sigma(y)``) and
-    ``scaled_optimality`` (the first two measures of ``terminate_optimal``,
-    which the trace also reads).  The caches are sound only because the
+    (``||Sy - mu e||_inf``), ``sigma`` (``sigma(y)``) and ``optimality``
+    (the three measures of ``terminate_optimal``, which the trace also
+    reads).  The caches are sound only because the
     arrays are never mutated; the cached arrays are shared with every reader
     and must not be mutated either.
     """
@@ -133,13 +133,11 @@ class Iterate:
         return sigma(self.y)
 
     @cached_property
-    def scaled_optimality(self) -> tuple[float, float]:
-        """(sigma ||grad L_0||_inf, sigma ||Sy||_inf), the scaled dual
-        infeasibility and complementarity of :func:`terminate_optimal`."""
-        return self.sigma * inf_norm(self.grad_lag_0), self.sigma * inf_norm(self.s * self.y)
-
-    def primal_residual(self) -> np.ndarray:
-        return self.a + self.s - self.mu * self.w
+    def optimality(self) -> tuple[float, float, float]:
+        """(sigma ||grad L_0||_inf, sigma ||Sy||_inf, ||a + s||_inf), the
+        three measures of :func:`terminate_optimal`, in its order."""
+        return (self.sigma * inf_norm(self.grad_lag_0), self.sigma * inf_norm(self.s * self.y),
+                inf_norm(self.a + self.s))
 
 
 def make_iterate(
@@ -205,11 +203,11 @@ def terminate_optimal(it: Iterate, eps_opt: float) -> dict | None:
     """Scaled first-order optimality: the certificate (a dict of measured
     values) of sigma||grad L_0||, sigma||Sy|| and the raw primal residual
     ||a(x)+s|| when all three are below ``eps_opt``, else None."""
-    dual, comp = it.scaled_optimality
+    dual, comp, primal = it.optimality
     values = {
         "scaled_dual_infeasibility": dual,
         "scaled_complementarity": comp,
-        "primal_residual": inf_norm(it.a + it.s),
+        "primal_residual": primal,
     }
     return values if all(v <= eps_opt for v in values.values()) else None
 

@@ -32,14 +32,13 @@ Biegler 2006, section 3.1) instead certifies divergence after one step.
 The paper's own restart rule is not in ``PAPER.md``; its reference
 implementation is github.com/ohinder/OnePhase.
 
-The trial factorizations (LAPACK ``dpotrf``, with ``dlaset`` zeroing the
-upper triangle) and the backsolves (``dpotrs``) call the OpenBLAS that
-numpy bundles, the same build that assembles ``M``, through one
-``ctypes`` binding.  scipy ships a second OpenBLAS with its own thread
-pool: factoring with it while numpy's assembled made the two pools
-contend on every outer iteration (an order of magnitude at n = 128 on two
-cores), and importing ``scipy.linalg`` was most of ``import onephase``'s
-time.  ``np.linalg.cholesky`` calls the same ``dpotrf`` but makes three
+The trial factorizations (LAPACK ``dpotrf``) and the backsolves
+(``dpotrs``) call the OpenBLAS that numpy bundles, the same build that
+assembles ``M``, through one ``ctypes`` binding.  scipy ships a second
+OpenBLAS with its own thread pool: factoring with it while numpy's
+assembled made the two pools contend on every outer iteration (an order
+of magnitude at n = 128 on two cores), and importing ``scipy.linalg`` was
+most of ``import onephase``'s time.  ``np.linalg.cholesky`` calls the same ``dpotrf`` but makes three
 copies of the matrix around it, each a transpose, and raises an exception
 for every failed trial; ``np.linalg.solve`` would factor again.  So one
 OpenBLAS does all the dense work, a trial makes one copy, and
@@ -89,9 +88,8 @@ def _bind_lapack(routine: str):
     raise ImportError(f"numpy's LAPACK exports no {routine} (tried {', '.join(names)})")
 
 
-_dpotrf, _dpotrs, _dlaset = map(_bind_lapack, ("dpotrf", "dpotrs", "dlaset"))
+_dpotrf, _dpotrs = map(_bind_lapack, ("dpotrf", "dpotrs"))
 _ONE = ctypes.byref(_LapackInt(1))
-_ZERO = ctypes.byref(ctypes.c_double(0.0))
 # The length of the one-character UPLO, which Fortran passes after the
 # declared arguments.
 _UPLO_LEN = ctypes.c_size_t(1)
@@ -112,8 +110,9 @@ class MaxDeltaError(RuntimeError):
 @dataclass
 class FactorizedSystem:
     """Lower Cholesky factor of ``shifted = M + delta*I`` (``M`` if delta = 0),
-    Fortran-ordered with a zero strict upper triangle: the layout
-    ``dpotrs`` reads in :func:`_backsolve`."""
+    Fortran-ordered: the layout ``dpotrs`` reads in :func:`_backsolve`, which
+    reads only the lower triangle.  The strict upper triangle is unspecified
+    (it holds entries of ``M``)."""
 
     delta: float
     shifted: np.ndarray
@@ -156,7 +155,8 @@ def _try_cholesky(A: np.ndarray) -> np.ndarray | None:
     exactly symmetric, as :func:`assemble_schur` makes it: ``dpotrf`` reads
     the lower triangle of a C-ordered copy taken as Fortran-ordered, which
     is the upper triangle of ``A``.  The copy is factored in place and its
-    transpose, the factor in Fortran order, returned.
+    transpose, the factor in Fortran order, returned with ``A``'s entries
+    left in its strict upper triangle.
     """
     factor = np.array(A, dtype=np.float64, order="C")
     n = factor.shape[0]
@@ -169,10 +169,6 @@ def _try_cholesky(A: np.ndarray) -> np.ndarray | None:
         return None
     if info.value < 0:
         raise ValueError(f"illegal value in {-info.value}th argument of internal potrf")
-    # dpotrf leaves the strict upper triangle as it was: zero it, as the
-    # upper triangle of the (n-1) x (n-1) block from A(1, 2), n doubles in.
-    rest = ctypes.byref(_LapackInt(n - 1))
-    _dlaset(b"U", rest, rest, _ZERO, _ZERO, _Doubles.from_buffer(factor, 8 * n), size, _UPLO_LEN)
     return factor.T
 
 

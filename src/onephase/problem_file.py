@@ -167,8 +167,11 @@ def parse_problem_file(text: str) -> ProblemFile:
             n = _int(tokens, 1, raw, lineno)
             if n < 1:
                 raise _error("vars must be positive", raw, lineno, 1)
-            lower = np.full(n, -np.inf)
-            upper = np.full(n, np.inf)
+            try:  # numpy refuses a count no address space holds before touching memory
+                lower = np.full(n, -np.inf)
+                upper = np.full(n, np.inf)
+            except (MemoryError, ValueError):
+                raise _error(f"vars {n} is too many to allocate", raw, lineno, 1) from None
             continue
         if head in _SECTIONS:
             if len(tokens) != 1:

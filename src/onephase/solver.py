@@ -381,14 +381,14 @@ def solve(
                 else:
                     filt.add(phi, kkt)
 
-            opt_dual, opt_comp = cur.scaled_optimality
+            opt_dual, opt_comp, primal_resid = cur.optimality
             record = TraceRecord(
                 iter=inner_count, outer=outer_count, kind=kind,
                 accepted=outcome.success,
                 gamma=outcome.direction.gamma,
                 delta=fs.delta, alpha_p=outcome.alpha_p, alpha_d=outcome.alpha_d,
                 mu=cur.mu, mu_pre=mu_pre,
-                primal_resid=inf_norm(cur.primal_residual()),
+                primal_resid=primal_resid,
                 opt_dual=opt_dual, opt_comp=opt_comp,
                 switch_dual=switch_dual,
                 phi=phi, kkt=kkt,

@@ -163,6 +163,28 @@ def test_nan_bound_is_parse_error(tmp_path, capsys):
     with open(summary, newline="") as fh:
         (row,) = csv.DictReader(fh)
     assert (row["status"], row["exit_code"]) == ("parse-error", str(USAGE_ERROR))
+    # a parse error has no solve: its solve columns are empty
+    assert [row[k] for k in ("inner_iters", "outer_iters", "objective", "wall_time")] == [""] * 4
+
+
+# Both counts lie past what a 64-bit machine can map (the first is 711 PiB of
+# doubles, the second overflows numpy's dimension type), so numpy refuses
+# them before touching memory.  Never test a count that could be allocated.
+@pytest.mark.parametrize("count", ["100000000000000000", "100000000000000000000"])
+def test_unallocatable_vars_is_parse_error(tmp_path, capsys, count):
+    # These escaped as numpy's MemoryError (a traceback, exit 1) or
+    # ValueError (no line or column), and a batch aborted at the file.
+    (tmp_path / "a-huge.nlp").write_text(f"problem p\nvars {count}\n")
+    (tmp_path / "b-lp.nlp").write_text(LP_TEXT)
+    assert run_cli(["solve", str(tmp_path / "a-huge.nlp")]) == USAGE_ERROR
+    assert f"line 2, column 6: vars {count} is too many to allocate" in capsys.readouterr().err
+    summary = tmp_path / "summary.csv"
+    assert run_cli(["batch", str(tmp_path), "--summary", str(summary)]) == 4
+    with open(summary, newline="") as fh:
+        rows = {row["name"]: row for row in csv.DictReader(fh)}
+    assert rows["a-huge"]["status"] == "parse-error"
+    assert rows["a-huge"]["error"] == f"line 2, column 6: vars {count} is too many to allocate"
+    assert rows["b-lp"]["status"] == "optimal"
 
 
 @pytest.mark.parametrize("bounds, message", [

@@ -1,5 +1,6 @@
 """Every name a module of ``onephase`` imports is used in that module, and
-every module-level function and class is named somewhere in the package.
+every module-level function and class is named somewhere in the package,
+and every decoded field, method and property of a class is read outside it.
 
 No linter runs on this tree, so these checks catch the imports a deletion
 leaves behind and the definitions only tests call.  A name counts as used
@@ -91,21 +92,38 @@ def _declares_decoded_field(node: ast.stmt) -> bool:
                     and kw.value.value is False for kw in node.value.keywords))
 
 
-def unread_fields(sources: dict[str, str]) -> dict[str, int]:
-    """The ``field(init=False)`` attributes declared in the classes of
-    ``sources`` (module name to text) that no code outside the declaring
-    class reads, as ``{"module:Class.name": line}``: a decoded field that
-    nothing reads is a decode left behind."""
+def _unread_outside_class(sources: dict[str, str], declared) -> dict[str, int]:
+    """The names ``declared(class_node)`` yields, as ``(name, line)``, for the
+    classes of ``sources`` (module name to text) that no code outside the
+    declaring class reads as an attribute, as ``{"module:Class.name": line}``."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
     everywhere = sum(map(_attribute_reads, trees.values()), Counter())
     unread = {}
     for module, tree in trees.items():
         for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
             inside = _attribute_reads(cls)
-            for node in filter(_declares_decoded_field, cls.body):
-                if everywhere[node.target.id] == inside[node.target.id]:
-                    unread[f"{module}:{cls.name}.{node.target.id}"] = node.lineno
+            for name, line in declared(cls):
+                if everywhere[name] == inside[name]:
+                    unread[f"{module}:{cls.name}.{name}"] = line
     return unread
+
+
+def unread_fields(sources: dict[str, str]) -> dict[str, int]:
+    """The ``field(init=False)`` attributes of the classes of ``sources``
+    that nothing outside their class reads: a decoded field that nothing
+    reads is a decode left behind."""
+    return _unread_outside_class(sources, lambda cls: (
+        (node.target.id, node.lineno) for node in cls.body if _declares_decoded_field(node)))
+
+
+def unread_members(sources: dict[str, str]) -> dict[str, int]:
+    """The methods and properties of the classes of ``sources``, dunders
+    aside, that nothing outside their class reads: a member only tests
+    call is computed for no reader."""
+    return _unread_outside_class(sources, lambda cls: (
+        (node.name, node.lineno) for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not (node.name.startswith("__") and node.name.endswith("__"))))
 
 
 def test_every_decoded_field_is_read():
@@ -123,6 +141,21 @@ def test_check_flags_an_unread_field():
                     "        print(self._orphan.real)\n",
                "b": "def f(p):\n    return p._read + p.k\n"}
     assert unread_fields(sources) == {"a:P._orphan": 5}
+
+
+def test_every_member_is_read():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert not unread_members(sources)
+
+
+def test_check_flags_an_unread_member():
+    sources = {"a": "class It:\n"
+                    "    def __init__(self):\n        self.v = self.helper()\n"
+                    "    def helper(self):\n        return 1\n"
+                    "    @property\n    def read(self):\n        return self.orphan\n"
+                    "    @cached_property\n    def orphan(self):\n        return 2\n",
+               "b": "def f(it):\n    return it.read\n"}
+    assert unread_members(sources) == {"a:It.helper": 4, "a:It.orphan": 10}
 
 
 def test_import_loads_no_scipy():

@@ -53,7 +53,7 @@ class TestUpdateIterate:
         cur = raw_iterate(mu, [-1.0], [mu * 1.0 + 1.0], [1.0], [1.0], jac=[[1.0]])
         new = step_to(cur, -0.1, 1.0, 0.8, p)
         assert new.mu == mu  # bit-identical
-        assert_allclose(new.primal_residual(), [0.0], atol=1e-12)
+        assert_allclose(new.a + new.s - new.mu * new.w, [0.0], atol=1e-12)
 
     def test_affine_step_halves_mu(self):
         p = self.problem()

@@ -190,6 +190,13 @@ PINNED_ERRORS = {
     "malformed-vars": ("problem p\nvars 2.0\n", "malformed integer '2.0'", 2, 6),
     "non-positive-vars": ("problem p\nvars  0\n", "vars must be positive", 2, 7),
     "vars-token-count": ("problem p\nvars 2 3\n", "expected: vars N", 2, 1),
+    # numpy's MemoryError and ValueError: both counts are past any address space
+    "unallocatable-vars": (
+        "problem p\nvars 100000000000000000\n",
+        "vars 100000000000000000 is too many to allocate", 2, 6),
+    "vars-past-numpy-dimension": (
+        "problem p\nvars 100000000000000000000\n",
+        "vars 100000000000000000000 is too many to allocate", 2, 6),
     "duplicate-vars": ("problem p\nvars 1\nvars 1\n", "duplicate vars line", 3, 1),
     "malformed-bounds-index": (
         HEAD3 + "bounds\n1.5 0 1\n", "malformed integer '1.5'", 5, 1),

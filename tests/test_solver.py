@@ -179,7 +179,7 @@ class TestInitialize:
             it = initialize(problem, entry.x_start, opts)
             assert check_interior(it), entry.name
             if problem.m:
-                resid = inf_norm(it.primal_residual())
+                resid = inf_norm(it.a + it.s - it.mu * it.w)
                 assert resid <= 1e-12 * (1.0 + it.mu * inf_norm(it.w)), entry.name
                 assert np.all(it.w >= 0), entry.name
 
@@ -325,7 +325,7 @@ class TestSolveBasics:
             for _prev, _direction, _alpha_p, _alpha_d, new, _kind in steps:
                 assert check_interior(new), name
                 scale = inf_norm(new.s) + inf_norm(new.a) + new.mu * inf_norm(new.w)
-                assert inf_norm(new.primal_residual()) <= (
+                assert inf_norm(new.a + new.s - new.mu * new.w) <= (
                     1e-8 * (1.0 + start) + 16 * eps * scale), name
 
 
@@ -352,13 +352,15 @@ class TestSolveTraceInvariants:
                     assert rec.mu < rec.mu_pre, name
 
     def test_primal_residual_bounded(self, traced):
+        # ||a + s||_inf is mu ||w||_inf, as a + s = mu w, up to rounding.
         for name, result in traced.items():
             entry = builtin_registry()[name]
             problem, _ = entry.build()
             it0 = initialize(problem, entry.x_start, SolverOptions())
-            allowance = 1e-8 * (1.0 + it0.mu * inf_norm(it0.w))
+            w_norm = inf_norm(it0.w)
+            allowance = 1e-8 * (1.0 + it0.mu * w_norm)
             for rec in result.trace:
-                assert rec.primal_resid <= allowance, name
+                assert abs(rec.primal_resid - rec.mu * w_norm) <= allowance, name
 
     def test_aggressive_dispatch_satisfied_switching(self, traced):
         # accepted aggressive steps were dispatched with
@@ -407,6 +409,23 @@ class TestSolveTraceInvariants:
             "filter_size,f_evals,grad_evals,cons_evals,jac_evals,hess_evals,"
             "factorizations,backsolves")
         assert len(lines) == 2 + len(result.trace)
+
+
+def test_trace_optimality_columns_are_the_certificate():
+    # One definition per measure: the last record's three columns are the
+    # optimal certificate's values, to the bit.
+    ended_optimal = 0
+    for name, entry in builtin_registry().items():
+        problem, _ = entry.build()
+        result = solve(problem, entry.x_start)
+        if result.status is not SolveStatus.OPTIMAL:
+            continue
+        ended_optimal += 1
+        last, cert = result.trace[-1], result.certificate
+        assert (last.opt_dual, last.opt_comp, last.primal_resid) == (
+            cert["scaled_dual_infeasibility"], cert["scaled_complementarity"],
+            cert["primal_residual"]), name
+    assert ended_optimal >= 6
 
 
 class TestOneFactorizationPerStep:
